@@ -126,19 +126,23 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
 def eval_chi(sol: CellSolution, cell_mesh: Mesh, x, eps: float):
     """chi(x/eps) and the piecewise-constant gradient of the containing triangle.
 
-    The point is wrapped into the unit cell; landing inside the hole raises
+    x is one point (2,) or many (P, 2); the results are (2,) and (2, 2) or
+    (P, 2) and (P, 2, 2), with grad[..., k, a] = dchi^k/dy_a.  Points are
+    wrapped into the unit cell; any point landing inside the hole raises
     OutsideDomainError (callers must query fluid points only).
     """
-    y = np.asarray(x, dtype=float) / eps
-    y = y - np.floor(y)
-    for d in range(2):
-        if y[d] < 1e-12 or y[d] > 1.0 - 1e-12:
-            y[d] = 0.0
-    hit = geometry.locate_point(cell_mesh, y)
-    if hit is None:
-        raise OutsideDomainError(f"point {tuple(x)} maps into the hole at y={tuple(y)}")
-    t, lam = hit
-    nodes = cell_mesh.triangles[t]
-    value = lam @ sol.chi[nodes]                       # (2,)
-    grad = np.einsum("la,lk->ka", cell_mesh.grads()[t], sol.chi[nodes])  # (2,2) dchi^k/dy_a
+    x = np.asarray(x, dtype=float)
+    y = x.reshape(-1, 2) / eps
+    y -= np.floor(y)
+    y[(y < 1e-12) | (y > 1.0 - 1e-12)] = 0.0
+    tri, lam = geometry.locate_point(cell_mesh, y)
+    if (tri < 0).any():
+        p = int(np.argmax(tri < 0))
+        raise OutsideDomainError(f"point {x.reshape(-1, 2)[p].tolist()} maps into "
+                                 f"the hole at y={y[p].tolist()}")
+    chi = sol.chi[cell_mesh.triangles[tri]]                      # (P, 3, 2)
+    value = (lam[:, None, :] @ chi)[:, 0]
+    grad = np.einsum("pla,plk->pka", cell_mesh.grads()[tri], chi)
+    if x.ndim == 1:
+        return value[0], grad[0]
     return value, grad

@@ -3,12 +3,12 @@ certificate for eigenvalue localization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from . import fem, geometry
+from . import geometry
 from .cell import CellSolution, eval_chi
 from .errors import AlignmentError, GeometryError, SolverError
 from .geometry import Mesh
@@ -52,23 +52,6 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-class _AMeshEvaluator:
-    """Evaluates a P1 field and its recovered gradient anywhere on the A mesh."""
-
-    def __init__(self, a_mesh: Mesh, u: np.ndarray):
-        self.mesh = a_mesh
-        self.u = u
-        self.grad = recovered_gradient(a_mesh, u)
-
-    def __call__(self, x):
-        hit = geometry.locate_point(self.mesh, x)
-        if hit is None:
-            return None
-        t, lam = hit
-        nodes = self.mesh.triangles[t]
-        return float(lam @ self.u[nodes]), lam @ self.grad[nodes]
-
-
 def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
                     eps: float, bundle: DiscreteOperatorBundle,
                     cutoff: bool, source_index: int = 0) -> CorrectorField:
@@ -81,28 +64,23 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     rect = a_mesh.meta.get("rect")
     if rect is None:
         raise GeometryError("A mesh does not carry its rectangle metadata")
-    ev = _AMeshEvaluator(a_mesh, u_hom)
-    template = sol.mesh
-
-    values = np.zeros(mesh.n_nodes)
-    failures = []
-    for n in range(mesh.n_nodes):
-        x = mesh.nodes[n]
-        d = geometry.rect_distance(rect, x)
-        if d <= 0.0:
-            continue
-        hit = ev(x)
-        if hit is None:
-            failures.append(n)
-            continue
-        uval, ugrad = hit
-        chi_val, _ = eval_chi(sol, template, x, eps)
-        psi = min(1.0, d / (2.0 * eps)) if cutoff else 1.0
-        values[n] = uval + eps * psi * float(chi_val @ ugrad)
-    if failures:
+    d = geometry.rect_distance(rect, mesh.nodes)
+    inside = np.nonzero(d > 0.0)[0]
+    x = mesh.nodes[inside]
+    # u, its recovered gradient and the constant 1, which interpolates to 0
+    # exactly where point location failed
+    fields = np.column_stack([u_hom, recovered_gradient(a_mesh, u_hom),
+                              np.ones(a_mesh.n_nodes)])
+    uval, gx, gy, located = geometry.interpolate(a_mesh, fields, x).T
+    failures = inside[located == 0.0]
+    if len(failures):
         raise GeometryError(
             f"point location failed for {len(failures)} nodes inside A, "
-            f"first offenders {failures[:5]}")
+            f"first offenders {failures[:5].tolist()}")
+    chi_val, _ = eval_chi(sol, sol.mesh, x, eps)
+    psi = np.minimum(1.0, d[inside] / (2.0 * eps)) if cutoff else 1.0
+    values = np.zeros(mesh.n_nodes)
+    values[inside] = uval + eps * psi * (chi_val[:, 0] * gx + chi_val[:, 1] * gy)
     return CorrectorField(values=bundle.red.restrict(values),
                           cutoff_applied=cutoff, source_index=source_index, eps=eps)
 
@@ -120,8 +98,7 @@ def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,
     if u_eps.shape != U.shape:
         raise AlignmentError(f"family shapes differ: {U.shape} vs {u_eps.shape}")
     m = U.shape[0]
-    G = np.array([[float(U[l] @ (M_mass @ u_eps[k])) for k in range(m)]
-                  for l in range(m)])
+    G = U @ (M_mass @ u_eps.T)
     W, s, Vt = la.svd(G)
     if s.min() < 1e-12:
         raise AlignmentError(f"rank-deficient cross Gram, singular values {s}")
@@ -139,8 +116,7 @@ def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,
 
 
 def _orthonormalize(X: np.ndarray, M_mass) -> np.ndarray:
-    G = np.array([[float(X[i] @ (M_mass @ X[j])) for j in range(len(X))]
-                  for i in range(len(X))])
+    G = X @ (M_mass @ X.T)
     try:
         L = la.cholesky(G, lower=True)
     except la.LinAlgError as exc:
@@ -149,18 +125,23 @@ def _orthonormalize(X: np.ndarray, M_mass) -> np.ndarray:
 
 
 def eigenspace_gap(span_a: np.ndarray, span_b: np.ndarray, M_mass) -> float:
-    """Largest principal-angle sine between two equal-dimension M-spans."""
+    """Largest principal-angle sine between two equal-dimension M-spans.
+
+    The sines come from the residual of the orthonormal basis of span_b after
+    M-projection onto span_a, not from sqrt(1 - cos^2), so small angles keep
+    full relative accuracy (Knyazev & Argentati, SIAM J. Sci. Comput. 23(6),
+    2002).  The largest sine squared is the largest eigenvalue of the
+    residual's M-Gram matrix.
+    """
     A = np.atleast_2d(np.asarray(span_a, dtype=float))
     B = np.atleast_2d(np.asarray(span_b, dtype=float))
     if A.shape != B.shape:
         raise AlignmentError(f"span dimensions differ: {A.shape} vs {B.shape}")
     Ao = _orthonormalize(A, M_mass)
     Bo = _orthonormalize(B, M_mass)
-    C = np.array([[float(Ao[i] @ (M_mass @ Bo[j])) for j in range(len(Bo))]
-                  for i in range(len(Ao))])
-    s = la.svd(C, compute_uv=False)
-    smin = min(1.0, float(s.min()))
-    return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
+    R = Bo - (Bo @ (M_mass @ Ao.T)) @ Ao
+    s2 = float(la.eigvalsh(R @ (M_mass @ R.T)).max())
+    return float(np.sqrt(min(1.0, max(0.0, s2))))
 
 
 @dataclass

@@ -188,33 +188,6 @@ def _square_boundary_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pts), np.array(keys, dtype=np.int64)
 
 
-def _structured_square(m: int, offset=(0.0, 0.0), scale=1.0):
-    """Structured two-triangles-per-square grid on [0,1]^2 scaled/translated."""
-    ii, jj = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="xy")
-    nodes = np.column_stack([
-        offset[0] + scale * (ii.ravel() / m),
-        offset[1] + scale * (jj.ravel() / m),
-    ])
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            a = j * (m + 1) + i
-            b = a + 1
-            c = a + m + 2
-            d = a + m + 1
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.array(tris, dtype=np.int64)
-    edges = []
-    for i in range(m):  # bottom / top
-        edges.append((i, i + 1))
-        edges.append((m * (m + 1) + i, m * (m + 1) + i + 1))
-    for j in range(m):  # left / right
-        edges.append((j * (m + 1), (j + 1) * (m + 1)))
-        edges.append((j * (m + 1) + m, (j + 1) * (m + 1) + m))
-    return nodes, tris, np.array(edges, dtype=np.int64)
-
-
 def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     """Template mesh of the full unit cell Q with the hole polygon as interface.
 
@@ -228,20 +201,12 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     m = max(1, int(round(1.0 / h_ref)))
 
     if r == 0.0:
-        nodes, tris, edges = _structured_square(m)
-        mesh = Mesh(
-            nodes=nodes,
-            triangles=tris,
-            tri_region=np.zeros(len(tris), dtype=np.int64),
-            tri_cell=np.zeros((len(tris), 2), dtype=np.int64),
-            boundary_edges=edges,
-            edge_kind=np.full(len(edges), OUTER, dtype=np.int64),
-            edge_cell=np.full((len(edges), 2), _NO_CELL[0], dtype=np.int64),
-            meta={"h_ref": h_ref, "m": m, "r": r, "n_b": n_b,
-                  "cell_area": 1.0, "hole_perimeter": 0.0},
-        )
+        mesh = build_domain_mesh((0.0, 0.0, 1.0, 1.0), 1.0 / m)
+        mesh.tri_cell[:] = 0
+        mesh.meta = {"h_ref": h_ref, "m": m, "r": r, "n_b": n_b,
+                     "cell_area": 1.0, "hole_perimeter": 0.0}
         mesh.meta["face_keys"] = _structured_face_keys(mesh, m)
-        return _validate(mesh, "cell mesh")
+        return mesh
 
     if n_b < 8:
         raise GeometryError(f"hole polygon needs >= 8 vertices, got {n_b}")
@@ -520,63 +485,85 @@ def build_domain_mesh(rect: tuple[float, float, float, float], h: float) -> Mesh
 
 
 class _Locator:
-    """Uniform-bin point location over the FLUID triangles of a mesh."""
+    """Uniform-bin point location over the FLUID triangles of a mesh.
 
-    def __init__(self, mesh: Mesh, bins: int | None = None):
+    Bin b holds the triangle ids tri[start[b]:start[b + 1]], sorted by id, of
+    every FLUID triangle whose bounding box overlaps it.
+    """
+
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         fl = mesh.fluid_triangles()
-        self.fluid = fl
         pts = mesh.nodes[mesh.triangles[fl]]
         self.lo = mesh.nodes.min(axis=0)
-        self.hi = mesh.nodes.max(axis=0)
-        if bins is None:
-            bins = max(1, int(np.sqrt(max(1, len(fl)) / 2.0)))
-        self.nb = bins
-        span = np.maximum(self.hi - self.lo, 1e-300)
-        self.inv = bins / span
-        self.grid: dict[tuple[int, int], list[int]] = {}
-        bmin = np.clip(((pts.min(axis=1) - self.lo) * self.inv).astype(int), 0, bins - 1)
-        bmax = np.clip(((pts.max(axis=1) - self.lo) * self.inv).astype(int), 0, bins - 1)
-        for t_local, t in enumerate(fl):
-            for bx in range(bmin[t_local, 0], bmax[t_local, 0] + 1):
-                for by in range(bmin[t_local, 1], bmax[t_local, 1] + 1):
-                    self.grid.setdefault((bx, by), []).append(int(t))
-        for v in self.grid.values():
-            v.sort()
+        nb = self.nb = max(1, int(np.sqrt(max(1, len(fl)) / 2.0)))
+        span = np.maximum(mesh.nodes.max(axis=0) - self.lo, 1e-300)
+        self.inv = nb / span
+        bmin = np.clip(((pts.min(axis=1) - self.lo) * self.inv).astype(int), 0, nb - 1)
+        bmax = np.clip(((pts.max(axis=1) - self.lo) * self.inv).astype(int), 0, nb - 1)
+        # one entry per (triangle, overlapped bin), triangles in increasing id
+        ny = bmax[:, 1] - bmin[:, 1] + 1
+        count = (bmax[:, 0] - bmin[:, 0] + 1) * ny
+        owner = np.repeat(np.arange(len(fl)), count)
+        k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+        bins = ((bmin[owner, 0] + k // ny[owner]) * nb
+                + bmin[owner, 1] + k % ny[owner])
+        order = np.argsort(bins, kind="stable")
+        self.tri = fl[owner[order]]
+        self.start = np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=nb * nb))))
 
-    def query(self, x, tol: float = 1e-12):
-        bx = int(np.clip((x[0] - self.lo[0]) * self.inv[0], 0, self.nb - 1))
-        by = int(np.clip((x[1] - self.lo[1]) * self.inv[1], 0, self.nb - 1))
+    def query(self, X: np.ndarray, tol: float = 1e-12):
+        """First containing triangle (-1 if none) and clipped barycentrics of
+        each row of X, trying the bin's triangles in increasing id."""
+        b = np.clip(((X - self.lo) * self.inv), 0, self.nb - 1).astype(int)
+        b = b[:, 0] * self.nb + b[:, 1]
+        first, n_in_bin = self.start[b], self.start[b + 1] - self.start[b]
+        tri = np.full(len(X), -1, dtype=np.int64)
+        lam = np.zeros((len(X), 3))
         nodes = self.mesh.nodes
-        tris = self.mesh.triangles
-        best = None
-        for t in self.grid.get((bx, by), ()):
-            p0, p1, p2 = nodes[tris[t]]
-            det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-            l1 = ((x[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (x[1] - p0[1])) / det
-            l2 = ((p1[0] - p0[0]) * (x[1] - p0[1]) - (x[0] - p0[0]) * (p1[1] - p0[1])) / det
+        for slot in range(int(n_in_bin.max(initial=0))):
+            p = np.nonzero((tri < 0) & (n_in_bin > slot))[0]
+            t = self.tri[first[p] + slot]
+            p0, p1, p2 = (nodes[self.mesh.triangles[t, i]] for i in range(3))
+            e1, e2, d = p1 - p0, p2 - p0, X[p] - p0
+            det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+            l1 = (d[:, 0] * e2[:, 1] - e2[:, 0] * d[:, 1]) / det
+            l2 = (e1[:, 0] * d[:, 1] - d[:, 0] * e1[:, 1]) / det
             l0 = 1.0 - l1 - l2
-            if l0 >= -tol and l1 >= -tol and l2 >= -tol:
-                best = (t, np.clip((l0, l1, l2), 0.0, 1.0))
-                break  # bin lists are sorted: first hit is the lowest index
-        return best
+            hit = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+            tri[p[hit]] = t[hit]
+            lam[p[hit]] = np.clip(np.column_stack([l0, l1, l2])[hit], 0.0, 1.0)
+        return tri, lam
 
 
 def locate_point(mesh: Mesh, x, tol: float = 1e-12):
-    """Find the FLUID triangle containing x.
+    """Find the FLUID triangle containing each point of x, (2,) or (P, 2).
 
-    Returns (triangle index, barycentric coords) with the lowest-index
-    triangle winning ties on shared edges, or None when x lies in no FLUID
-    triangle (inside a hole or outside the mesh).
+    For (P, 2) input returns (tri, lam): triangle indices with -1 where a
+    point lies in no FLUID triangle (inside a hole or outside the mesh), and
+    (P, 3) barycentric coordinates.  The lowest-index triangle wins ties on
+    shared edges.  For a single point returns (t, lam), or None on a miss.
     """
     if mesh._locator is None:
         mesh._locator = _Locator(mesh)
-    hit = mesh._locator.query(np.asarray(x, dtype=float), tol=tol)
-    if hit is None:
-        return None
-    t, lam = hit
-    lam = np.asarray(lam)
-    return t, lam / lam.sum()
+    X = np.asarray(x, dtype=float)
+    tri, lam = mesh._locator.query(X.reshape(-1, 2), tol=tol)
+    hit = tri >= 0
+    lam[hit] /= (lam[hit, 0] + lam[hit, 1] + lam[hit, 2])[:, None]
+    if X.ndim == 1:
+        return (int(tri[0]), lam[0]) if hit[0] else None
+    return tri, lam
+
+
+def interpolate(mesh: Mesh, u: np.ndarray, X) -> np.ndarray:
+    """P1 interpolant of nodal field(s) u, (N,) or (N, c), at the points X
+    (P, 2); zero where a point lies in no FLUID triangle."""
+    u = np.asarray(u, dtype=float)
+    tri, lam = locate_point(mesh, np.reshape(X, (-1, 2)))
+    out = np.zeros((len(tri),) + u.shape[1:])
+    hit = tri >= 0
+    out[hit] = np.einsum("pl,pl...->p...", lam[hit], u[mesh.triangles[tri[hit]]])
+    return out
 
 
 def interior_edge_counts(mesh: Mesh) -> dict[tuple[int, int], int]:
@@ -607,14 +594,17 @@ def write_mesh_text(mesh: Mesh) -> str:
     return out.getvalue()
 
 
-def rect_distance(rect: tuple[float, float, float, float], x) -> float:
-    """Signed-clamped distance to the rectangle boundary: positive inside,
-    0 on the boundary and outside."""
+def rect_distance(rect: tuple[float, float, float, float], x):
+    """Signed-clamped distance of x, (2,) or (P, 2), to the rectangle
+    boundary: positive inside, 0 on the boundary and outside."""
     x0, y0, x1, y1 = rect
-    d = min(x[0] - x0, x1 - x[0], x[1] - y0, y1 - x[1])
-    return max(0.0, d)
+    x = np.asarray(x, dtype=float)
+    d = np.minimum.reduce([x[..., 0] - x0, x1 - x[..., 0], x[..., 1] - y0, y1 - x[..., 1]])
+    return np.maximum(0.0, d)
 
 
-def point_in_closed_rect(rect: tuple[float, float, float, float], x) -> bool:
+def point_in_closed_rect(rect: tuple[float, float, float, float], x):
+    """Whether x, (2,) or (P, 2), lies in the closed rectangle."""
     x0, y0, x1, y1 = rect
-    return x0 <= x[0] <= x1 and y0 <= x[1] <= y1
+    x = np.asarray(x, dtype=float)
+    return (x0 <= x[..., 0]) & (x[..., 0] <= x1) & (y0 <= x[..., 1]) & (x[..., 1] <= y1)

@@ -52,6 +52,8 @@ class StudyConfig:
         unknown = set(self.modes) - set(MODES)
         if unknown:
             raise ConfigError(f"unknown modes {sorted(unknown)}")
+        for eps in self.eps_list:
+            self.domain_config(eps)
 
     def domain_config(self, eps: float) -> DomainConfig:
         return DomainConfig(eps=eps, hole_radius=self.hole_radius,
@@ -87,22 +89,6 @@ def _eigen_clusters(values: np.ndarray, rel_tol: float = 1e-2) -> list[list[int]
         else:
             clusters.append([j])
     return clusters
-
-
-def _interp_to_mesh(target: Mesh, a_mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """P1 interpolation of an A-mesh field onto target nodes, zero outside A."""
-    out = np.zeros(target.n_nodes)
-    rect = a_mesh.meta["rect"]
-    for n in range(target.n_nodes):
-        x = target.nodes[n]
-        if geometry.rect_distance(rect, x) <= 0.0:
-            continue
-        hit = geometry.locate_point(a_mesh, x)
-        if hit is None:
-            continue
-        t, lam = hit
-        out[n] = float(lam @ u[a_mesh.triangles[t]])
-    return out
 
 
 def run_study(cfg: StudyConfig) -> dict:
@@ -204,8 +190,8 @@ def run_study(cfg: StudyConfig) -> dict:
                 ext = np.stack([spectral.extend_Teps(bundle,
                                                      spec_eps.eigenvectors[:, j])
                                 for j in cl])
-                hom = np.stack([_interp_to_mesh(full, a_mesh, hom_full[j])
-                                for j in cl])
+                hom = geometry.interpolate(
+                    a_mesh, np.column_stack([hom_full[j] for j in cl]), full.nodes).T
                 gap = corr.eigenspace_gap(ext, hom, M_omega)
                 per_mode[cl[0]]["gap"] = gap
 

@@ -105,6 +105,23 @@ def test_eval_chi_hole_raises(cell_sol8, template8):
         eval_chi(cell_sol8, template8, np.array([0.5, 0.5]) * 0.25, 0.25)
 
 
+def test_eval_chi_batched(cell_sol8, template8):
+    eps = 0.25
+    fl = template8.fluid_triangles()
+    y = np.vstack([np.unique(template8.nodes[template8.triangles[fl]].reshape(-1, 2), axis=0),
+                   template8.nodes[template8.triangles[fl]].mean(axis=1)])
+    X = eps * (y + np.array([1.0, 2.0]))
+    vals, grads = eval_chi(cell_sol8, template8, X, eps)
+    assert vals.shape == (len(X), 2) and grads.shape == (len(X), 2, 2)
+    for x, v, g in zip(X, vals, grads):
+        v1, g1 = eval_chi(cell_sol8, template8, x, eps)
+        assert np.array_equal(v, v1) and np.array_equal(g, g1)
+    # one point in the hole fails the whole batch and is named
+    bad = np.vstack([X[:3], [0.5 * eps, 0.5 * eps], X[3:5]])
+    with pytest.raises(OutsideDomainError, match=r"\[0\.125, 0\.125\]"):
+        eval_chi(cell_sol8, template8, bad, eps)
+
+
 def test_chi_odd_under_cell_rotation(cell_sol8, template8):
     # the discrete template is invariant under rotation by pi about the cell
     # center, so chi is exactly odd under y -> 1 - y (both components)

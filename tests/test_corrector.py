@@ -8,7 +8,7 @@ from homoglab import corrector as corr
 from homoglab import geometry, spectral
 from homoglab.cell import solve_cell_problem
 from homoglab.errors import AlignmentError, SolverError
-from homoglab.harness import _expand_dirichlet, _interp_to_mesh
+from homoglab.harness import _expand_dirichlet
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 
@@ -44,7 +44,7 @@ def test_no_hole_corrector_is_interpolant(a_mesh32, hom_field):
     bundle = spectral.build_perforated_bundle(cfg, cell0)
     U = corr.build_corrector(hom_field, a_mesh32, sol0, 0.25, bundle, cutoff=False)
     interp = bundle.red.restrict(
-        _interp_to_mesh(bundle.mesh, a_mesh32, hom_field))
+        geometry.interpolate(a_mesh32, hom_field, bundle.mesh.nodes))
     assert np.allclose(U.values, interp, atol=1e-12)
     assert U.cutoff_applied is False
 
@@ -52,11 +52,10 @@ def test_no_hole_corrector_is_interpolant(a_mesh32, hom_field):
 def test_cutoff_only_acts_near_boundary(sweep, a_mesh32):
     rect = a_mesh32.meta["rect"]
     for eps, (bundle, u_off, u_on) in sweep.items():
-        nodes = bundle.mesh.nodes[bundle.red.keep]
-        far = np.array([geometry.rect_distance(rect, x) > 2.0 * eps
-                        for x in nodes])
+        d = geometry.rect_distance(rect, bundle.mesh.nodes[bundle.red.keep])
+        far = d > 2.0 * eps
         assert np.array_equal(u_on.values[far], u_off.values[far])
-        inside = np.array([geometry.rect_distance(rect, x) > 0.0 for x in nodes])
+        inside = d > 0.0
         # outside A both correctors vanish
         assert np.max(np.abs(u_on.values[~inside])) == 0.0
 
@@ -68,7 +67,7 @@ def test_corrector_amplitude_scales_with_eps(sweep, a_mesh32, hom_field):
     for eps in (0.25, 0.125, 0.0625):
         bundle, u_off, _ = sweep[eps]
         interp = bundle.red.restrict(
-            _interp_to_mesh(bundle.mesh, a_mesh32, hom_field))
+            geometry.interpolate(a_mesh32, hom_field, bundle.mesh.nodes))
         d = u_off.values - interp
         norms.append(float(np.sqrt(d @ (bundle.M @ d))))
     for a, b in zip(norms, norms[1:]):
@@ -173,7 +172,7 @@ def test_corrector_consistency_order_eps(sweep, a_mesh32, hom_field):
     for eps in (0.25, 0.125, 0.0625):
         bundle, u_off, _ = sweep[eps]
         interp = bundle.red.restrict(
-            _interp_to_mesh(bundle.mesh, a_mesh32, hom_field))
+            geometry.interpolate(a_mesh32, hom_field, bundle.mesh.nodes))
         d = u_off.values - interp
         errs.append(float(np.sqrt(d @ (bundle.A @ d))))
     for a, b in zip(errs, errs[1:]):

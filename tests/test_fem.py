@@ -94,6 +94,22 @@ def test_robin_mass_support(bundle_quarter):
     assert 0.0 < float(ones @ (R @ ones)) < total
 
 
+def test_robin_mass_matches_per_edge_sum(bundle_quarter):
+    mesh = bundle_quarter.mesh
+    for k_rect in (None, K_RECT):
+        ref = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        for (a, b), kind in zip(mesh.boundary_edges, mesh.edge_kind):
+            mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
+            if kind != geometry.HOLE_BDRY or (
+                    k_rect is not None and geometry.point_in_closed_rect(k_rect, mid)):
+                continue
+            length = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
+            ref[[a, b, a, b], [a, b, b, a]] += [length / 3.0, length / 3.0,
+                                                length / 6.0, length / 6.0]
+        R = fem.assemble_robin_mass(mesh, k_rect=k_rect)
+        assert np.abs(R.toarray() - ref).max() <= 1e-15
+
+
 def test_matrix_symmetry_and_definiteness(bundle_quarter):
     mesh = bundle_quarter.mesh
     S = fem.assemble_stiffness(mesh)

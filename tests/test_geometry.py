@@ -130,6 +130,44 @@ def test_locate_point(template8):
     assert locate_point(template8, (2.0, 2.0)) is None
 
 
+def test_locate_point_batched(template8):
+    fl = template8.fluid_triangles()
+    pts = np.vstack([template8.nodes,
+                     template8.nodes[template8.triangles[fl]].mean(axis=1),
+                     [(0.5, 0.5), (2.0, 2.0)]])
+    tri, lam = locate_point(template8, pts)
+    assert tri.shape == (len(pts),) and lam.shape == (len(pts), 3)
+    # identical to one call per point, misses marked -1
+    for x, t, l in zip(pts, tri, lam):
+        hit = locate_point(template8, x)
+        if hit is None:
+            assert t == -1
+        else:
+            assert t == hit[0] and np.array_equal(l, hit[1])
+    assert tri[-2] == -1 and tri[-1] == -1
+    # brute force over all FLUID triangles: the lowest-index container wins
+    p = template8.nodes[template8.triangles[fl]]
+    inv = np.linalg.inv(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2))
+    l12 = np.einsum("tab,ptb->pta", inv, pts[:, None, :] - p[None, :, 0])
+    inside = (l12 >= -1e-12).all(axis=2) & (l12.sum(axis=2) <= 1.0 + 1e-12)
+    assert np.array_equal(tri, np.where(inside.any(axis=1), fl[inside.argmax(axis=1)], -1))
+
+
+def test_interpolate(template8):
+    def f(x):
+        return 1.5 + 2.0 * x[..., 0] - 3.0 * x[..., 1]
+
+    mesh = build_domain_mesh(K_RECT, 0.5 / 8.0)
+    X = np.random.default_rng(3).uniform(0.25, 0.75, (200, 2))
+    vals = geometry.interpolate(mesh, np.column_stack([f(mesh.nodes), -f(mesh.nodes)]), X)
+    assert vals.shape == (200, 2)
+    assert np.abs(vals[:, 0] - f(X)).max() <= 1e-14
+    assert np.abs(vals[:, 1] + f(X)).max() <= 1e-14
+    # zero outside the mesh and inside a hole
+    assert geometry.interpolate(mesh, f(mesh.nodes), [(0.1, 0.5)]).tolist() == [0.0]
+    assert geometry.interpolate(template8, f(template8.nodes), [(0.5, 0.5)]).tolist() == [0.0]
+
+
 def test_rect_helpers():
     rect = K_RECT
     assert rect_distance(rect, (0.5, 0.5)) == pytest.approx(0.25)
@@ -138,6 +176,9 @@ def test_rect_helpers():
     assert point_in_closed_rect(rect, (0.25, 0.25))
     assert point_in_closed_rect(rect, (0.5, 0.75))
     assert not point_in_closed_rect(rect, (0.2, 0.5))
+    X = np.array([(0.5, 0.5), (0.3, 0.5), (0.1, 0.5), (0.25, 0.25), (0.5, 0.75), (0.2, 0.5)])
+    assert np.allclose(rect_distance(rect, X), [0.25, 0.05, 0.0, 0.0, 0.0, 0.0])
+    assert point_in_closed_rect(rect, X).tolist() == [True, True, False, True, True, False]
 
 
 def test_cell_mesh_resolution_guards():

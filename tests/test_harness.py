@@ -50,6 +50,9 @@ def test_study_config_validation():
         StudyConfig(k=0)
     with pytest.raises(ConfigError):
         StudyConfig(modes=("EIGENVALUES", "BOGUS"))
+    # a bad eps fails at construction, before any cell problem is solved
+    with pytest.raises(ConfigError):
+        StudyConfig(eps_list=(1 / 4, 0.3))
     # eps values are sorted descending regardless of the input order
     cfg = StudyConfig(eps_list=(1 / 16, 1 / 4, 1 / 8))
     assert cfg.eps_list == (1 / 4, 1 / 8, 1 / 16)
