@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, geometry
 from .eigensolve import solve_source
@@ -55,28 +54,17 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
 
     # solve only over DoFs seen by fluid triangles (hole-interior nodes have
     # empty stiffness rows), pinning one of them for uniqueness
-    nred = red.dim
     in_fluid = np.zeros(cell_mesh.n_nodes, dtype=bool)
     in_fluid[tris.ravel()] = True
     active = np.nonzero(in_fluid[red.keep])[0]
     if len(active) < 2:
         raise SolverError("cell problem has no fluid DoFs to solve for")
     free = active[1:]
-    S_ff = red.S[free][:, free]
-    chi = np.zeros((cell_mesh.n_nodes, 2))
+    sol_red = np.zeros((red.dim, 2))
+    sol_red[free] = solve_source(red.S[free][:, free], loads_red[free])
+    full = red.expand(sol_red)
     area_y = cell_mesh.fluid_area()
-    ones = np.ones(cell_mesh.n_nodes)
-    for i in range(2):
-        rhs = loads_red[free, i]
-        try:
-            sol_free = solve_source(sp.csc_matrix(S_ff), rhs)
-        except SolverError as exc:
-            raise SolverError(f"cell problem solve failed for direction {i}: {exc}")
-        sol_red = np.zeros(nred)
-        sol_red[free] = sol_free
-        full = red.expand(sol_red)
-        mean = float(ones @ (M @ full)) / area_y
-        chi[:, i] = full - mean
+    chi = full - np.ones(cell_mesh.n_nodes) @ (M @ full) / area_y
 
     sol = CellSolution(
         chi=chi,

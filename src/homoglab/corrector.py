@@ -10,6 +10,7 @@ import scipy.linalg as la
 
 from . import geometry
 from .cell import CellSolution, eval_chi
+from .eigensolve import solve_gevp
 from .errors import AlignmentError, GeometryError, SolverError
 from .geometry import Mesh
 from .spectral import DiscreteOperatorBundle, apply_Keps
@@ -147,7 +148,7 @@ def eigenspace_gap(span_a: np.ndarray, span_b: np.ndarray, M_mass) -> float:
 @dataclass
 class VisikResult:
     residual: float               # alpha = ||K U - mu U||_eps
-    nearest_distance: float       # min_j |mu_j - mu| over the supplied spectrum
+    nearest_distance: float       # min_j |mu_j - mu| over the discrete spectrum
     nearest_index: int
     certificate: bool
 
@@ -158,9 +159,13 @@ def visik_check(bundle: DiscreteOperatorBundle, U: np.ndarray, mu: float,
 
     U is normalized internally to unit eps-norm (idempotent when already
     normalized).  The certificate is exact for the self-adjoint discrete
-    operator provided the truly nearest eigenvalue is inside the supplied
-    spectrum, so callers should solve for enough modes.
+    operator: while the supplied spectrum ends below 1/mu, twice as many modes
+    are solved with the bundle's factorization.  Once lambda_k >= 1/mu, every
+    later mode has 1/lambda_j <= mu and is no nearer to mu.
     """
+    while spectrum.eigenvalues[-1] < 1.0 / mu:
+        spectrum = solve_gevp(bundle.A, bundle.M, 2 * spectrum.k,
+                              solve=bundle.solve)
     U = np.asarray(U, dtype=float)
     A = bundle.A
     nrm = np.sqrt(float(U @ (A @ U)))

@@ -11,8 +11,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
-DENSE_LIMIT = 3000
-
 B_ORTHONORMAL = "B_ORTHONORMAL"
 
 
@@ -42,17 +40,18 @@ def _fix_signs(vecs: np.ndarray, thresh: float = 1e-8) -> np.ndarray:
     return out
 
 
-def solve_gevp(A, B, k: int, tol: float = 1e-9) -> Spectrum:
+def solve_gevp(A, B, k: int, tol: float = 1e-9, solve=None) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
-    Dense direct solve below DENSE_LIMIT unknowns, otherwise shift-invert
-    Lanczos with a fixed all-ones start vector; deterministic either way.
+    Sparse A: shift-invert Lanczos at 0 from a fixed all-ones start vector,
+    inverting A with `solve` (factorized_solver(A) unless given).  Dense A, or
+    k >= n - 1: LAPACK eigh.
     """
     n = A.shape[0]
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
 
-    if n <= DENSE_LIMIT or k >= n - 1:
+    if not sp.issparse(A) or k >= n - 1:
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
         Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
         try:
@@ -62,11 +61,13 @@ def solve_gevp(A, B, k: int, tol: float = 1e-9) -> Spectrum:
         vals, vecs = la.eigh(Ad, Bd)
         vals, vecs = vals[:k], vecs[:, :k]
     else:
-        As = sp.csc_matrix(A)
-        Bs = sp.csc_matrix(B)
+        if solve is None:
+            solve = factorized_solver(A)
+        OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         v0 = np.ones(n) / np.sqrt(n)
         try:
-            vals, vecs = spla.eigsh(As, k=k, M=Bs, sigma=0.0, which="LM", v0=v0)
+            vals, vecs = spla.eigsh(A, k=k, M=B, sigma=0.0, which="LM",
+                                    v0=v0, OPinv=OPinv)
         except spla.ArpackNoConvergence as exc:
             raise SolverError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)
@@ -100,12 +101,14 @@ def factorized_solver(A):
     return lu.solve
 
 
-def solve_source(A, rhs: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def solve_source(A, rhs: np.ndarray, rel_tol: float = 1e-10,
+                 solve=None) -> np.ndarray:
     """Solve A u = rhs with a direct sparse factorization and verify the residual."""
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != rhs.shape[0]:
         raise SolverError(f"rhs length {rhs.shape[0]} != dim {A.shape[0]}")
-    solve = factorized_solver(A)
+    if solve is None:
+        solve = factorized_solver(A)
     u = solve(rhs)
     r = rhs - A @ u
     u = u + solve(r)  # one refinement step keeps coarse meshes honest

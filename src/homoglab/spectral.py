@@ -3,13 +3,14 @@ plain Dirichlet Laplacian), the source operator K_eps and the extension T_eps.""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem, geometry
-from .eigensolve import Spectrum, solve_gevp, solve_source
+from .eigensolve import Spectrum, factorized_solver, solve_gevp, solve_source
 from .errors import SolverError
 from .geometry import DomainConfig, Mesh
 
@@ -20,7 +21,7 @@ DIRICHLET_LAPLACIAN = "DIRICHLET_LAPLACIAN"
 
 @dataclass
 class DiscreteOperatorBundle:
-    """Reduced matrices and constraint bookkeeping for one eigenproblem."""
+    """Reduced matrices, constraint bookkeeping and the one LU of A."""
 
     mesh: Mesh
     red: fem.ReducedSystem
@@ -40,12 +41,17 @@ class DiscreteOperatorBundle:
     def R(self):
         return self.red.R
 
-    @property
+    @functools.cached_property
     def A(self):
         """The bilinear-form matrix of the problem (S + R for PERFORATED)."""
         if self.R is not None:
             return (self.red.S + self.red.R).tocsr()
         return self.red.S
+
+    @functools.cached_property
+    def solve(self):
+        """`factorized_solver(A)`, made on first use."""
+        return factorized_solver(self.A)
 
 
 def build_perforated_bundle(cfg: DomainConfig, cell_mesh: Mesh | None = None) -> DiscreteOperatorBundle:
@@ -72,7 +78,7 @@ def solve_perforated_evp(cfg: DomainConfig, k: int,
     """
     if bundle is None:
         bundle = build_perforated_bundle(cfg, cell_mesh)
-    spec = solve_gevp(bundle.A, bundle.M, k)
+    spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
     spec.meta["problem"] = PERFORATED
     spec.meta["eps"] = cfg.eps
     return spec, bundle
@@ -96,7 +102,7 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
     if vals.min() <= 0.0:
         raise SolverError(f"a_hom is not positive definite: eigenvalues {vals}")
     bundle = _dirichlet_bundle(a_mesh, coeff=a_hom, tag=HOMOGENIZED)
-    spec = solve_gevp(bundle.S, bundle.M, k)
+    spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
     spec.eigenvalues = spec.eigenvalues / cell_area
     spec.eigenvectors = spec.eigenvectors / np.sqrt(cell_area)
     spec.meta["problem"] = HOMOGENIZED
@@ -107,7 +113,7 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
 def solve_dirichlet_laplacian(a_mesh: Mesh, k: int):
     """Plain Dirichlet Laplacian eigenpairs alpha^j on A."""
     bundle = _dirichlet_bundle(a_mesh)
-    spec = solve_gevp(bundle.S, bundle.M, k)
+    spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
     spec.meta["problem"] = DIRICHLET_LAPLACIAN
     return spec, bundle
 
@@ -116,7 +122,8 @@ def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray) -> np.ndarray:
     """Discrete source operator: solve (S+R) u = M f on the reduced DoFs."""
     if bundle.tag != PERFORATED:
         raise SolverError("apply_Keps needs a PERFORATED bundle")
-    return solve_source(sp.csc_matrix(bundle.A), bundle.M @ np.asarray(f, dtype=float))
+    return solve_source(bundle.A, bundle.M @ np.asarray(f, dtype=float),
+                        solve=bundle.solve)
 
 
 def rayleigh_quotient(bundle: DiscreteOperatorBundle, u: np.ndarray) -> float:

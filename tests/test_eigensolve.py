@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from homoglab.eigensolve import DENSE_LIMIT, Spectrum, solve_gevp, solve_source
+from homoglab.eigensolve import Spectrum, solve_gevp, solve_source
 from homoglab.errors import SolverError
 
 
@@ -63,11 +63,18 @@ def test_k_out_of_range():
 
 
 def test_sparse_path_diagonal():
-    n = DENSE_LIMIT + 100
+    n = 3100
     A = sp.diags(np.arange(1.0, n + 1.0)).tocsr()
     B = sp.identity(n, format="csr")
     spec = solve_gevp(A, B, 3)
     assert np.allclose(spec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-8)
+
+
+def test_sparse_path_matches_dense_reference(bundle_quarter):
+    A, M = bundle_quarter.A, bundle_quarter.M
+    sparse = solve_gevp(A, M, 4)
+    dense = solve_gevp(A.toarray(), M.toarray(), 4)
+    assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0.0)
 
 
 def test_determinism(bundle_quarter):

@@ -79,6 +79,10 @@ def test_small_study_structure(small_report):
     a = np.array(body["cell"]["a_hom"])
     assert a.shape == (2, 2)
     assert len(body["homogenized"]["lambda"]) == 2
+    # lambda_hom^2 and lambda_hom^3 form one cluster that k = 2 cuts, so
+    # mode 2 is not aligned on its own
+    assert all(r["heps_err"] is None and r["l2_err"] is None
+               for r in body["rows"] if r["j"] == 2)
     assert "abs_err_j1" in body["rates"]
     assert "visik_alpha_j1" in body["rates"]
     # per-eps lab rows (4 checks) plus the two sweep-level rows

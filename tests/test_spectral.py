@@ -92,6 +92,25 @@ def test_apply_Keps(spec_quarter, bundle_quarter):
         spectral.apply_Keps(b_dir, np.zeros(b_dir.red.dim))
 
 
+def test_one_factorization_per_bundle(monkeypatch, template8):
+    from homoglab import eigensolve
+    original = eigensolve.factorized_solver
+    made = []
+
+    def counting(A):
+        made.append(A.shape)
+        return original(A)
+
+    monkeypatch.setattr(spectral, "factorized_solver", counting)
+    monkeypatch.setattr(eigensolve, "factorized_solver", counting)
+    cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
+                                k_rect=K_RECT, h_ref=1.0 / 8.0)
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4, cell_mesh=template8)
+    for j in range(2):
+        spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
+    assert made == [bundle.A.shape]
+
+
 def test_rayleigh_quotient(spec_quarter, bundle_quarter):
     u1 = spec_quarter.eigenvectors[:, 0]
     lam1 = spec_quarter.eigenvalues[0]
