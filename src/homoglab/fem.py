@@ -28,17 +28,20 @@ def _check_areas(mesh: Mesh, tri_idx: np.ndarray):
         raise AssemblyError(f"degenerate triangle {t}, area {mesh.areas()[t]:.3e}")
 
 
-def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None) -> sp.csr_matrix:
-    """Stiffness over FLUID triangles; optional constant 2x2 coefficient matrix.
+def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None,
+                       tris: np.ndarray | None = None) -> sp.csr_matrix:
+    """Stiffness over the triangle indices `tris`, by default the FLUID ones;
+    optional constant 2x2 coefficient matrix.
 
     Local entries are computed once per unordered index pair and mirrored, so
     the assembled matrix is symmetric to the last bit.
     """
-    fl = mesh.fluid_triangles()
-    _check_areas(mesh, fl)
-    tris = mesh.triangles[fl]
-    areas = mesh.areas()[fl]
-    grads = mesh.grads()[fl]  # (T,3,2)
+    if tris is None:
+        tris = mesh.fluid_triangles()
+    _check_areas(mesh, tris)
+    areas = mesh.areas()[tris]
+    grads = mesh.grads()[tris]  # (T,3,2)
+    tri_nodes = mesh.triangles[tris]
     if coeff is not None:
         cg = np.einsum("ab,tlb->tla", np.asarray(coeff, dtype=float), grads)
     else:
@@ -47,9 +50,9 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None) -> sp.csr_ma
     for i in range(3):
         for j in range(i, 3):
             kij = areas * np.einsum("ta,ta->t", grads[:, i], cg[:, j])
-            rows.append(tris[:, i]); cols.append(tris[:, j]); vals.append(kij)
+            rows.append(tri_nodes[:, i]); cols.append(tri_nodes[:, j]); vals.append(kij)
             if j != i:
-                rows.append(tris[:, j]); cols.append(tris[:, i]); vals.append(kij)
+                rows.append(tri_nodes[:, j]); cols.append(tri_nodes[:, i]); vals.append(kij)
     return _accumulate(mesh.n_nodes,
                        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
@@ -57,34 +60,40 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None) -> sp.csr_ma
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass over FLUID triangles; 1'M1 equals the fluid area."""
-    fl = mesh.fluid_triangles()
-    _check_areas(mesh, fl)
-    tris = mesh.triangles[fl]
-    areas = mesh.areas()[fl]
+def assemble_mass(mesh: Mesh, tris: np.ndarray | None = None) -> sp.csr_matrix:
+    """Consistent P1 mass over the triangle indices `tris`, by default the
+    FLUID ones; 1'M1 equals their area."""
+    if tris is None:
+        tris = mesh.fluid_triangles()
+    _check_areas(mesh, tris)
+    areas = mesh.areas()[tris]
+    tri_nodes = mesh.triangles[tris]
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
-            rows.append(tris[:, i]); cols.append(tris[:, j])
+            rows.append(tri_nodes[:, i]); cols.append(tri_nodes[:, j])
             vals.append(areas * _MASS_LOCAL[i, j])
     return _accumulate(mesh.n_nodes,
                        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
-def assemble_robin_mass(mesh: Mesh, k_rect=None) -> sp.csr_matrix:
-    """1-D P1 mass over HOLE_BDRY edges whose midpoint lies outside closed K.
+def assemble_robin_mass(mesh: Mesh, k_rect=None,
+                        edges: np.ndarray | None = None) -> sp.csr_matrix:
+    """1-D P1 mass over the boundary-edge indices `edges`, by default the
+    HOLE_BDRY ones, keeping those whose midpoint lies outside closed K.
 
-    With k_rect=None every hole-boundary edge contributes (q == 1 on all of
-    the perforation boundary), which is what the trace-lemma check needs.
+    With k_rect=None every selected edge contributes (q == 1 on all of the
+    perforation boundary), which is what the trace-lemma check needs.
     """
-    edges = mesh.boundary_edges[mesh.edge_kind == geometry.HOLE_BDRY]
-    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    if edges is None:
+        edges = np.nonzero(mesh.edge_kind == geometry.HOLE_BDRY)[0]
+    ends = mesh.boundary_edges[edges]
+    pa, pb = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
     if k_rect is not None:
         out_k = ~geometry.point_in_closed_rect(k_rect, 0.5 * (pa + pb))
-        edges, pa, pb = edges[out_k], pa[out_k], pb[out_k]
+        ends, pa, pb = ends[out_k], pa[out_k], pb[out_k]
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    a, b = edges[:, 0], edges[:, 1]
+    a, b = ends[:, 0], ends[:, 1]
     # per edge, in this order: (a,a), (b,b), (a,b), (b,a)
     rows = np.column_stack([a, b, a, b]).ravel()
     cols = np.column_stack([a, b, b, a]).ravel()

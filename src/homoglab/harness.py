@@ -175,13 +175,7 @@ def run_study(cfg: StudyConfig) -> dict:
 
             if "EIGENSPACE" in cfg.modes:
                 full = bundle.mesh.meta["full_mesh"]
-                omega_mesh = Mesh(
-                    nodes=full.nodes, triangles=full.triangles,
-                    tri_region=np.zeros(full.n_triangles, dtype=np.int64),
-                    tri_cell=full.tri_cell,
-                    boundary_edges=full.boundary_edges,
-                    edge_kind=full.edge_kind, edge_cell=full.edge_cell)
-                M_omega = fem.assemble_mass(omega_mesh)
+                M_omega = fem.assemble_mass(full, tris=np.arange(full.n_triangles))
                 cl = clusters[0]
                 ext = np.stack([spectral.extend_Teps(bundle,
                                                      spec_eps.eigenvectors[:, j])
@@ -213,10 +207,10 @@ def run_study(cfg: StudyConfig) -> dict:
             # mirror symmetries, under which the oscillation integral cancels
             # to machine zero
             def u_fn(p):
-                return float(np.sin(np.pi * p[0]) * np.sin(np.pi * p[1]))
+                return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
             def v_fn(p):
-                return (p[0] + 2.0 * p[1]) * u_fn(p)
+                return (p[:, 0] + 2.0 * p[:, 1]) * u_fn(p)
 
             lab_rows.append(lab.check_periodic_osc(
                 cell_sol, bundle, u_fn, v_fn).as_dict())

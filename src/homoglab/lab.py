@@ -54,24 +54,21 @@ def check_trace(bundle: DiscreteOperatorBundle, n_samples: int, seed: int) -> La
                   passed=bool(np.isfinite(worst)))
 
 
-def _subdomain_masks(mesh: Mesh, k_rect):
-    """Cells with Y^i_eps inside Omega \\ K, by lattice arithmetic."""
-    eps = mesh.eps
-    n = mesh.meta.get("n", int(round(1.0 / eps)))
-    ok_cells = set()
-    for iy in range(n):
-        for ix in range(n):
-            x0, y0 = eps * ix, eps * iy
-            x1, y1 = eps * (ix + 1), eps * (iy + 1)
-            kx0, ky0, kx1, ky1 = k_rect
-            overlaps_k = not (x1 <= kx0 or x0 >= kx1 or y1 <= ky0 or y0 >= ky1)
-            if not overlaps_k:
-                ok_cells.add((ix, iy))
-    tri_mask = np.array([(int(cx), int(cy)) in ok_cells
-                         for cx, cy in mesh.tri_cell])
-    edge_mask = np.array([kind == geometry.HOLE_BDRY and (int(cx), int(cy)) in ok_cells
-                          for kind, (cx, cy) in zip(mesh.edge_kind, mesh.edge_cell)])
-    return ok_cells, tri_mask, edge_mask
+def _cells_outside_k(cells: np.ndarray, eps: float, k_rect) -> np.ndarray:
+    """True where the cell square eps * (c + [0,1]^2) misses the open K."""
+    kx0, ky0, kx1, ky1 = k_rect
+    cx, cy = cells[:, 0], cells[:, 1]
+    return ((eps * (cx + 1) <= kx0) | (eps * cx >= kx1)
+            | (eps * (cy + 1) <= ky0) | (eps * cy >= ky1))
+
+
+def _volsup_support(mesh: Mesh, k_rect):
+    """Triangle and HOLE_BDRY edge indices of Omega_eps^K: the cells whose
+    Y^i_eps lies in Omega \\ K."""
+    tris = np.nonzero(_cells_outside_k(mesh.tri_cell, mesh.eps, k_rect))[0]
+    edges = np.nonzero((mesh.edge_kind == geometry.HOLE_BDRY)
+                       & _cells_outside_k(mesh.edge_cell, mesh.eps, k_rect))[0]
+    return tris, edges
 
 
 def check_volsup(bundle: DiscreteOperatorBundle, sol: CellSolution,
@@ -79,22 +76,14 @@ def check_volsup(bundle: DiscreteOperatorBundle, sol: CellSolution,
     """|C*/eps int w^2 - int_Sigma w^2| <= c int |grad w|^2 over Omega_eps^K."""
     mesh = bundle.mesh
     eps = mesh.eps
-    ok_cells, tri_mask, edge_mask = _subdomain_masks(mesh, k_rect)
-    if not ok_cells:
+    tris, edges = _volsup_support(mesh, k_rect)
+    if len(tris) == 0:
         raise ConfigError("Omega_eps^K is empty: K covers every cell")
 
-    sub = Mesh(
-        nodes=mesh.nodes, triangles=mesh.triangles[tri_mask],
-        tri_region=np.zeros(int(tri_mask.sum()), dtype=np.int64),
-        tri_cell=mesh.tri_cell[tri_mask],
-        boundary_edges=mesh.boundary_edges[edge_mask],
-        edge_kind=np.full(int(edge_mask.sum()), geometry.HOLE_BDRY, dtype=np.int64),
-        edge_cell=mesh.edge_cell[edge_mask],
-        eps=eps,
-    )
-    M_sub = bundle.red.P.T @ fem.assemble_mass(sub) @ bundle.red.P
-    S_sub = bundle.red.P.T @ fem.assemble_stiffness(sub) @ bundle.red.P
-    R_sub = bundle.red.P.T @ fem.assemble_robin_mass(sub, k_rect=None) @ bundle.red.P
+    P = bundle.red.P
+    M_sub = P.T @ fem.assemble_mass(mesh, tris=tris) @ P
+    S_sub = P.T @ fem.assemble_stiffness(mesh, tris=tris) @ P
+    R_sub = P.T @ fem.assemble_robin_mass(mesh, k_rect=None, edges=edges) @ P
 
     c_star = sol.c_star
     worst = 0.0
@@ -111,8 +100,12 @@ def check_volsup(bundle: DiscreteOperatorBundle, sol: CellSolution,
 
 
 def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
-                       u_fn, v_fn, norm_mesh: Mesh | None = None) -> LabRow:
-    """|int chi^1(x/eps) u v| / (eps ||u||_H1 ||v||_H1) by centroid quadrature."""
+                       u_fn, v_fn) -> LabRow:
+    """|int chi^1(x/eps) u v| / (eps ||u||_H1 ||v||_H1) by centroid quadrature.
+
+    u_fn and v_fn map points (P, 2) to values (P,); the H1 norms are taken
+    over Omega on the full tiled mesh.
+    """
     mesh = bundle.mesh
     eps = mesh.eps
     fl = mesh.fluid_triangles()
@@ -120,15 +113,13 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     areas = mesh.areas()[fl]
     centroids = mesh.nodes[tris].mean(axis=1)
     chi_val, _ = eval_chi(sol, sol.mesh, centroids, eps)
-    fu = np.array([u_fn(c) for c in centroids])
-    fv = np.array([v_fn(c) for c in centroids])
-    total = float(np.sum(areas * chi_val[:, 0] * fu * fv))
+    total = float(np.sum(areas * chi_val[:, 0] * u_fn(centroids) * v_fn(centroids)))
 
-    nm = norm_mesh if norm_mesh is not None else mesh.meta["full_mesh"]
-    S = fem.assemble_stiffness(nm)
-    M = fem.assemble_mass(nm)
-    uu = np.array([u_fn(p) for p in nm.nodes])
-    vv = np.array([v_fn(p) for p in nm.nodes])
+    full = mesh.meta["full_mesh"]
+    S = fem.assemble_stiffness(full)
+    M = fem.assemble_mass(full)
+    uu = u_fn(full.nodes)
+    vv = v_fn(full.nodes)
     nu = np.sqrt(float(uu @ (S @ uu)) + float(uu @ (M @ uu)))
     nv = np.sqrt(float(vv @ (S @ vv)) + float(vv @ (M @ vv)))
     if nu == 0.0 or nv == 0.0:
@@ -153,16 +144,8 @@ def check_strip_poincare(a_mesh: Mesh, u: np.ndarray, delta_list) -> LabRow:
         if not strip.any():
             skipped += 1
             continue
-        sub = Mesh(
-            nodes=a_mesh.nodes, triangles=tris[strip],
-            tri_region=np.zeros(int(strip.sum()), dtype=np.int64),
-            tri_cell=a_mesh.tri_cell[fl][strip],
-            boundary_edges=np.empty((0, 2), dtype=np.int64),
-            edge_kind=np.empty(0, dtype=np.int64),
-            edge_cell=np.empty((0, 2), dtype=np.int64),
-        )
-        M = fem.assemble_mass(sub)
-        S = fem.assemble_stiffness(sub)
+        M = fem.assemble_mass(a_mesh, tris=fl[strip])
+        S = fem.assemble_stiffness(a_mesh, tris=fl[strip])
         den = delta * delta * float(u @ (S @ u))
         if den == 0.0:
             skipped += 1

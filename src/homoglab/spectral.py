@@ -165,15 +165,7 @@ def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
         interior = np.nonzero(in_hole_tri & ~fluid_node)[0]
         boundary = np.nonzero(in_hole_tri & fluid_node)[0]
 
-        hole_mesh = Mesh(
-            nodes=full.nodes, triangles=full.triangles[hole_tris],
-            tri_region=np.zeros(len(hole_tris), dtype=np.int64),
-            tri_cell=full.tri_cell[hole_tris],
-            boundary_edges=np.empty((0, 2), dtype=np.int64),
-            edge_kind=np.empty(0, dtype=np.int64),
-            edge_cell=np.empty((0, 2), dtype=np.int64),
-        )
-        Sh = fem.assemble_stiffness(hole_mesh)
+        Sh = fem.assemble_stiffness(full, tris=hole_tris)
         S_ii = sp.csc_matrix(Sh[interior][:, interior])
         S_ib = Sh[interior][:, boundary]
         cached = (interior, boundary, S_ii, S_ib)
@@ -187,16 +179,8 @@ def extension_energy_ratio(bundle: DiscreteOperatorBundle, u: np.ndarray) -> flo
     """int_Omega |grad T_eps u|^2 / int_Omega_eps |grad u|^2."""
     full: Mesh = bundle.mesh.meta["full_mesh"]
     ext = extend_Teps(bundle, u)
-    S_full = fem.assemble_stiffness(full)  # FLUID triangles only by contract
-    # full-mesh stiffness over all triangles (holes included)
-    all_mesh = Mesh(
-        nodes=full.nodes, triangles=full.triangles,
-        tri_region=np.zeros(full.n_triangles, dtype=np.int64),
-        tri_cell=full.tri_cell,
-        boundary_edges=full.boundary_edges, edge_kind=full.edge_kind,
-        edge_cell=full.edge_cell,
-    )
-    S_all = fem.assemble_stiffness(all_mesh)
+    S_full = fem.assemble_stiffness(full)  # FLUID triangles by default
+    S_all = fem.assemble_stiffness(full, tris=np.arange(full.n_triangles))
     num = float(ext @ (S_all @ ext))
     den = float(ext @ (S_full @ ext))
     if den == 0.0:

@@ -58,6 +58,63 @@ def test_mass_area_identities(bundle_quarter):
     onesp = np.ones(pm.n_nodes)
     y_exact = 1.0 - 16.0 * 0.25**2 * np.sin(2.0 * np.pi / 32.0)
     assert float(onesp @ (Mp @ onesp)) == pytest.approx(y_exact, abs=1e-12)
+    # full tiled mesh: all triangles cover the unit square, the HOLE ones the
+    # 16 scaled hole polygons
+    full = pm.meta["full_mesh"]
+    onesf = np.ones(full.n_nodes)
+    M_all = fem.assemble_mass(full, tris=np.arange(full.n_triangles))
+    assert float(onesf @ (M_all @ onesf)) == pytest.approx(1.0, abs=1e-12)
+    M_hole = fem.assemble_mass(full, tris=np.nonzero(full.tri_region == geometry.HOLE)[0])
+    hole_area = 16.0 * 0.25**2 * geometry.polygon_area(0.25, 32)
+    assert float(onesf @ (M_hole @ onesf)) == pytest.approx(hole_area, abs=1e-12)
+
+
+def _sub_mesh(mesh, tris, edges):
+    """A copy of `mesh` holding only the given triangles (as FLUID) and edges."""
+    return geometry.Mesh(
+        nodes=mesh.nodes, triangles=mesh.triangles[tris],
+        tri_region=np.zeros(len(tris), dtype=np.int64),
+        tri_cell=mesh.tri_cell[tris],
+        boundary_edges=mesh.boundary_edges[edges],
+        edge_kind=mesh.edge_kind[edges], edge_cell=mesh.edge_cell[edges],
+        eps=mesh.eps,
+    )
+
+
+def _bitwise_equal(A, B):
+    return (np.array_equal(A.data, B.data) and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.indptr, B.indptr))
+
+
+def test_index_set_assembly_matches_sub_mesh(bundle_quarter):
+    full = bundle_quarter.mesh.meta["full_mesh"]
+    fluid = full.fluid_triangles()
+    hole_bdry = np.nonzero(full.edge_kind == geometry.HOLE_BDRY)[0]
+    tri_sets = {
+        "hole": np.nonzero(full.tri_region == geometry.HOLE)[0],
+        "all": np.arange(full.n_triangles),
+        "fluid subset": fluid[(full.tri_cell[fluid, 0] + full.tri_cell[fluid, 1]) % 2 == 0],
+    }
+    coeff = np.array([[2.0, 0.3], [0.3, 1.0]])
+    for name, tris in tri_sets.items():
+        sub = _sub_mesh(full, tris, np.empty(0, dtype=np.int64))
+        for got, ref in (
+                (fem.assemble_stiffness(full, tris=tris), fem.assemble_stiffness(sub)),
+                (fem.assemble_stiffness(full, coeff=coeff, tris=tris),
+                 fem.assemble_stiffness(sub, coeff=coeff)),
+                (fem.assemble_mass(full, tris=tris), fem.assemble_mass(sub))):
+            assert _bitwise_equal(got, ref), name
+    edge_sets = {
+        "hole_bdry": hole_bdry,
+        "one column of cells": hole_bdry[full.edge_cell[hole_bdry, 0] == 1],
+    }
+    for name, edges in edge_sets.items():
+        sub = _sub_mesh(full, np.empty(0, dtype=np.int64), edges)
+        for k_rect in (None, K_RECT):
+            got = fem.assemble_robin_mass(full, k_rect=k_rect, edges=edges)
+            ref = fem.assemble_robin_mass(sub, k_rect=k_rect)
+            assert got.nnz > 0, name
+            assert _bitwise_equal(got, ref), name
 
 
 def test_degenerate_triangle_rejected():

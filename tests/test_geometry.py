@@ -1,5 +1,8 @@
 """Mesh construction, tiling, point location and rectangle helpers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,3 +191,19 @@ def test_cell_mesh_resolution_guards():
         build_cell_mesh(0.25, 4, 1.0 / 8.0)    # too few polygon vertices
     with pytest.raises(GeometryError):
         build_cell_mesh(0.25, 64, 1.0 / 8.0)   # square cannot carry 64 nodes
+
+
+def test_meshes_are_built_only_in_geometry():
+    """Other modules pass triangle or edge index sets to fem, never a Mesh copy."""
+    src = Path(geometry.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "Mesh":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -60,19 +60,49 @@ def test_volsup_empty_subdomain(template8, cell_sol8):
         lab.check_volsup(bundle, cell_sol8, K_RECT, 5, seed=0)
 
 
+def _volsup_support_per_cell(mesh, k_rect):
+    """Reference selection: loop over the cells, keep those off K."""
+    eps = mesh.eps
+    n = mesh.meta["n"]
+    kx0, ky0, kx1, ky1 = k_rect
+    ok_cells = set()
+    for iy in range(n):
+        for ix in range(n):
+            x0, y0 = eps * ix, eps * iy
+            x1, y1 = eps * (ix + 1), eps * (iy + 1)
+            if x1 <= kx0 or x0 >= kx1 or y1 <= ky0 or y0 >= ky1:
+                ok_cells.add((ix, iy))
+    tri_mask = np.array([(int(cx), int(cy)) in ok_cells for cx, cy in mesh.tri_cell])
+    edge_mask = np.array([kind == geometry.HOLE_BDRY and (int(cx), int(cy)) in ok_cells
+                          for kind, (cx, cy) in zip(mesh.edge_kind, mesh.edge_cell)])
+    return np.nonzero(tri_mask)[0], np.nonzero(edge_mask)[0]
+
+
+@pytest.mark.parametrize("eps", [1.0 / 8.0, 1.0 / 16.0])
+def test_volsup_support_matches_per_cell_loop(template8, eps):
+    cfg = geometry.DomainConfig(eps=eps, hole_radius=0.25, hole_poly=32,
+                                k_rect=K_RECT, h_ref=1.0 / 8.0)
+    mesh = geometry.build_perforated_mesh(cfg, template8)
+    tris, edges = lab._volsup_support(mesh, K_RECT)
+    ref_tris, ref_edges = _volsup_support_per_cell(mesh, K_RECT)
+    assert len(tris) and len(edges)
+    assert np.array_equal(tris, ref_tris)
+    assert np.array_equal(edges, ref_edges)
+
+
 def test_periodic_osc(bundle_quarter, cell_sol8):
     def u_fn(p):
-        return float(np.sin(np.pi * p[0]) * np.sin(np.pi * p[1]))
+        return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
     def v_fn(p):
-        return (p[0] + 2.0 * p[1]) * u_fn(p)
+        return (p[:, 0] + 2.0 * p[:, 1]) * u_fn(p)
 
     row = lab.check_periodic_osc(cell_sol8, bundle_quarter, u_fn, v_fn)
     assert row.check == "periodic_osc"
     assert np.isfinite(row.worst_ratio) and row.worst_ratio > 0.0
     # zero field short-circuits to ratio 0
     zero = lab.check_periodic_osc(cell_sol8, bundle_quarter,
-                                  lambda p: 0.0, v_fn)
+                                  lambda p: np.zeros(len(p)), v_fn)
     assert zero.worst_ratio == 0.0
     # scale invariance: doubling u doubles numerator and denominator alike
     row2 = lab.check_periodic_osc(cell_sol8, bundle_quarter,
