@@ -16,9 +16,18 @@ _MIN_AREA = 1e-14
 
 
 def _accumulate(n: int, rows, cols, vals) -> sp.csr_matrix:
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
+    """Sum the COO triplets into canonical CSR (tocsr sums duplicates)."""
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _block_indices(tri_nodes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(9, T) int32 row and column indices: block b couples local node
+    blocks[b][0] (row) with blocks[b][1] (column) in every triangle."""
+    rows = np.empty((len(blocks), len(tri_nodes)), dtype=np.int32)
+    cols = np.empty_like(rows)
+    for b, (i, j) in enumerate(blocks):
+        rows[b], cols[b] = tri_nodes[:, i], tri_nodes[:, j]
+    return rows, cols
 
 
 def _check_areas(mesh: Mesh, tri_idx: np.ndarray):
@@ -28,13 +37,20 @@ def _check_areas(mesh: Mesh, tri_idx: np.ndarray):
         raise AssemblyError(f"degenerate triangle {t}, area {mesh.areas()[t]:.3e}")
 
 
+# local (row, col) per COO block: each unordered stiffness pair followed by its
+# mirror, and the mass matrix row by row
+_STIFF_BLOCKS = ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+_MASS_BLOCKS = tuple((i, j) for i in range(3) for j in range(3))
+
+
 def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None,
                        tris: np.ndarray | None = None) -> sp.csr_matrix:
     """Stiffness over the triangle indices `tris`, by default the FLUID ones;
     optional constant 2x2 coefficient matrix.
 
     Local entries are computed once per unordered index pair and mirrored, so
-    the assembled matrix is symmetric to the last bit.
+    the assembled matrix is symmetric to the last bit.  The COO triplets are
+    written straight into (9, T) arrays with int32 node indices.
     """
     if tris is None:
         tris = mesh.fluid_triangles()
@@ -46,15 +62,14 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None,
         cg = np.einsum("ab,tlb->tla", np.asarray(coeff, dtype=float), grads)
     else:
         cg = grads
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(i, 3):
-            kij = areas * np.einsum("ta,ta->t", grads[:, i], cg[:, j])
-            rows.append(tri_nodes[:, i]); cols.append(tri_nodes[:, j]); vals.append(kij)
-            if j != i:
-                rows.append(tri_nodes[:, j]); cols.append(tri_nodes[:, i]); vals.append(kij)
-    return _accumulate(mesh.n_nodes,
-                       np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    rows, cols = _block_indices(tri_nodes, _STIFF_BLOCKS)
+    vals = np.empty(rows.shape)
+    for b, (i, j) in enumerate(_STIFF_BLOCKS):
+        if i <= j:
+            np.multiply(areas, np.einsum("ta,ta->t", grads[:, i], cg[:, j]), out=vals[b])
+        else:  # the mirror of the block just before
+            vals[b] = vals[b - 1]
+    return _accumulate(mesh.n_nodes, rows.ravel(), cols.ravel(), vals.ravel())
 
 
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -68,13 +83,9 @@ def assemble_mass(mesh: Mesh, tris: np.ndarray | None = None) -> sp.csr_matrix:
     _check_areas(mesh, tris)
     areas = mesh.areas()[tris]
     tri_nodes = mesh.triangles[tris]
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri_nodes[:, i]); cols.append(tri_nodes[:, j])
-            vals.append(areas * _MASS_LOCAL[i, j])
-    return _accumulate(mesh.n_nodes,
-                       np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    rows, cols = _block_indices(tri_nodes, _MASS_BLOCKS)
+    vals = areas * _MASS_LOCAL.reshape(9, 1)
+    return _accumulate(mesh.n_nodes, rows.ravel(), cols.ravel(), vals.ravel())
 
 
 def assemble_robin_mass(mesh: Mesh, k_rect=None,

@@ -222,7 +222,6 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     verts = _polygon(r, n_b)
     base, rem = divmod(n_ring, n_b)
     inner = []
-    inner_vertex_flags = []
     for e in range(n_b):
         p0 = verts[e]
         p1 = verts[(e + 1) % n_b]
@@ -230,13 +229,11 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
         for s in range(segs):
             t = s / segs
             inner.append((1.0 - t) * p0 + t * p1)
-            inner_vertex_flags.append(s == 0)
     inner = np.array(inner)
 
     outer, outer_keys = _square_boundary_nodes(m)
 
     # rotate the outer contour so index 0 sits nearest the inner start angle
-    c = np.array([0.5, 0.5])
     ang_in0 = np.arctan2(inner[0, 1] - 0.5, inner[0, 0] - 0.5)
     ang_out = np.arctan2(outer[:, 1] - 0.5, outer[:, 0] - 0.5)
     diff = np.abs((ang_out - ang_in0 + np.pi) % (2.0 * np.pi) - np.pi)
@@ -247,57 +244,36 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
 
     # layered ring between polygon and square, matched node indices
     n_layers = max(1, int(round((0.5 - r) / h_ref)))
-    node_list = []
-    ring_ids = np.empty((n_layers + 1, n_ring), dtype=np.int64)
-    for l in range(n_layers + 1):
-        t = l / n_layers
-        for i in range(n_ring):
-            if l == 0:
-                p = inner[i]
-            elif l == n_layers:
-                p = outer_m[i]
-            else:
-                p = (1.0 - t) * inner[i] + t * outer_m[i]
-            ring_ids[l, i] = len(node_list)
-            node_list.append(p)
-    center_id = len(node_list)
-    node_list.append(c)
+    t = (np.arange(n_layers + 1) / n_layers)[:, None, None]
+    ring = (1.0 - t) * inner + t * outer_m
+    ring[0], ring[n_layers] = inner, outer_m
+    ring_ids = np.arange((n_layers + 1) * n_ring).reshape(n_layers + 1, n_ring)
+    center_id = ring_ids.size
+    j = (np.arange(n_ring) + 1) % n_ring
 
-    tris = []
-    regions = []
-    for l in range(n_layers):
-        for i in range(n_ring):
-            j = (i + 1) % n_ring
-            a, b = ring_ids[l, i], ring_ids[l, j]
-            cc, d = ring_ids[l + 1, j], ring_ids[l + 1, i]
-            # CCW: inner runs counterclockwise, so the quad closes via outer
-            tris.append((a, cc, b))
-            tris.append((a, d, cc))
-            regions.extend((FLUID, FLUID))
-    for i in range(n_ring):  # hole interior fan
-        j = (i + 1) % n_ring
-        tris.append((center_id, ring_ids[0, i], ring_ids[0, j]))
-        regions.append(HOLE)
-
-    edges = []
-    kinds = []
-    for i in range(n_ring):
-        j = (i + 1) % n_ring
-        edges.append((ring_ids[0, i], ring_ids[0, j]))
-        kinds.append(HOLE_BDRY)
-        edges.append((ring_ids[n_layers, i], ring_ids[n_layers, j]))
-        kinds.append(OUTER)
+    # CCW: inner runs counterclockwise, so each quad (a, b, cc, d) closes via
+    # outer as (a, cc, b), (a, d, cc); then the hole interior fan
+    a, b = ring_ids[:-1], ring_ids[:-1, j]
+    cc, d = ring_ids[1:, j], ring_ids[1:]
+    tris = np.concatenate([
+        np.stack([a, cc, b, a, d, cc], axis=-1).reshape(-1, 3),
+        np.column_stack([np.full(n_ring, center_id), ring_ids[0], ring_ids[0, j]]),
+    ])
+    regions = np.repeat([FLUID, HOLE], [2 * n_layers * n_ring, n_ring])
+    edges = np.column_stack([ring_ids[0], ring_ids[0, j],
+                             ring_ids[n_layers], ring_ids[n_layers, j]]).reshape(-1, 2)
+    kinds = np.tile([HOLE_BDRY, OUTER], n_ring)
 
     edge_cell = np.zeros((len(edges), 2), dtype=np.int64)
-    edge_cell[np.array(kinds) == OUTER] = _NO_CELL[0]
+    edge_cell[kinds == OUTER] = _NO_CELL[0]
 
     mesh = Mesh(
-        nodes=np.array(node_list),
-        triangles=np.array(tris, dtype=np.int64),
-        tri_region=np.array(regions, dtype=np.int64),
+        nodes=np.vstack([ring.reshape(-1, 2), [0.5, 0.5]]),
+        triangles=tris,
+        tri_region=regions,
         tri_cell=np.zeros((len(tris), 2), dtype=np.int64),
-        boundary_edges=np.array(edges, dtype=np.int64),
-        edge_kind=np.array(kinds, dtype=np.int64),
+        boundary_edges=edges,
+        edge_kind=kinds,
         edge_cell=edge_cell,
         meta={
             "h_ref": h_ref, "m": m, "r": r, "n_b": n_b,
@@ -307,20 +283,16 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     )
     # exact integer face keys for the square-boundary nodes, used for periodic
     # pairing and for tile stitching
-    face_keys = {}
-    for i in range(n_ring):
-        face_keys[int(ring_ids[n_layers, i])] = tuple(int(v) for v in outer_keys_m[i])
-    mesh.meta["face_keys"] = face_keys
+    mesh.meta["face_keys"] = dict(zip(ring_ids[n_layers].tolist(),
+                                      map(tuple, outer_keys_m.tolist())))
     return _validate(mesh, "cell mesh")
 
 
 def _structured_face_keys(mesh: Mesh, m: int) -> dict[int, tuple[int, int]]:
     """Integer (kx, ky) keys, units 1/m, for structured-grid boundary nodes."""
-    keys = {}
-    for n in np.unique(mesh.boundary_edges):
-        x, y = mesh.nodes[n]
-        keys[int(n)] = (int(round(x * m)), int(round(y * m)))
-    return keys
+    b = np.unique(mesh.boundary_edges)
+    keys = np.rint(mesh.nodes[b] * m).astype(np.int64)
+    return dict(zip(b.tolist(), map(tuple, keys.tolist())))
 
 
 def build_perforated_mesh(cfg: DomainConfig, cell: Mesh) -> Mesh:
@@ -340,23 +312,16 @@ def build_perforated_mesh(cfg: DomainConfig, cell: Mesh) -> Mesh:
     new_of_old = -np.ones(full.n_nodes, dtype=np.int64)
     new_of_old[used] = np.arange(int(used.sum()))
 
-    edges = []
-    kinds = []
-    cells = []
-    for (a, b), kind, cix in zip(full.boundary_edges, full.edge_kind, full.edge_cell):
-        if used[a] and used[b]:
-            edges.append((new_of_old[a], new_of_old[b]))
-            kinds.append(kind)
-            cells.append(cix)
+    keep_edge = used[full.boundary_edges].all(axis=1)
 
     mesh = Mesh(
         nodes=full.nodes[used],
         triangles=new_of_old[tris],
         tri_region=np.zeros(len(tris), dtype=np.int64),
         tri_cell=full.tri_cell[keep_tri],
-        boundary_edges=np.array(edges, dtype=np.int64),
-        edge_kind=np.array(kinds, dtype=np.int64),
-        edge_cell=np.array(cells, dtype=np.int64),
+        boundary_edges=new_of_old[full.boundary_edges[keep_edge]],
+        edge_kind=full.edge_kind[keep_edge],
+        edge_cell=full.edge_cell[keep_edge],
         eps=cfg.eps,
         meta={
             "template": cell,
@@ -370,70 +335,53 @@ def build_perforated_mesh(cfg: DomainConfig, cell: Mesh) -> Mesh:
 
 
 def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
-    """Full n x n tiling of the template over the unit square, holes retained."""
+    """Full n x n tiling of the template over the unit square, holes retained.
+
+    Cells run row by row (iy outer, ix inner) and nodes are numbered in order
+    of first appearance.  A face node's identity is its global lattice key,
+    so neighbouring cells share it; every other node is new in each cell.
+    """
     n = cfg.n_cells
     eps = cfg.eps
     m = cell.meta["m"]
     face_keys: dict[int, tuple[int, int]] = cell.meta["face_keys"]
+    iy, ix = np.divmod(np.arange(n * n), n)
+    cells = np.column_stack([ix, iy])
+    ix, iy = cells[:, :1], cells[:, 1:]
 
-    shared: dict[tuple[int, int], int] = {}  # global lattice key -> node id
-    nodes = []
-    all_tris = []
-    all_reg = []
-    all_cell = []
-    all_edges = []
-    all_kinds = []
-    all_ecell = []
+    # template node -> (kx, ky) lattice key, -1 off the square boundary
+    key = np.full((cell.n_nodes, 2), -1, dtype=np.int64)
+    key[list(face_keys)] = list(face_keys.values())
+    on_face = key[:, 0] >= 0
+    side = n * m + 1
+    ids = np.where(on_face, (ix * m + key[:, 0]) * side + (iy * m + key[:, 1]),
+                   side * side + np.arange(n * n * cell.n_nodes).reshape(n * n, -1))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    l2g = rank[inverse].reshape(ids.shape)
+    c, ln = np.divmod(first[order], cell.n_nodes)
+    nodes = eps * (cells[c] + cell.nodes[ln])
 
-    for iy in range(n):
-        for ix in range(n):
-            local_to_global = np.empty(cell.n_nodes, dtype=np.int64)
-            for ln in range(cell.n_nodes):
-                key = face_keys.get(ln)
-                if key is not None:
-                    gkey = (ix * m + key[0], iy * m + key[1])
-                    gid = shared.get(gkey)
-                    if gid is None:
-                        gid = len(nodes)
-                        shared[gkey] = gid
-                        nodes.append((eps * (ix + cell.nodes[ln, 0]),
-                                      eps * (iy + cell.nodes[ln, 1])))
-                else:
-                    gid = len(nodes)
-                    nodes.append((eps * (ix + cell.nodes[ln, 0]),
-                                  eps * (iy + cell.nodes[ln, 1])))
-                local_to_global[ln] = gid
-            all_tris.append(local_to_global[cell.triangles])
-            all_reg.append(cell.tri_region)
-            all_cell.append(np.broadcast_to((ix, iy), (cell.n_triangles, 2)))
-            for (a, b), kind in zip(cell.boundary_edges, cell.edge_kind):
-                if kind == HOLE_BDRY:
-                    all_edges.append((local_to_global[a], local_to_global[b]))
-                    all_kinds.append(HOLE_BDRY)
-                    all_ecell.append((ix, iy))
-                else:
-                    # template face edge: outer boundary only on the domain edge
-                    ka = face_keys[int(a)]
-                    kb = face_keys[int(b)]
-                    on_domain = (
-                        (ka[0] == 0 and kb[0] == 0 and ix == 0)
-                        or (ka[0] == m and kb[0] == m and ix == n - 1)
-                        or (ka[1] == 0 and kb[1] == 0 and iy == 0)
-                        or (ka[1] == m and kb[1] == m and iy == n - 1)
-                    )
-                    if on_domain:
-                        all_edges.append((local_to_global[a], local_to_global[b]))
-                        all_kinds.append(OUTER)
-                        all_ecell.append(_NO_CELL)
+    # HOLE_BDRY edges in every cell; a template face edge is OUTER only on
+    # the domain boundary
+    ka, kb = key[cell.boundary_edges[:, 0]], key[cell.boundary_edges[:, 1]]
+    hole = cell.edge_kind == HOLE_BDRY
+    keep = hole | (((ka[:, 0] == 0) & (kb[:, 0] == 0) & (ix == 0))
+                   | ((ka[:, 0] == m) & (kb[:, 0] == m) & (ix == n - 1))
+                   | ((ka[:, 1] == 0) & (kb[:, 1] == 0) & (iy == 0))
+                   | ((ka[:, 1] == m) & (kb[:, 1] == m) & (iy == n - 1)))
+    ce, le = np.nonzero(keep)
 
     mesh = Mesh(
-        nodes=np.array(nodes),
-        triangles=np.concatenate(all_tris),
-        tri_region=np.concatenate(all_reg),
-        tri_cell=np.concatenate(all_cell).astype(np.int64),
-        boundary_edges=np.array(all_edges, dtype=np.int64),
-        edge_kind=np.array(all_kinds, dtype=np.int64),
-        edge_cell=np.array(all_ecell, dtype=np.int64),
+        nodes=nodes,
+        triangles=l2g[:, cell.triangles].reshape(-1, 3),
+        tri_region=np.tile(cell.tri_region, n * n),
+        tri_cell=np.repeat(cells, cell.n_triangles, axis=0),
+        boundary_edges=l2g[ce[:, None], cell.boundary_edges[le]],
+        edge_kind=np.where(hole[le], HOLE_BDRY, OUTER),
+        edge_cell=np.where(hole[le, None], cells[ce], _NO_CELL[0]),
         eps=eps,
         meta={"template": cell, "n": n},
     )
@@ -453,30 +401,20 @@ def build_domain_mesh(rect: tuple[float, float, float, float], h: float) -> Mesh
         x0 + (x1 - x0) * (ii.ravel() / nx),
         y0 + (y1 - y0) * (jj.ravel() / ny),
     ])
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + nx + 2
-            d = a + nx + 1
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    edges = []
-    for i in range(nx):
-        edges.append((i, i + 1))
-        edges.append((ny * (nx + 1) + i, ny * (nx + 1) + i + 1))
-    for j in range(ny):
-        edges.append((j * (nx + 1), (j + 1) * (nx + 1)))
-        edges.append((j * (nx + 1) + nx, (j + 1) * (nx + 1) + nx))
-
-    tris = np.array(tris, dtype=np.int64)
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    tris = np.column_stack([a, a + 1, a + nx + 2, a, a + nx + 2, a + nx + 1]).reshape(-1, 3)
+    i, top = np.arange(nx), ny * (nx + 1)
+    left = np.arange(ny) * (nx + 1)
+    edges = np.concatenate([
+        np.column_stack([i, i + 1, top + i, top + i + 1]).reshape(-1, 2),
+        np.column_stack([left, left + nx + 1, left + nx, left + 2 * nx + 1]).reshape(-1, 2),
+    ])
     mesh = Mesh(
         nodes=nodes,
         triangles=tris,
         tri_region=np.zeros(len(tris), dtype=np.int64),
         tri_cell=np.full((len(tris), 2), _NO_CELL[0], dtype=np.int64),
-        boundary_edges=np.array(edges, dtype=np.int64),
+        boundary_edges=edges,
         edge_kind=np.full(2 * (nx + ny), OUTER, dtype=np.int64),
         edge_cell=np.full((2 * (nx + ny), 2), _NO_CELL[0], dtype=np.int64),
         meta={"rect": rect, "nx": nx, "ny": ny},

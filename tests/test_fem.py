@@ -250,3 +250,75 @@ def test_eps_norm_dominates_h1(bundle_quarter):
         u = rng.standard_normal(bundle_quarter.red.dim)
         n = fem.norms(bundle_quarter.S, bundle_quarter.M, bundle_quarter.R, u)
         assert n["eps_norm_sq"] >= n["h1_semi"] - 1e-12
+
+
+def _reference_stiffness(mesh, coeff=None, tris=None):
+    """List-and-concatenate stiffness assembly, the reference for the
+    preallocated (9, T) blocks."""
+    if tris is None:
+        tris = mesh.fluid_triangles()
+    areas = mesh.areas()[tris]
+    grads = mesh.grads()[tris]  # (T,3,2)
+    tri_nodes = mesh.triangles[tris]
+    if coeff is not None:
+        cg = np.einsum("ab,tlb->tla", np.asarray(coeff, dtype=float), grads)
+    else:
+        cg = grads
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(i, 3):
+            kij = areas * np.einsum("ta,ta->t", grads[:, i], cg[:, j])
+            rows.append(tri_nodes[:, i]); cols.append(tri_nodes[:, j]); vals.append(kij)
+            if j != i:
+                rows.append(tri_nodes[:, j]); cols.append(tri_nodes[:, i]); vals.append(kij)
+    n = mesh.n_nodes
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def _reference_mass(mesh, tris=None):
+    if tris is None:
+        tris = mesh.fluid_triangles()
+    areas = mesh.areas()[tris]
+    tri_nodes = mesh.triangles[tris]
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(tri_nodes[:, i]); cols.append(tri_nodes[:, j])
+            vals.append(areas * fem._MASS_LOCAL[i, j])
+    n = mesh.n_nodes
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def test_assembly_matches_concatenated_coo(template8):
+    """Stiffness and mass written into preallocated int32 blocks equal the
+    list-and-concatenate assembly bitwise, index dtype included."""
+    coeff = np.array([[2.0, 0.3], [0.3, 1.0]])
+    for eps in (1 / 8, 1 / 16):
+        cfg = DomainConfig(eps=eps, hole_radius=0.25, k_rect=K_RECT, h_ref=1.0 / 8.0)
+        mesh = build_perforated_mesh(cfg, template8)
+        full = mesh.meta["full_mesh"]
+        hole = np.nonzero(full.tri_region == geometry.HOLE)[0]
+        every = np.arange(full.n_triangles)
+        cases = {
+            "stiffness": (fem.assemble_stiffness(mesh), _reference_stiffness(mesh)),
+            "stiffness, coeff": (fem.assemble_stiffness(mesh, coeff=coeff),
+                                 _reference_stiffness(mesh, coeff=coeff)),
+            "stiffness, HOLE tris": (fem.assemble_stiffness(full, tris=hole),
+                                     _reference_stiffness(full, tris=hole)),
+            "stiffness, all tris": (fem.assemble_stiffness(full, tris=every),
+                                    _reference_stiffness(full, tris=every)),
+            "mass": (fem.assemble_mass(mesh), _reference_mass(mesh)),
+            "mass, all tris": (fem.assemble_mass(full, tris=every),
+                               _reference_mass(full, tris=every)),
+        }
+        for name, (got, ref) in cases.items():
+            assert got.has_canonical_format, name
+            assert got.indices.dtype == ref.indices.dtype, name
+            assert got.indptr.dtype == ref.indptr.dtype, name
+            assert _bitwise_equal(got, ref), f"{name} at eps={eps}"

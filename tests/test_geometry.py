@@ -207,3 +207,272 @@ def test_meshes_are_built_only_in_geometry():
                 if name == "Mesh":
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _reference_tile_template(cfg, cell):
+    """The per-cell, per-node tiling loop the array-built `tile_template`
+    replaced, kept as its reference; returns the Mesh fields it filled."""
+    n = cfg.n_cells
+    eps = cfg.eps
+    m = cell.meta["m"]
+    face_keys = cell.meta["face_keys"]
+    _NO_CELL = geometry._NO_CELL
+    HOLE_BDRY, OUTER = geometry.HOLE_BDRY, geometry.OUTER
+
+    shared = {}  # global lattice key -> node id
+    nodes = []
+    all_tris = []
+    all_reg = []
+    all_cell = []
+    all_edges = []
+    all_kinds = []
+    all_ecell = []
+
+    for iy in range(n):
+        for ix in range(n):
+            local_to_global = np.empty(cell.n_nodes, dtype=np.int64)
+            for ln in range(cell.n_nodes):
+                key = face_keys.get(ln)
+                if key is not None:
+                    gkey = (ix * m + key[0], iy * m + key[1])
+                    gid = shared.get(gkey)
+                    if gid is None:
+                        gid = len(nodes)
+                        shared[gkey] = gid
+                        nodes.append((eps * (ix + cell.nodes[ln, 0]),
+                                      eps * (iy + cell.nodes[ln, 1])))
+                else:
+                    gid = len(nodes)
+                    nodes.append((eps * (ix + cell.nodes[ln, 0]),
+                                  eps * (iy + cell.nodes[ln, 1])))
+                local_to_global[ln] = gid
+            all_tris.append(local_to_global[cell.triangles])
+            all_reg.append(cell.tri_region)
+            all_cell.append(np.broadcast_to((ix, iy), (cell.n_triangles, 2)))
+            for (a, b), kind in zip(cell.boundary_edges, cell.edge_kind):
+                if kind == HOLE_BDRY:
+                    all_edges.append((local_to_global[a], local_to_global[b]))
+                    all_kinds.append(HOLE_BDRY)
+                    all_ecell.append((ix, iy))
+                else:
+                    # template face edge: outer boundary only on the domain edge
+                    ka = face_keys[int(a)]
+                    kb = face_keys[int(b)]
+                    on_domain = (
+                        (ka[0] == 0 and kb[0] == 0 and ix == 0)
+                        or (ka[0] == m and kb[0] == m and ix == n - 1)
+                        or (ka[1] == 0 and kb[1] == 0 and iy == 0)
+                        or (ka[1] == m and kb[1] == m and iy == n - 1)
+                    )
+                    if on_domain:
+                        all_edges.append((local_to_global[a], local_to_global[b]))
+                        all_kinds.append(OUTER)
+                        all_ecell.append(_NO_CELL)
+
+    return dict(
+        nodes=np.array(nodes),
+        triangles=np.concatenate(all_tris),
+        tri_region=np.concatenate(all_reg),
+        tri_cell=np.concatenate(all_cell).astype(np.int64),
+        boundary_edges=np.array(all_edges, dtype=np.int64),
+        edge_kind=np.array(all_kinds, dtype=np.int64),
+        edge_cell=np.array(all_ecell, dtype=np.int64),
+    )
+
+
+def _reference_perforate(full):
+    """`build_perforated_mesh` on the reference fields, with its per-edge loop."""
+    keep_tri = full["tri_region"] == geometry.FLUID
+    tris = full["triangles"][keep_tri]
+    used = np.zeros(len(full["nodes"]), dtype=bool)
+    used[tris.ravel()] = True
+    new_of_old = -np.ones(len(full["nodes"]), dtype=np.int64)
+    new_of_old[used] = np.arange(int(used.sum()))
+
+    edges = []
+    kinds = []
+    cells = []
+    for (a, b), kind, cix in zip(full["boundary_edges"], full["edge_kind"], full["edge_cell"]):
+        if used[a] and used[b]:
+            edges.append((new_of_old[a], new_of_old[b]))
+            kinds.append(kind)
+            cells.append(cix)
+
+    return dict(
+        nodes=full["nodes"][used],
+        triangles=new_of_old[tris],
+        tri_region=np.zeros(len(tris), dtype=np.int64),
+        tri_cell=full["tri_cell"][keep_tri],
+        boundary_edges=np.array(edges, dtype=np.int64),
+        edge_kind=np.array(kinds, dtype=np.int64),
+        edge_cell=np.array(cells, dtype=np.int64),
+        fluid_to_full=np.nonzero(used)[0],
+    )
+
+
+def _assert_bitwise(got, ref, what):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype, what
+    assert got.shape == ref.shape, what
+    assert got.tobytes() == ref.tobytes(), what
+
+
+def test_tiling_matches_reference_loop():
+    """Array-built tiling and perforation equal the per-cell loop bitwise,
+    node numbering, edge order and dtypes included."""
+    cases = [(1 / 4, 0.25, 1 / 8), (1 / 8, 0.25, 1 / 8), (1 / 64, 0.25, 1 / 8),
+             (1 / 4, 0.0, 1 / 8),      # hole-free template
+             (1 / 6, 0.25, 1 / 16)]
+    for eps, r, h_ref in cases:
+        cfg = DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref)
+        cell = build_cell_mesh(r, 32, h_ref)
+        mesh = build_perforated_mesh(cfg, cell)
+        ref_full = _reference_tile_template(cfg, cell)
+        ref_perf = _reference_perforate(ref_full)
+        for got, ref, what in ((mesh.meta["full_mesh"], ref_full, "full"),
+                               (mesh, ref_perf, "perforated")):
+            for name in ("nodes", "triangles", "tri_region", "tri_cell",
+                         "boundary_edges", "edge_kind", "edge_cell"):
+                _assert_bitwise(getattr(got, name), ref[name],
+                                f"{what} {name} at eps={eps}, r={r}, h_ref={h_ref}")
+        _assert_bitwise(mesh.meta["fluid_to_full"], ref_perf["fluid_to_full"],
+                        f"fluid_to_full at eps={eps}, r={r}, h_ref={h_ref}")
+
+
+def test_tiled_mesh_conformity(template8):
+    """Edge multiplicities, counted from the triangles alone, agree with the
+    declared boundary edges of the tiled and the perforated mesh."""
+    cfg = DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
+    n, m = cfg.n_cells, template8.meta["m"]
+    mesh = build_perforated_mesh(cfg, template8)
+    full = mesh.meta["full_mesh"]
+
+    def edge_set(msh, kind):
+        return {tuple(sorted(map(int, e))) for e in msh.boundary_edges[msh.edge_kind == kind]}
+
+    counts = interior_edge_counts(full)
+    assert set(counts.values()) == {1, 2}
+    once = {e for e, c in counts.items() if c == 1}
+    outer, hole = edge_set(full, geometry.OUTER), edge_set(full, geometry.HOLE_BDRY)
+    assert once == outer and len(outer) == 4 * n * m
+    assert len(hole) == n * n * 4 * m and all(counts[e] == 2 for e in hole)
+
+    counts = interior_edge_counts(mesh)
+    assert set(counts.values()) == {1, 2}
+    once = {e for e, c in counts.items() if c == 1}
+    assert once == edge_set(mesh, geometry.OUTER) | edge_set(mesh, geometry.HOLE_BDRY)
+
+
+def test_domain_mesh_matches_reference_loop():
+    """Array-built structured triangles, edges and face keys equal the
+    per-square loops bitwise, also with nx != ny."""
+    for rect in ((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 0.5)):
+        mesh = build_domain_mesh(rect, 1.0 / 8.0)
+        nx, ny = mesh.meta["nx"], mesh.meta["ny"]
+        tris = []
+        for j in range(ny):
+            for i in range(nx):
+                a = j * (nx + 1) + i
+                b = a + 1
+                c = a + nx + 2
+                d = a + nx + 1
+                tris.append((a, b, c))
+                tris.append((a, c, d))
+        edges = []
+        for i in range(nx):
+            edges.append((i, i + 1))
+            edges.append((ny * (nx + 1) + i, ny * (nx + 1) + i + 1))
+        for j in range(ny):
+            edges.append((j * (nx + 1), (j + 1) * (nx + 1)))
+            edges.append((j * (nx + 1) + nx, (j + 1) * (nx + 1) + nx))
+        keys = {}
+        for n in np.unique(mesh.boundary_edges):
+            x, y = mesh.nodes[n]
+            keys[int(n)] = (int(round(x * 8)), int(round(y * 8)))
+        _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int64), f"triangles {rect}")
+        _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int64), f"edges {rect}")
+        got = geometry._structured_face_keys(mesh, 8)
+        assert list(got.items()) == list(keys.items())
+        assert all(type(v) is int for node, key in got.items() for v in (node, *key))
+
+
+@pytest.mark.parametrize("h_ref", [1 / 8, 1 / 12, 1 / 32])
+def test_cell_mesh_matches_reference_loop(h_ref):
+    """The array-built hole ring equals the per-node and per-triangle loops
+    it replaced, bitwise."""
+    mesh = build_cell_mesh(0.25, 32, h_ref)
+    r, n_b, m = 0.25, 32, mesh.meta["m"]
+    n_ring = 4 * m
+    FLUID, HOLE, HOLE_BDRY, OUTER = (geometry.FLUID, geometry.HOLE,
+                                     geometry.HOLE_BDRY, geometry.OUTER)
+    verts = geometry._polygon(r, n_b)
+    base, rem = divmod(n_ring, n_b)
+    inner = []
+    for e in range(n_b):
+        p0 = verts[e]
+        p1 = verts[(e + 1) % n_b]
+        segs = base + (1 if e < rem else 0)
+        for s in range(segs):
+            t = s / segs
+            inner.append((1.0 - t) * p0 + t * p1)
+    inner = np.array(inner)
+    outer, outer_keys = geometry._square_boundary_nodes(m)
+    c = np.array([0.5, 0.5])
+    ang_in0 = np.arctan2(inner[0, 1] - 0.5, inner[0, 0] - 0.5)
+    ang_out = np.arctan2(outer[:, 1] - 0.5, outer[:, 0] - 0.5)
+    diff = np.abs((ang_out - ang_in0 + np.pi) % (2.0 * np.pi) - np.pi)
+    rot = int(np.argmin(diff))
+    order = (np.arange(n_ring) + rot) % n_ring
+    outer_m = outer[order]
+    outer_keys_m = outer_keys[order]
+
+    n_layers = max(1, int(round((0.5 - r) / h_ref)))
+    node_list = []
+    ring_ids = np.empty((n_layers + 1, n_ring), dtype=np.int64)
+    for l in range(n_layers + 1):
+        t = l / n_layers
+        for i in range(n_ring):
+            if l == 0:
+                p = inner[i]
+            elif l == n_layers:
+                p = outer_m[i]
+            else:
+                p = (1.0 - t) * inner[i] + t * outer_m[i]
+            ring_ids[l, i] = len(node_list)
+            node_list.append(p)
+    center_id = len(node_list)
+    node_list.append(c)
+
+    tris = []
+    regions = []
+    for l in range(n_layers):
+        for i in range(n_ring):
+            j = (i + 1) % n_ring
+            a, b = ring_ids[l, i], ring_ids[l, j]
+            cc, d = ring_ids[l + 1, j], ring_ids[l + 1, i]
+            tris.append((a, cc, b))
+            tris.append((a, d, cc))
+            regions.extend((FLUID, FLUID))
+    for i in range(n_ring):
+        j = (i + 1) % n_ring
+        tris.append((center_id, ring_ids[0, i], ring_ids[0, j]))
+        regions.append(HOLE)
+
+    edges = []
+    kinds = []
+    for i in range(n_ring):
+        j = (i + 1) % n_ring
+        edges.append((ring_ids[0, i], ring_ids[0, j]))
+        kinds.append(HOLE_BDRY)
+        edges.append((ring_ids[n_layers, i], ring_ids[n_layers, j]))
+        kinds.append(OUTER)
+    face_keys = {}
+    for i in range(n_ring):
+        face_keys[int(ring_ids[n_layers, i])] = tuple(int(v) for v in outer_keys_m[i])
+
+    _assert_bitwise(mesh.nodes, np.array(node_list), "nodes")
+    _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int64), "triangles")
+    _assert_bitwise(mesh.tri_region, np.array(regions, dtype=np.int64), "tri_region")
+    _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int64), "edges")
+    _assert_bitwise(mesh.edge_kind, np.array(kinds, dtype=np.int64), "edge_kind")
+    assert list(mesh.meta["face_keys"].items()) == list(face_keys.items())
