@@ -54,9 +54,7 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
 
     # solve only over DoFs seen by fluid triangles (hole-interior nodes have
     # empty stiffness rows), pinning one of them for uniqueness
-    in_fluid = np.zeros(cell_mesh.n_nodes, dtype=bool)
-    in_fluid[tris.ravel()] = True
-    active = np.nonzero(in_fluid[red.keep])[0]
+    active = np.nonzero(cell_mesh.fluid_nodes()[red.keep])[0]
     if len(active) < 2:
         raise SolverError("cell problem has no fluid DoFs to solve for")
     free = active[1:]

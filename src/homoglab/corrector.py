@@ -56,34 +56,35 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
                     eps: float, bundle: DiscreteOperatorBundle,
                     cutoff: bool, source_index: int = 0) -> CorrectorField:
-    """U(x) = u(x) + eps * psi(x) * chi(x/eps) . grad u(x) on the fluid nodes.
+    """U(x) = u(x) + eps * psi(x) * chi(x/eps) . grad u(x) on the reduced DoFs.
 
     Outside A the corrector is zero.  With cutoff=True, psi ramps linearly
     from 0 at dA to 1 at distance 2*eps, so |grad psi| = 1/(2 eps) <= 2/eps.
     """
-    mesh = bundle.mesh
+    keep = bundle.red.keep
     rect = a_mesh.meta.get("rect")
     if rect is None:
         raise GeometryError("A mesh does not carry its rectangle metadata")
-    d = geometry.rect_distance(rect, mesh.nodes)
+    nodes = bundle.mesh.nodes[keep]
+    d = geometry.rect_distance(rect, nodes)
     inside = np.nonzero(d > 0.0)[0]
-    x = mesh.nodes[inside]
+    x = nodes[inside]
     # u, its recovered gradient and the constant 1, which interpolates to 0
     # exactly where point location failed
     fields = np.column_stack([u_hom, recovered_gradient(a_mesh, u_hom),
                               np.ones(a_mesh.n_nodes)])
     uval, gx, gy, located = geometry.interpolate(a_mesh, fields, x).T
-    failures = inside[located == 0.0]
+    failures = keep[inside[located == 0.0]]
     if len(failures):
         raise GeometryError(
             f"point location failed for {len(failures)} nodes inside A, "
             f"first offenders {failures[:5].tolist()}")
     chi_val, _ = eval_chi(sol, sol.mesh, x, eps)
     psi = np.minimum(1.0, d[inside] / (2.0 * eps)) if cutoff else 1.0
-    values = np.zeros(mesh.n_nodes)
+    values = np.zeros(len(keep))
     values[inside] = uval + eps * psi * (chi_val[:, 0] * gx + chi_val[:, 1] * gy)
-    return CorrectorField(values=bundle.red.restrict(values),
-                          cutoff_applied=cutoff, source_index=source_index, eps=eps)
+    return CorrectorField(values=values, cutoff_applied=cutoff,
+                          source_index=source_index, eps=eps)
 
 
 def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,

@@ -122,6 +122,12 @@ class Mesh:
     def fluid_triangles(self) -> np.ndarray:
         return np.nonzero(self.tri_region == FLUID)[0]
 
+    def fluid_nodes(self) -> np.ndarray:
+        """(N,) bool mask of the nodes on some FLUID triangle."""
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        mask[self.triangles[self.fluid_triangles()].ravel()] = True
+        return mask
+
     def fluid_area(self) -> float:
         return float(np.sum(self.areas()[self.tri_region == FLUID]))
 
@@ -296,42 +302,11 @@ def _structured_face_keys(mesh: Mesh, m: int) -> dict[int, tuple[int, int]]:
 
 
 def build_perforated_mesh(cfg: DomainConfig, cell: Mesh) -> Mesh:
-    """Tile n x n scaled copies of the template and drop the hole triangles.
-
-    Shared-face nodes are stitched by integer lattice keys, never by float
-    comparison.  The returned mesh carries the full tiled mesh (holes kept)
-    and the fluid-to-full node map in its meta, for the extension operator.
-    """
-    n = cfg.n_cells
-    full = tile_template(cfg, cell)
-
-    keep_tri = full.tri_region == FLUID
-    tris = full.triangles[keep_tri]
-    used = np.zeros(full.n_nodes, dtype=bool)
-    used[tris.ravel()] = True
-    new_of_old = -np.ones(full.n_nodes, dtype=np.int64)
-    new_of_old[used] = np.arange(int(used.sum()))
-
-    keep_edge = used[full.boundary_edges].all(axis=1)
-
-    mesh = Mesh(
-        nodes=full.nodes[used],
-        triangles=new_of_old[tris],
-        tri_region=np.zeros(len(tris), dtype=np.int64),
-        tri_cell=full.tri_cell[keep_tri],
-        boundary_edges=new_of_old[full.boundary_edges[keep_edge]],
-        edge_kind=full.edge_kind[keep_edge],
-        edge_cell=full.edge_cell[keep_edge],
-        eps=cfg.eps,
-        meta={
-            "template": cell,
-            "full_mesh": full,
-            "fluid_to_full": np.nonzero(used)[0],
-            "n": n,
-            "n_holes": n * n if cfg.hole_radius > 0.0 else 0,
-        },
-    )
-    return _validate(mesh, "perforated mesh")
+    """The tiled mesh of the unit square with its HOLE triangles kept and
+    tagged; Omega_eps is its FLUID triangles."""
+    mesh = tile_template(cfg, cell)
+    mesh.meta["n_holes"] = cfg.n_cells ** 2 if cfg.hole_radius > 0.0 else 0
+    return mesh
 
 
 def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
@@ -504,11 +479,11 @@ def interpolate(mesh: Mesh, u: np.ndarray, X) -> np.ndarray:
     return out
 
 
-def interior_edge_counts(mesh: Mesh) -> dict[tuple[int, int], int]:
-    """Multiplicity of every triangle edge; conformity means interior edges
-    appear exactly twice and boundary edges once."""
+def interior_edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
+    """Multiplicity of every edge of the (T, 3) triangles; conformity means
+    interior edges appear exactly twice and boundary edges once."""
     counts: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
+    for tri in triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = (int(min(a, b)), int(max(a, b)))
             counts[key] = counts.get(key, 0) + 1

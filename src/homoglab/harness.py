@@ -43,6 +43,10 @@ class StudyConfig:
             raise ConfigError("eps_list needs at least two values for rate fits")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.cell_refine < 1:
+            raise ConfigError(f"cell_refine must be >= 1, got {self.cell_refine}")
+        if self.h_domain is not None and not self.h_domain > 0.0:
+            raise ConfigError(f"h_domain must be > 0, got {self.h_domain}")
         if sorted(self.eps_list, reverse=True) != list(self.eps_list):
             self.eps_list = tuple(sorted(self.eps_list, reverse=True))
         unknown = set(self.modes) - set(MODES)
@@ -174,14 +178,14 @@ def run_study(cfg: StudyConfig) -> dict:
                         per_mode[j]["l2_err"] = float(res.l2_errors[pos])
 
             if "EIGENSPACE" in cfg.modes:
-                full = bundle.mesh.meta["full_mesh"]
-                M_omega = fem.assemble_mass(full, tris=np.arange(full.n_triangles))
+                mesh = bundle.mesh
+                M_omega = fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles))
                 cl = clusters[0]
                 ext = np.stack([spectral.extend_Teps(bundle,
                                                      spec_eps.eigenvectors[:, j])
                                 for j in cl])
                 hom = geometry.interpolate(
-                    a_mesh, np.column_stack([hom_full[j] for j in cl]), full.nodes).T
+                    a_mesh, np.column_stack([hom_full[j] for j in cl]), mesh.nodes).T
                 gap = corr.eigenspace_gap(ext, hom, M_omega)
                 per_mode[cl[0]]["gap"] = gap
 

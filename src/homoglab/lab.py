@@ -63,9 +63,10 @@ def _cells_outside_k(cells: np.ndarray, eps: float, k_rect) -> np.ndarray:
 
 
 def _volsup_support(mesh: Mesh, k_rect):
-    """Triangle and HOLE_BDRY edge indices of Omega_eps^K: the cells whose
-    Y^i_eps lies in Omega \\ K."""
-    tris = np.nonzero(_cells_outside_k(mesh.tri_cell, mesh.eps, k_rect))[0]
+    """FLUID triangle and HOLE_BDRY edge indices of Omega_eps^K: the cells
+    whose Y^i_eps lies in Omega \\ K."""
+    tris = np.nonzero((mesh.tri_region == geometry.FLUID)
+                      & _cells_outside_k(mesh.tri_cell, mesh.eps, k_rect))[0]
     edges = np.nonzero((mesh.edge_kind == geometry.HOLE_BDRY)
                        & _cells_outside_k(mesh.edge_cell, mesh.eps, k_rect))[0]
     return tris, edges
@@ -104,7 +105,7 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     """|int chi^1(x/eps) u v| / (eps ||u||_H1 ||v||_H1) by centroid quadrature.
 
     u_fn and v_fn map points (P, 2) to values (P,); the H1 norms are taken
-    over Omega on the full tiled mesh.
+    over Omega_eps, the FLUID triangles, from the nodal values on the mesh.
     """
     mesh = bundle.mesh
     eps = mesh.eps
@@ -115,11 +116,10 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     chi_val, _ = eval_chi(sol, sol.mesh, centroids, eps)
     total = float(np.sum(areas * chi_val[:, 0] * u_fn(centroids) * v_fn(centroids)))
 
-    full = mesh.meta["full_mesh"]
-    S = fem.assemble_stiffness(full)
-    M = fem.assemble_mass(full)
-    uu = u_fn(full.nodes)
-    vv = v_fn(full.nodes)
+    S = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
+    uu = u_fn(mesh.nodes)
+    vv = v_fn(mesh.nodes)
     nu = np.sqrt(float(uu @ (S @ uu)) + float(uu @ (M @ uu)))
     nv = np.sqrt(float(vv @ (S @ vv)) + float(vv @ (M @ vv)))
     if nu == 0.0 or nv == 0.0:

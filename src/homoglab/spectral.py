@@ -55,14 +55,16 @@ class DiscreteOperatorBundle:
 
 
 def build_perforated_bundle(cfg: DomainConfig, cell_mesh: Mesh | None = None) -> DiscreteOperatorBundle:
-    """Mesh Omega_eps, assemble S, M, R and eliminate the outer Dirichlet nodes."""
+    """Tile Omega, assemble S, M, R over its FLUID triangles (Omega_eps) and
+    eliminate the outer Dirichlet nodes and the nodes off Omega_eps."""
     if cell_mesh is None:
         cell_mesh = geometry.build_cell_mesh(cfg.hole_radius, cfg.hole_poly, cfg.h_ref)
     mesh = geometry.build_perforated_mesh(cfg, cell_mesh)
     S = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     R = fem.assemble_robin_mass(mesh, cfg.k_rect)
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=mesh.outer_nodes())
+    fixed = np.union1d(mesh.outer_nodes(), np.nonzero(~mesh.fluid_nodes())[0])
+    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=fixed)
     red = fem.apply_constraints(S, M, R, cmap, n_nodes=mesh.n_nodes)
     return DiscreteOperatorBundle(mesh=mesh, red=red, tag=PERFORATED,
                                   k_rect=cfg.k_rect,
@@ -138,38 +140,30 @@ def rayleigh_quotient(bundle: DiscreteOperatorBundle, u: np.ndarray) -> float:
 def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
     """Discrete harmonic extension of a perforated field into the holes.
 
-    Returns the field on the full tiled mesh: unchanged on fluid nodes,
-    hole-interior nodes filled by solving the Laplace equation per hole with
-    the hole-boundary trace as Dirichlet data.
+    Returns the field on every node of the tiled mesh: unchanged on the nodes
+    of Omega_eps, the nodes off Omega_eps filled by solving the Laplace
+    equation per hole with the hole-boundary trace as Dirichlet data.
     """
     if bundle.tag != PERFORATED:
         raise SolverError("extend_Teps needs a PERFORATED bundle")
     mesh = bundle.mesh
-    full: Mesh = mesh.meta["full_mesh"]
-    fluid_to_full: np.ndarray = mesh.meta["fluid_to_full"]
-
-    u_full_nodes = bundle.red.P @ np.asarray(u, dtype=float)  # perforated mesh nodes
-    out = np.zeros(full.n_nodes)
-    out[fluid_to_full] = u_full_nodes
-
-    hole_tris = np.nonzero(full.tri_region == geometry.HOLE)[0]
+    out = bundle.red.expand(np.asarray(u, dtype=float))
+    hole_tris = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
     if len(hole_tris) == 0:
         return out
-    key = ("hole_extension", id(full))
-    cached = bundle.meta.get(key)
+    cached = bundle.meta.get("hole_extension")
     if cached is None:
-        in_hole_tri = np.zeros(full.n_nodes, dtype=bool)
-        in_hole_tri[full.triangles[hole_tris].ravel()] = True
-        fluid_node = np.zeros(full.n_nodes, dtype=bool)
-        fluid_node[fluid_to_full] = True
-        interior = np.nonzero(in_hole_tri & ~fluid_node)[0]
-        boundary = np.nonzero(in_hole_tri & fluid_node)[0]
+        in_hole_tri = np.zeros(mesh.n_nodes, dtype=bool)
+        in_hole_tri[mesh.triangles[hole_tris].ravel()] = True
+        fluid = mesh.fluid_nodes()
+        interior = np.nonzero(~fluid)[0]
+        boundary = np.nonzero(in_hole_tri & fluid)[0]
 
-        Sh = fem.assemble_stiffness(full, tris=hole_tris)
+        Sh = fem.assemble_stiffness(mesh, tris=hole_tris)
         S_ii = sp.csc_matrix(Sh[interior][:, interior])
         S_ib = Sh[interior][:, boundary]
         cached = (interior, boundary, S_ii, S_ib)
-        bundle.meta[key] = cached
+        bundle.meta["hole_extension"] = cached
     interior, boundary, S_ii, S_ib = cached
     out[interior] = solve_source(S_ii, -(S_ib @ out[boundary]))
     return out
@@ -177,12 +171,12 @@ def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
 
 def extension_energy_ratio(bundle: DiscreteOperatorBundle, u: np.ndarray) -> float:
     """int_Omega |grad T_eps u|^2 / int_Omega_eps |grad u|^2."""
-    full: Mesh = bundle.mesh.meta["full_mesh"]
+    mesh = bundle.mesh
     ext = extend_Teps(bundle, u)
-    S_full = fem.assemble_stiffness(full)  # FLUID triangles by default
-    S_all = fem.assemble_stiffness(full, tris=np.arange(full.n_triangles))
+    S_fluid = fem.assemble_stiffness(mesh)  # FLUID triangles by default
+    S_all = fem.assemble_stiffness(mesh, tris=np.arange(mesh.n_triangles))
     num = float(ext @ (S_all @ ext))
-    den = float(ext @ (S_full @ ext))
+    den = float(ext @ (S_fluid @ ext))
     if den == 0.0:
         raise SolverError("zero-energy field in extension_energy_ratio")
     return num / den

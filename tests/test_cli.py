@@ -5,6 +5,7 @@ import json
 import pytest
 
 from homoglab import cli
+from homoglab.errors import ConfigError
 
 
 def test_parse_number():
@@ -30,6 +31,29 @@ def test_mesh_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "nodes" in out and "FLUID" in out
+
+
+def test_mesh_command_perforated(tmp_path, capsys):
+    # the perforated dump is the tiled mesh with the hole triangles tagged
+    out_file = tmp_path / "mesh.txt"
+    rc = cli.main(["mesh", "--kind", "perforated", "--eps", "1/4", "--href", "1/8",
+                   "--out", str(out_file)])
+    assert rc == 0
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "1345 nodes 2560 triangles 640 edges"
+    tags = [line.split()[3] for line in lines[1 + 1345:1 + 1345 + 2560]]
+    assert tags.count("FLUID") == 2048 and tags.count("HOLE") == 512
+    edges = [line.split()[2] for line in lines[1 + 1345 + 2560:]]
+    assert len(edges) == 640
+    assert sum(e.startswith("HOLE_BDRY(") for e in edges) == 512
+    assert edges.count("OUTER") == 128
+
+
+def test_config_file_rejects_cell_refine_zero(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text("cell_refine = 0\n")
+    with pytest.raises(ConfigError):
+        cli._load_study_config(config, None)
 
 
 def test_mesh_command_to_file(tmp_path, capsys):

@@ -58,15 +58,13 @@ def test_mass_area_identities(bundle_quarter):
     onesp = np.ones(pm.n_nodes)
     y_exact = 1.0 - 16.0 * 0.25**2 * np.sin(2.0 * np.pi / 32.0)
     assert float(onesp @ (Mp @ onesp)) == pytest.approx(y_exact, abs=1e-12)
-    # full tiled mesh: all triangles cover the unit square, the HOLE ones the
-    # 16 scaled hole polygons
-    full = pm.meta["full_mesh"]
-    onesf = np.ones(full.n_nodes)
-    M_all = fem.assemble_mass(full, tris=np.arange(full.n_triangles))
-    assert float(onesf @ (M_all @ onesf)) == pytest.approx(1.0, abs=1e-12)
-    M_hole = fem.assemble_mass(full, tris=np.nonzero(full.tri_region == geometry.HOLE)[0])
+    # the same mesh: all its triangles cover the unit square, the HOLE ones
+    # the 16 scaled hole polygons
+    M_all = fem.assemble_mass(pm, tris=np.arange(pm.n_triangles))
+    assert float(onesp @ (M_all @ onesp)) == pytest.approx(1.0, abs=1e-12)
+    M_hole = fem.assemble_mass(pm, tris=np.nonzero(pm.tri_region == geometry.HOLE)[0])
     hole_area = 16.0 * 0.25**2 * geometry.polygon_area(0.25, 32)
-    assert float(onesf @ (M_hole @ onesf)) == pytest.approx(hole_area, abs=1e-12)
+    assert float(onesp @ (M_hole @ onesp)) == pytest.approx(hole_area, abs=1e-12)
 
 
 def _sub_mesh(mesh, tris, edges):
@@ -87,31 +85,31 @@ def _bitwise_equal(A, B):
 
 
 def test_index_set_assembly_matches_sub_mesh(bundle_quarter):
-    full = bundle_quarter.mesh.meta["full_mesh"]
-    fluid = full.fluid_triangles()
-    hole_bdry = np.nonzero(full.edge_kind == geometry.HOLE_BDRY)[0]
+    mesh = bundle_quarter.mesh
+    fluid = mesh.fluid_triangles()
+    hole_bdry = np.nonzero(mesh.edge_kind == geometry.HOLE_BDRY)[0]
     tri_sets = {
-        "hole": np.nonzero(full.tri_region == geometry.HOLE)[0],
-        "all": np.arange(full.n_triangles),
-        "fluid subset": fluid[(full.tri_cell[fluid, 0] + full.tri_cell[fluid, 1]) % 2 == 0],
+        "hole": np.nonzero(mesh.tri_region == geometry.HOLE)[0],
+        "all": np.arange(mesh.n_triangles),
+        "fluid subset": fluid[(mesh.tri_cell[fluid, 0] + mesh.tri_cell[fluid, 1]) % 2 == 0],
     }
     coeff = np.array([[2.0, 0.3], [0.3, 1.0]])
     for name, tris in tri_sets.items():
-        sub = _sub_mesh(full, tris, np.empty(0, dtype=np.int64))
+        sub = _sub_mesh(mesh, tris, np.empty(0, dtype=np.int64))
         for got, ref in (
-                (fem.assemble_stiffness(full, tris=tris), fem.assemble_stiffness(sub)),
-                (fem.assemble_stiffness(full, coeff=coeff, tris=tris),
+                (fem.assemble_stiffness(mesh, tris=tris), fem.assemble_stiffness(sub)),
+                (fem.assemble_stiffness(mesh, coeff=coeff, tris=tris),
                  fem.assemble_stiffness(sub, coeff=coeff)),
-                (fem.assemble_mass(full, tris=tris), fem.assemble_mass(sub))):
+                (fem.assemble_mass(mesh, tris=tris), fem.assemble_mass(sub))):
             assert _bitwise_equal(got, ref), name
     edge_sets = {
         "hole_bdry": hole_bdry,
-        "one column of cells": hole_bdry[full.edge_cell[hole_bdry, 0] == 1],
+        "one column of cells": hole_bdry[mesh.edge_cell[hole_bdry, 0] == 1],
     }
     for name, edges in edge_sets.items():
-        sub = _sub_mesh(full, np.empty(0, dtype=np.int64), edges)
+        sub = _sub_mesh(mesh, np.empty(0, dtype=np.int64), edges)
         for k_rect in (None, K_RECT):
-            got = fem.assemble_robin_mass(full, k_rect=k_rect, edges=edges)
+            got = fem.assemble_robin_mass(mesh, k_rect=k_rect, edges=edges)
             ref = fem.assemble_robin_mass(sub, k_rect=k_rect)
             assert got.nnz > 0, name
             assert _bitwise_equal(got, ref), name
@@ -180,7 +178,8 @@ def test_matrix_symmetry_and_definiteness(bundle_quarter):
         assert float(u @ (S @ u)) >= -1e-12
         assert float(u @ (R @ u)) >= -1e-12
         assert float(u @ (M @ u)) > 0.0
-    la.cholesky(M.toarray())  # M positive definite
+    fl = mesh.fluid_nodes()
+    la.cholesky(M[fl][:, fl].toarray())  # M positive definite on Omega_eps
 
 
 def test_anisotropic_stiffness_scaling():
@@ -302,20 +301,19 @@ def test_assembly_matches_concatenated_coo(template8):
     for eps in (1 / 8, 1 / 16):
         cfg = DomainConfig(eps=eps, hole_radius=0.25, k_rect=K_RECT, h_ref=1.0 / 8.0)
         mesh = build_perforated_mesh(cfg, template8)
-        full = mesh.meta["full_mesh"]
-        hole = np.nonzero(full.tri_region == geometry.HOLE)[0]
-        every = np.arange(full.n_triangles)
+        hole = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
+        every = np.arange(mesh.n_triangles)
         cases = {
             "stiffness": (fem.assemble_stiffness(mesh), _reference_stiffness(mesh)),
             "stiffness, coeff": (fem.assemble_stiffness(mesh, coeff=coeff),
                                  _reference_stiffness(mesh, coeff=coeff)),
-            "stiffness, HOLE tris": (fem.assemble_stiffness(full, tris=hole),
-                                     _reference_stiffness(full, tris=hole)),
-            "stiffness, all tris": (fem.assemble_stiffness(full, tris=every),
-                                    _reference_stiffness(full, tris=every)),
+            "stiffness, HOLE tris": (fem.assemble_stiffness(mesh, tris=hole),
+                                     _reference_stiffness(mesh, tris=hole)),
+            "stiffness, all tris": (fem.assemble_stiffness(mesh, tris=every),
+                                    _reference_stiffness(mesh, tris=every)),
             "mass": (fem.assemble_mass(mesh), _reference_mass(mesh)),
-            "mass, all tris": (fem.assemble_mass(full, tris=every),
-                               _reference_mass(full, tris=every)),
+            "mass, all tris": (fem.assemble_mass(mesh, tris=every),
+                               _reference_mass(mesh, tris=every)),
         }
         for name, (got, ref) in cases.items():
             assert got.has_canonical_format, name

@@ -56,7 +56,7 @@ def test_template_with_hole_measures(template8):
 
 
 def test_template_conformity(template8):
-    counts = interior_edge_counts(template8)
+    counts = interior_edge_counts(template8.triangles)
     boundary = {tuple(sorted(e)) for e in template8.boundary_edges}
     for edge, c in counts.items():
         if c == 1:
@@ -90,7 +90,8 @@ def test_perforated_mesh_tiling(template8):
     assert mesh.eps == 0.25
     # fluid area is 16 scaled copies of the template fluid area
     assert mesh.fluid_area() == pytest.approx(template8.fluid_area(), abs=1e-12)
-    assert (mesh.tri_region == geometry.FLUID).all()
+    # every cell keeps the template's FLUID/HOLE tags
+    assert np.array_equal(mesh.tri_region, np.tile(template8.tri_region, 16))
     # outer boundary nodes trace the unit square
     on = mesh.nodes[mesh.outer_nodes()]
     assert (np.isclose(on, 0.0, atol=1e-12) | np.isclose(on, 1.0, atol=1e-12)).any(axis=1).all()
@@ -281,7 +282,8 @@ def _reference_tile_template(cfg, cell):
 
 
 def _reference_perforate(full):
-    """`build_perforated_mesh` on the reference fields, with its per-edge loop."""
+    """A FLUID-only renumbered copy of the reference fields, built with a
+    per-edge loop; `fluid_to_full` maps its nodes back."""
     keep_tri = full["tri_region"] == geometry.FLUID
     tris = full["triangles"][keep_tri]
     used = np.zeros(len(full["nodes"]), dtype=bool)
@@ -318,8 +320,9 @@ def _assert_bitwise(got, ref, what):
 
 
 def test_tiling_matches_reference_loop():
-    """Array-built tiling and perforation equal the per-cell loop bitwise,
-    node numbering, edge order and dtypes included."""
+    """Array-built tiling equals the per-cell loop bitwise, node numbering,
+    edge order and dtypes included, and its FLUID part equals the per-edge
+    loop's FLUID-only copy."""
     cases = [(1 / 4, 0.25, 1 / 8), (1 / 8, 0.25, 1 / 8), (1 / 64, 0.25, 1 / 8),
              (1 / 4, 0.0, 1 / 8),      # hole-free template
              (1 / 6, 0.25, 1 / 16)]
@@ -329,14 +332,22 @@ def test_tiling_matches_reference_loop():
         mesh = build_perforated_mesh(cfg, cell)
         ref_full = _reference_tile_template(cfg, cell)
         ref_perf = _reference_perforate(ref_full)
-        for got, ref, what in ((mesh.meta["full_mesh"], ref_full, "full"),
-                               (mesh, ref_perf, "perforated")):
-            for name in ("nodes", "triangles", "tri_region", "tri_cell",
-                         "boundary_edges", "edge_kind", "edge_cell"):
-                _assert_bitwise(getattr(got, name), ref[name],
-                                f"{what} {name} at eps={eps}, r={r}, h_ref={h_ref}")
-        _assert_bitwise(mesh.meta["fluid_to_full"], ref_perf["fluid_to_full"],
-                        f"fluid_to_full at eps={eps}, r={r}, h_ref={h_ref}")
+        where = f"at eps={eps}, r={r}, h_ref={h_ref}"
+        for name in ("nodes", "triangles", "tri_region", "tri_cell",
+                     "boundary_edges", "edge_kind", "edge_cell"):
+            _assert_bitwise(getattr(mesh, name), ref_full[name], f"full {name} {where}")
+        to_full = ref_perf["fluid_to_full"]
+        fl = mesh.fluid_triangles()
+        _assert_bitwise(np.nonzero(mesh.fluid_nodes())[0], to_full, f"fluid nodes {where}")
+        for got, ref, name in (
+                (mesh.nodes[mesh.fluid_nodes()], ref_perf["nodes"], "nodes"),
+                (mesh.triangles[fl], to_full[ref_perf["triangles"]], "triangles"),
+                (mesh.tri_region[fl], ref_perf["tri_region"], "tri_region"),
+                (mesh.tri_cell[fl], ref_perf["tri_cell"], "tri_cell"),
+                (mesh.boundary_edges, to_full[ref_perf["boundary_edges"]], "boundary_edges"),
+                (mesh.edge_kind, ref_perf["edge_kind"], "edge_kind"),
+                (mesh.edge_cell, ref_perf["edge_cell"], "edge_cell")):
+            _assert_bitwise(got, ref, f"perforated {name} {where}")
 
 
 def test_tiled_mesh_conformity(template8):
@@ -345,22 +356,22 @@ def test_tiled_mesh_conformity(template8):
     cfg = DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
     n, m = cfg.n_cells, template8.meta["m"]
     mesh = build_perforated_mesh(cfg, template8)
-    full = mesh.meta["full_mesh"]
 
-    def edge_set(msh, kind):
-        return {tuple(sorted(map(int, e))) for e in msh.boundary_edges[msh.edge_kind == kind]}
+    def edge_set(kind):
+        return {tuple(sorted(map(int, e))) for e in mesh.boundary_edges[mesh.edge_kind == kind]}
 
-    counts = interior_edge_counts(full)
+    counts = interior_edge_counts(mesh.triangles)
     assert set(counts.values()) == {1, 2}
     once = {e for e, c in counts.items() if c == 1}
-    outer, hole = edge_set(full, geometry.OUTER), edge_set(full, geometry.HOLE_BDRY)
+    outer, hole = edge_set(geometry.OUTER), edge_set(geometry.HOLE_BDRY)
     assert once == outer and len(outer) == 4 * n * m
     assert len(hole) == n * n * 4 * m and all(counts[e] == 2 for e in hole)
 
-    counts = interior_edge_counts(mesh)
+    # Omega_eps alone: the hole boundaries become boundary edges
+    counts = interior_edge_counts(mesh.triangles[mesh.fluid_triangles()])
     assert set(counts.values()) == {1, 2}
     once = {e for e, c in counts.items() if c == 1}
-    assert once == edge_set(mesh, geometry.OUTER) | edge_set(mesh, geometry.HOLE_BDRY)
+    assert once == outer | hole
 
 
 def test_domain_mesh_matches_reference_loop():

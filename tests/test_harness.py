@@ -60,6 +60,16 @@ def test_study_config_validation():
     assert dom.eps == 1 / 8 and dom.h_ref == cfg.h_ref
 
 
+@pytest.mark.parametrize("bad", [{"cell_refine": 0}, {"h_domain": 0.0},
+                                 {"h_domain": -0.1}])
+def test_study_config_rejects_bad_mesh_sizes(bad):
+    # each used to get past construction and fail inside run_study: a
+    # ZeroDivisionError, or a ConstraintError after the cell solve
+    with pytest.raises(ConfigError):
+        StudyConfig(**bad)
+    assert StudyConfig(h_domain=None).h_domain is None
+
+
 @pytest.fixture(scope="module")
 def small_report():
     cfg = StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,

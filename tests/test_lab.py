@@ -61,7 +61,8 @@ def test_volsup_empty_subdomain(template8, cell_sol8):
 
 
 def _volsup_support_per_cell(mesh, k_rect):
-    """Reference selection: loop over the cells, keep those off K."""
+    """Reference selection: loop over the cells, keep the FLUID triangles and
+    HOLE_BDRY edges of those off K."""
     eps = mesh.eps
     n = mesh.meta["n"]
     kx0, ky0, kx1, ky1 = k_rect
@@ -72,7 +73,8 @@ def _volsup_support_per_cell(mesh, k_rect):
             x1, y1 = eps * (ix + 1), eps * (iy + 1)
             if x1 <= kx0 or x0 >= kx1 or y1 <= ky0 or y0 >= ky1:
                 ok_cells.add((ix, iy))
-    tri_mask = np.array([(int(cx), int(cy)) in ok_cells for cx, cy in mesh.tri_cell])
+    tri_mask = np.array([reg == geometry.FLUID and (int(cx), int(cy)) in ok_cells
+                         for reg, (cx, cy) in zip(mesh.tri_region, mesh.tri_cell)])
     edge_mask = np.array([kind == geometry.HOLE_BDRY and (int(cx), int(cy)) in ok_cells
                           for kind, (cx, cy) in zip(mesh.edge_kind, mesh.edge_cell)])
     return np.nonzero(tri_mask)[0], np.nonzero(edge_mask)[0]

@@ -123,34 +123,90 @@ def test_rayleigh_quotient(spec_quarter, bundle_quarter):
         spectral.rayleigh_quotient(bundle_quarter, np.zeros(len(u1)))
 
 
+def _fluid_only_mesh(cfg, cell):
+    """The FLUID-only renumbered copy of the tiled mesh that the perforated
+    problem used to be assembled on, kept as the reference."""
+    n = cfg.n_cells
+    full = geometry.tile_template(cfg, cell)
+
+    keep_tri = full.tri_region == geometry.FLUID
+    tris = full.triangles[keep_tri]
+    used = np.zeros(full.n_nodes, dtype=bool)
+    used[tris.ravel()] = True
+    new_of_old = -np.ones(full.n_nodes, dtype=np.int64)
+    new_of_old[used] = np.arange(int(used.sum()))
+
+    keep_edge = used[full.boundary_edges].all(axis=1)
+
+    mesh = geometry.Mesh(
+        nodes=full.nodes[used],
+        triangles=new_of_old[tris],
+        tri_region=np.zeros(len(tris), dtype=np.int64),
+        tri_cell=full.tri_cell[keep_tri],
+        boundary_edges=new_of_old[full.boundary_edges[keep_edge]],
+        edge_kind=full.edge_kind[keep_edge],
+        edge_cell=full.edge_cell[keep_edge],
+        eps=cfg.eps,
+        meta={
+            "template": cell,
+            "full_mesh": full,
+            "fluid_to_full": np.nonzero(used)[0],
+            "n": n,
+            "n_holes": n * n if cfg.hole_radius > 0.0 else 0,
+        },
+    )
+    return geometry._validate(mesh, "perforated mesh")
+
+
+@pytest.mark.parametrize("eps, r, h_ref", [
+    (1 / 4, 0.25, 1 / 8), (1 / 8, 0.25, 1 / 8), (1 / 16, 0.25, 1 / 8),
+    (1 / 4, 0.0, 1 / 8),      # hole-free template
+    (1 / 6, 0.25, 1 / 16), (1 / 2, 0.25, 1 / 8)])
+def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
+    """Assembling over the FLUID triangles of the tiled mesh and eliminating
+    the nodes off Omega_eps gives the reduced matrices of the FLUID-only
+    copy bitwise."""
+    cfg = geometry.DomainConfig(eps=eps, hole_radius=r, k_rect=K_RECT, h_ref=h_ref)
+    cell = geometry.build_cell_mesh(r, 32, h_ref)
+    bundle = spectral.build_perforated_bundle(cfg, cell)
+    ref_mesh = _fluid_only_mesh(cfg, cell)
+    ref = fem.apply_constraints(
+        fem.assemble_stiffness(ref_mesh), fem.assemble_mass(ref_mesh),
+        fem.assemble_robin_mass(ref_mesh, K_RECT),
+        fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=ref_mesh.outer_nodes()),
+        n_nodes=ref_mesh.n_nodes)
+    assert bundle.red.dim == ref.dim
+    assert np.array_equal(bundle.red.keep, ref_mesh.meta["fluid_to_full"][ref.keep])
+    for name, got, want in (("S", bundle.S, ref.S), ("M", bundle.M, ref.M),
+                            ("R", bundle.R, ref.R),
+                            ("A", bundle.A, (ref.S + ref.R).tocsr())):
+        for part in ("data", "indices", "indptr"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
+
+
 def test_extend_constant_field(bundle_quarter):
     red = bundle_quarter.red
     out = spectral.extend_Teps(bundle_quarter, np.ones(red.dim))
-    full = bundle_quarter.mesh.meta["full_mesh"]
+    mesh = bundle_quarter.mesh
     # the input is 1 on every non-Dirichlet node; holes are interior, so the
     # harmonic fill reproduces 1 there, while outer nodes stay at 0
-    outer = set(bundle_quarter.mesh.outer_nodes())
-    fluid_to_full = bundle_quarter.mesh.meta["fluid_to_full"]
-    outer_full = {int(fluid_to_full[n]) for n in outer}
-    for n in range(full.n_nodes):
-        expect = 0.0 if n in outer_full else 1.0
+    outer = set(int(n) for n in mesh.outer_nodes())
+    for n in range(mesh.n_nodes):
+        expect = 0.0 if n in outer else 1.0
         assert out[n] == pytest.approx(expect, abs=1e-10)
 
 
 def test_extend_linear_field(bundle_quarter):
     red = bundle_quarter.red
     mesh = bundle_quarter.mesh
-    full = mesh.meta["full_mesh"]
     lin = 0.3 * mesh.nodes[:, 0] + 0.7 * mesh.nodes[:, 1] + 0.1
     out = spectral.extend_Teps(bundle_quarter, red.restrict(lin))
     # hole-interior nodes reproduce the linear field exactly (the hole
     # boundary data is linear and linears are discrete harmonic)
-    fluid_node = np.zeros(full.n_nodes, dtype=bool)
-    fluid_node[mesh.meta["fluid_to_full"]] = True
-    lin_full = 0.3 * full.nodes[:, 0] + 0.7 * full.nodes[:, 1] + 0.1
-    interior = ~fluid_node
+    interior = ~mesh.fluid_nodes()
     assert interior.sum() > 0
-    assert np.allclose(out[interior], lin_full[interior], atol=1e-10)
+    assert np.allclose(out[interior], lin[interior], atol=1e-10)
 
 
 def test_extension_energy_uniform(template8, spec_quarter, bundle_quarter):
