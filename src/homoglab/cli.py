@@ -104,7 +104,7 @@ def _load_study_config(path, seed):
             key, val = (s.strip() for s in line.split("=", 1))
             if key in ("hole_radius", "h_ref", "h_domain"):
                 kwargs[key] = _parse_number(val)
-            elif key in ("hole_poly", "k", "seed", "cell_refine", "lab_samples"):
+            elif key in ("hole_poly", "k", "seed", "cell_refine"):
                 kwargs[key] = int(val)
             elif key == "eps_list":
                 kwargs[key] = tuple(_parse_number(v) for v in val.split(","))

@@ -92,6 +92,22 @@ def solve_gevp(A, B, k: int, tol: float = 1e-9, solve=None) -> Spectrum:
                     meta={"tol": tol, "n": n})
 
 
+def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
+    """k eigenvalues, ascending, of A u = theta B u (A symmetric, B SPD) at the
+    end(s) `which` ("LA", "SA", "BE"): shift-free Lanczos from an all-ones
+    start, applying B^-1 with `solve` (factorized_solver(B) unless given)."""
+    n = A.shape[0]
+    if solve is None:
+        solve = factorized_solver(B)
+    Minv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    try:
+        vals = spla.eigsh(A, k=k, M=B, Minv=Minv, which=which, v0=np.ones(n),
+                          return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    return np.sort(vals)
+
+
 def factorized_solver(A):
     """Sparse LU factorization wrapped as a callable; raises on singular A."""
     try:

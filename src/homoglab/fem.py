@@ -155,6 +155,10 @@ class ReducedSystem:
     def restrict(self, u_full: np.ndarray) -> np.ndarray:
         return u_full[self.keep]
 
+    def project(self, A) -> sp.csr_matrix:
+        """Reduce a full-node matrix to the reduced DoFs: P' A P."""
+        return (self.P.T @ A @ self.P).tocsr()
+
 
 def apply_constraints(S, M, R, cmap: ConstraintMap, n_nodes: int | None = None) -> ReducedSystem:
     """Eliminate constraints by projection: reduced A = P' A P.
@@ -191,12 +195,9 @@ def apply_constraints(S, M, R, cmap: ConstraintMap, n_nodes: int | None = None) 
         P = sp.csr_matrix((np.ones(n), (np.arange(n), col)), shape=(n, len(retained)))
         keep = retained
 
-    def proj(A):
-        if A is None:
-            return None
-        return (P.T @ A @ P).tocsr()
-
-    return ReducedSystem(S=proj(S), M=proj(M), R=proj(R), P=P.tocsr(), keep=keep)
+    red = ReducedSystem(S=None, M=None, R=None, P=P.tocsr(), keep=keep)
+    red.S, red.M, red.R = (None if A is None else red.project(A) for A in (S, M, R))
+    return red
 
 
 def norms(S, M, R, u: np.ndarray) -> dict[str, float]:

@@ -363,13 +363,18 @@ def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
     return _validate(mesh, "tiled mesh")
 
 
+def domain_grid(rect: tuple[float, float, float, float], h: float) -> tuple[int, int]:
+    """Squares per side (nx, ny) of the structured mesh of `rect` at size h."""
+    x0, y0, x1, y1 = rect
+    return max(1, int(round((x1 - x0) / h))), max(1, int(round((y1 - y0) / h)))
+
+
 def build_domain_mesh(rect: tuple[float, float, float, float], h: float) -> Mesh:
     """Structured triangulation of the rectangle A, all boundary edges OUTER."""
     x0, y0, x1, y1 = rect
     if not (x1 > x0 and y1 > y0):
         raise GeometryError(f"degenerate rectangle {rect}")
-    nx = max(1, int(round((x1 - x0) / h)))
-    ny = max(1, int(round((y1 - y0) / h)))
+    nx, ny = domain_grid(rect, h)
 
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
     nodes = np.column_stack([

@@ -168,15 +168,3 @@ def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
     out[interior] = solve_source(S_ii, -(S_ib @ out[boundary]))
     return out
 
-
-def extension_energy_ratio(bundle: DiscreteOperatorBundle, u: np.ndarray) -> float:
-    """int_Omega |grad T_eps u|^2 / int_Omega_eps |grad u|^2."""
-    mesh = bundle.mesh
-    ext = extend_Teps(bundle, u)
-    S_fluid = fem.assemble_stiffness(mesh)  # FLUID triangles by default
-    S_all = fem.assemble_stiffness(mesh, tris=np.arange(mesh.n_triangles))
-    num = float(ext @ (S_all @ ext))
-    den = float(ext @ (S_fluid @ ext))
-    if den == 0.0:
-        raise SolverError("zero-energy field in extension_energy_ratio")
-    return num / den

@@ -56,6 +56,14 @@ def test_config_file_rejects_cell_refine_zero(tmp_path):
         cli._load_study_config(config, None)
 
 
+def test_config_file_rejects_lab_samples(tmp_path):
+    # the lemma constants come from eigensolves; there is nothing to sample
+    config = tmp_path / "old.cfg"
+    config.write_text("lab_samples = 10\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        cli._load_study_config(config, None)
+
+
 def test_mesh_command_to_file(tmp_path, capsys):
     out_file = tmp_path / "mesh.txt"
     rc = cli.main(["mesh", "--kind", "domain", "--href", "1/8",

@@ -70,10 +70,29 @@ def test_study_config_rejects_bad_mesh_sizes(bad):
     assert StudyConfig(h_domain=None).h_domain is None
 
 
+@pytest.mark.parametrize("h", [0.6, 0.3, 0.2])
+def test_study_config_rejects_coarse_macro_mesh(h):
+    # each used to solve the cell problem first and then fail on the macro
+    # mesh: ConstraintError (no free node) at 0.6, SolverError (k = 3 modes
+    # of one free node) at 0.3 and 0.2
+    with pytest.raises(ConfigError):
+        StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=h)
+
+
+def test_study_config_macro_mesh_bound():
+    # the homogenized solve takes k + 1 modes, so it needs more than k + 1
+    # interior nodes: a 3 x 3 grid has 4
+    for h in (None, 0.5 / 32, 0.5 / 3):
+        StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=h)
+    with pytest.raises(ConfigError):
+        StudyConfig(eps_list=(1 / 4, 1 / 8), k=3, h_domain=0.5 / 3)
+    assert StudyConfig().h_macro == 0.5 / 64
+
+
 @pytest.fixture(scope="module")
 def small_report():
     cfg = StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
-                      cell_refine=2, lab_samples=10)
+                      cell_refine=2)
     return run_study(cfg)
 
 
