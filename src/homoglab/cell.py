@@ -8,7 +8,7 @@ import numpy as np
 
 from . import fem, geometry
 from .eigensolve import solve_source
-from .errors import GeometryError, OutsideDomainError, SolverError
+from .errors import GeometryError, OutsideDomainError
 from .geometry import Mesh
 
 
@@ -31,15 +31,18 @@ class CellSolution:
 def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     """Solve int_Y (e_i + grad chi^i) . grad v = 0 over periodic v, both i.
 
-    Uniqueness is fixed by pinning one retained node; the Y-mean is removed
-    afterwards so int_Y chi^i = 0 holds exactly up to quadrature roundoff.
+    One node->DoF map folds the periodic faces, fixes the hole-interior nodes
+    (they touch no FLUID triangle) and pins the first remaining DoF for
+    uniqueness; the Y-mean is removed afterwards so int_Y chi^i = 0 holds
+    exactly up to quadrature roundoff.
     """
     if "face_keys" not in cell_mesh.meta:
         raise GeometryError("mesh is not a template cell mesh (no face keys)")
     S = fem.assemble_stiffness(cell_mesh)
     M = fem.assemble_mass(cell_mesh)
-    cmap = fem.periodic_constraints(cell_mesh)
-    red = fem.apply_constraints(S, M, None, cmap, n_nodes=cell_mesh.n_nodes)
+    dof = fem.dof_map(cell_mesh.n_nodes, ~cell_mesh.fluid_nodes(),
+                      fold=fem.periodic_fold(cell_mesh))
+    red = fem.apply_constraints(S, M, None, np.maximum(dof - 1, -1))  # pin DoF 0
 
     # load: b_v = -int_Y e_i . grad(phi_v), assembled over fluid triangles
     fl = cell_mesh.fluid_triangles()
@@ -50,17 +53,7 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     for i in range(2):
         contrib = -areas[:, None] * grads[:, :, i]
         np.add.at(loads[:, i], tris.ravel(), contrib.ravel())
-    loads_red = red.P.T @ loads
-
-    # solve only over DoFs seen by fluid triangles (hole-interior nodes have
-    # empty stiffness rows), pinning one of them for uniqueness
-    active = np.nonzero(cell_mesh.fluid_nodes()[red.keep])[0]
-    if len(active) < 2:
-        raise SolverError("cell problem has no fluid DoFs to solve for")
-    free = active[1:]
-    sol_red = np.zeros((red.dim, 2))
-    sol_red[free] = solve_source(red.S[free][:, free], loads_red[free])
-    full = red.expand(sol_red)
+    full = red.expand(solve_source(red.S, red.P.T @ loads))
     area_y = cell_mesh.fluid_area()
     chi = full - np.ones(cell_mesh.n_nodes) @ (M @ full) / area_y
 

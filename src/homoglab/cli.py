@@ -102,18 +102,21 @@ def _load_study_config(path, seed):
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key in ("hole_radius", "h_ref", "h_domain"):
-                kwargs[key] = _parse_number(val)
-            elif key in ("hole_poly", "k", "seed", "cell_refine"):
-                kwargs[key] = int(val)
-            elif key == "eps_list":
-                kwargs[key] = tuple(_parse_number(v) for v in val.split(","))
-            elif key == "k_rect":
-                kwargs[key] = tuple(float(v) for v in val.split(","))
-            elif key == "modes":
-                kwargs[key] = tuple(v.strip().upper() for v in val.split(","))
-            else:
-                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            try:
+                if key in ("hole_radius", "h_ref", "h_domain"):
+                    kwargs[key] = _parse_number(val)
+                elif key in ("hole_poly", "k", "seed", "cell_refine"):
+                    kwargs[key] = int(val)
+                elif key == "eps_list":
+                    kwargs[key] = tuple(_parse_number(v) for v in val.split(","))
+                elif key == "k_rect":
+                    kwargs[key] = _parse_krect(val)
+                elif key == "modes":
+                    kwargs[key] = tuple(v.strip().upper() for v in val.split(","))
+                else:
+                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{path}:{ln}: bad {key} value {val!r}: {exc}") from None
     if seed is not None:
         kwargs["seed"] = seed
     return StudyConfig(**kwargs)

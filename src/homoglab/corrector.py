@@ -22,7 +22,6 @@ class CorrectorField:
 
     values: np.ndarray
     cutoff_applied: bool
-    source_index: int
     eps: float
 
 
@@ -55,7 +54,7 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
 def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
                     eps: float, bundle: DiscreteOperatorBundle,
-                    cutoff: bool, source_index: int = 0) -> CorrectorField:
+                    cutoff: bool) -> CorrectorField:
     """U(x) = u(x) + eps * psi(x) * chi(x/eps) . grad u(x) on the reduced DoFs.
 
     Outside A the corrector is zero.  With cutoff=True, psi ramps linearly
@@ -83,8 +82,7 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     psi = np.minimum(1.0, d[inside] / (2.0 * eps)) if cutoff else 1.0
     values = np.zeros(len(keep))
     values[inside] = uval + eps * psi * (chi_val[:, 0] * gx + chi_val[:, 1] * gy)
-    return CorrectorField(values=values, cutoff_applied=cutoff,
-                          source_index=source_index, eps=eps)
+    return CorrectorField(values=values, cutoff_applied=cutoff, eps=eps)
 
 
 def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,

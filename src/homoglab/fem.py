@@ -3,7 +3,7 @@ constraint elimination, and the discrete norms used throughout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,28 +113,6 @@ def assemble_robin_mass(mesh: Mesh, k_rect=None,
     return _accumulate(mesh.n_nodes, rows, cols, vals)
 
 
-DIRICHLET = "DIRICHLET"
-PERIODIC = "PERIODIC"
-
-
-@dataclass
-class ConstraintMap:
-    """Node constraints: Dirichlet zeros or periodic master/slave pairing."""
-
-    kind: str
-    dirichlet: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
-
-    def __post_init__(self):
-        if self.kind not in (DIRICHLET, PERIODIC):
-            raise ConstraintError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == PERIODIC and len(self.pairs):
-            masters = set(int(p) for p in self.pairs[:, 0])
-            slaves = set(int(p) for p in self.pairs[:, 1])
-            if masters & slaves:
-                raise ConstraintError("a node appears as both master and slave")
-
-
 @dataclass
 class ReducedSystem:
     """Constraint-eliminated matrices plus the expansion back to full DoFs."""
@@ -143,7 +121,7 @@ class ReducedSystem:
     M: sp.csr_matrix
     R: sp.csr_matrix | None
     P: sp.csr_matrix          # full = P @ reduced
-    keep: np.ndarray          # full node index of each reduced DoF
+    keep: np.ndarray          # first full node of each reduced DoF
 
     @property
     def dim(self) -> int:
@@ -160,42 +138,55 @@ class ReducedSystem:
         return (self.P.T @ A @ self.P).tocsr()
 
 
-def apply_constraints(S, M, R, cmap: ConstraintMap, n_nodes: int | None = None) -> ReducedSystem:
+def dof_map(n: int, fixed, fold: np.ndarray | None = None) -> np.ndarray:
+    """Node -> reduced-DoF map for `apply_constraints`.
+
+    Node i takes the DoF of node fold[i] (itself by default), and fold[i]
+    must fold onto itself.  The nodes that fold onto themselves and are not
+    in `fixed` (indices or a mask) are numbered in node order; a node
+    folding onto a fixed node maps to -1.
+    """
+    own = np.ones(n, dtype=bool) if fold is None else fold == np.arange(n)
+    own[fixed] = False
+    dof = np.where(own, np.cumsum(own) - 1, -1)
+    return dof if fold is None else dof[fold]
+
+
+def periodic_fold(template: Mesh) -> np.ndarray:
+    """The node each template node folds onto under periodicity: a face node
+    at lattice key (kx, ky) onto the one at (kx mod m, ky mod m), so the
+    three non-origin corners all land on the (0, 0) corner."""
+    m = template.meta["m"]
+    face_keys: dict[int, tuple[int, int]] = template.meta["face_keys"]
+    nodes = np.fromiter(face_keys, dtype=np.int64, count=len(face_keys))
+    kx, ky = np.array(list(face_keys.values()), dtype=np.int64).T
+    at_key = np.full((m + 1, m + 1), -1, dtype=np.int64)
+    at_key[kx, ky] = nodes
+    fold = np.arange(template.n_nodes)
+    fold[nodes] = at_key[kx % m, ky % m]
+    return fold
+
+
+def apply_constraints(S, M, R, dof: np.ndarray) -> ReducedSystem:
     """Eliminate constraints by projection: reduced A = P' A P.
 
-    DIRICHLET deletes the constrained rows/columns; PERIODIC folds slave
-    rows/columns into their masters and deletes the slaves.
+    dof[i] is the reduced DoF of node i, or -1 where the node is fixed to
+    zero; P has a one in row i, column dof[i].  Nodes sharing a DoF are
+    folded together (periodic faces).
     """
-    n = n_nodes if n_nodes is not None else S.shape[0]
-
-    if cmap.kind == DIRICHLET:
-        fixed = np.zeros(n, dtype=bool)
-        if len(cmap.dirichlet):
-            if cmap.dirichlet.min() < 0 or cmap.dirichlet.max() >= n:
-                raise ConstraintError("Dirichlet node index out of range")
-            fixed[cmap.dirichlet] = True
-        keep = np.nonzero(~fixed)[0]
-        if len(keep) == 0:
-            raise ConstraintError("all nodes constrained: empty space")
-        P = sp.csr_matrix(
-            (np.ones(len(keep)), (keep, np.arange(len(keep)))), shape=(n, len(keep)))
-    else:
-        target = np.arange(n)
-        for mref, s in cmap.pairs:
-            target[s] = mref
-        # resolve chains (corner nodes may point through another slave)
-        for _ in range(4):
-            target = target[target]
-        retained = np.nonzero(target == np.arange(n))[0]
-        red_index = -np.ones(n, dtype=np.int64)
-        red_index[retained] = np.arange(len(retained))
-        col = red_index[target]
-        if (col < 0).any():
-            raise ConstraintError("periodic pairing does not resolve to masters")
-        P = sp.csr_matrix((np.ones(n), (np.arange(n), col)), shape=(n, len(retained)))
-        keep = retained
-
-    red = ReducedSystem(S=None, M=None, R=None, P=P.tocsr(), keep=keep)
+    n = S.shape[0]
+    dof = np.asarray(dof)
+    if dof.shape != (n,):
+        raise ConstraintError(f"dof map of shape {dof.shape} for {n} nodes")
+    nodes = np.nonzero(dof >= 0)[0]
+    if len(nodes) == 0:
+        raise ConstraintError("all nodes constrained: empty space")
+    dofs, first = np.unique(dof[nodes], return_index=True)
+    if dofs[-1] != len(dofs) - 1:
+        raise ConstraintError("dof map skips a reduced DoF")
+    P = sp.csr_matrix((np.ones(len(nodes)), (nodes, dof[nodes])),
+                      shape=(n, len(dofs)))
+    red = ReducedSystem(S=None, M=None, R=None, P=P, keep=nodes[first])
     red.S, red.M, red.R = (None if A is None else red.project(A) for A in (S, M, R))
     return red
 
@@ -209,27 +200,3 @@ def norms(S, M, R, u: np.ndarray) -> dict[str, float]:
     l2 = float(u @ (M @ u))
     eps_sq = h1 + (float(u @ (R @ u)) if R is not None else 0.0)
     return {"l2": l2, "h1_semi": h1, "eps_norm_sq": eps_sq}
-
-
-def periodic_constraints(template: Mesh) -> ConstraintMap:
-    """Periodic pairing of the template's opposite faces via exact lattice keys.
-
-    Masters live on the bottom and left faces; the three non-origin corners
-    all collapse onto the (0,0) corner.
-    """
-    face_keys: dict[int, tuple[int, int]] = template.meta["face_keys"]
-    m = template.meta["m"]
-    by_key = {v: k for k, v in face_keys.items()}
-    pairs = []
-    for (kx, ky), node in sorted(by_key.items()):
-        if kx == m and ky == m:
-            pairs.append((by_key[(0, 0)], node))
-        elif kx == m and 0 < ky < m:
-            pairs.append((by_key[(0, ky)], node))
-        elif ky == m and 0 < kx < m:
-            pairs.append((by_key[(kx, 0)], node))
-        elif kx == m and ky == 0:
-            pairs.append((by_key[(0, 0)], node))
-        elif kx == 0 and ky == m:
-            pairs.append((by_key[(0, 0)], node))
-    return ConstraintMap(kind=PERIODIC, pairs=np.array(pairs, dtype=np.int64))

@@ -136,10 +136,6 @@ class Mesh:
         e = self.boundary_edges[self.edge_kind == OUTER]
         return np.unique(e)
 
-    def hole_boundary_nodes(self) -> np.ndarray:
-        e = self.boundary_edges[self.edge_kind == HOLE_BDRY]
-        return np.unique(e)
-
 
 def _validate(mesh: Mesh, what: str) -> Mesh:
     a = mesh.areas()

@@ -17,7 +17,7 @@ from . import corrector as corr
 from . import fem, geometry, lab, spectral
 from .cell import solve_cell_problem
 from .errors import ConfigError, HomoglabError
-from .geometry import DomainConfig, Mesh
+from .geometry import DomainConfig
 
 MODES = ("EIGENVALUES", "CORRECTOR", "EIGENSPACE", "VISIK", "LAB")
 
@@ -41,6 +41,8 @@ class StudyConfig:
     lab_samples: int = 100             # ignored
 
     def __post_init__(self):
+        if len(set(self.eps_list)) < len(self.eps_list):
+            raise ConfigError(f"eps_list repeats a value: {list(self.eps_list)}")
         if len(self.eps_list) < 2:
             raise ConfigError("eps_list needs at least two values for rate fits")
         if self.k < 1:
@@ -131,9 +133,9 @@ def run_study(cfg: StudyConfig) -> dict:
 
     a_mesh = geometry.build_domain_mesh(cfg.k_rect, cfg.h_macro)
     # mode k + 1 shows whether the cluster holding mode k is cut off at k
-    homog_spec, _ = spectral.solve_homogenized_evp(
+    homog_spec, homog_bundle = spectral.solve_homogenized_evp(
         a_mesh, cell_sol.a_hom, cell_sol.cell_area, cfg.k + 1)
-    alpha_spec, _ = spectral.solve_dirichlet_laplacian(a_mesh, cfg.k)
+    alpha_spec, alpha_bundle = spectral.solve_dirichlet_laplacian(a_mesh, cfg.k)
     body["homogenized"] = {
         "lambda": homog_spec.eigenvalues[:cfg.k].tolist(),
         "alpha": alpha_spec.eigenvalues.tolist(),
@@ -141,10 +143,12 @@ def run_study(cfg: StudyConfig) -> dict:
     }
     clusters = _eigen_clusters(homog_spec.eigenvalues)
     # eigenvectors live on the Dirichlet-reduced DoFs; expand once to nodal
-    # fields on the A mesh for interpolation and corrector building
-    hom_full = [_expand_dirichlet(a_mesh, homog_spec.eigenvectors[:, j])
+    # fields on the A mesh for interpolation and corrector building, then
+    # free the two macro bundles and their LUs before the sweep
+    hom_full = [homog_bundle.red.expand(homog_spec.eigenvectors[:, j])
                 for j in range(cfg.k)]
-    alpha1_full = _expand_dirichlet(a_mesh, alpha_spec.eigenvectors[:, 0])
+    alpha1_full = alpha_bundle.red.expand(alpha_spec.eigenvectors[:, 0])
+    del homog_bundle, alpha_bundle
 
     # the study template at the configured h_ref; micro size is eps * h_ref
     template = geometry.build_cell_mesh(cfg.hole_radius, cfg.hole_poly, cfg.h_ref)
@@ -176,7 +180,7 @@ def run_study(cfg: StudyConfig) -> dict:
                 for j in cl:
                     U_fields[j] = corr.build_corrector(
                         hom_full[j], a_mesh, cell_sol, eps,
-                        bundle, cutoff=True, source_index=j)
+                        bundle, cutoff=True)
             if "CORRECTOR" in cfg.modes:
                 A_form = bundle.A
                 for cl in clusters:
@@ -206,8 +210,7 @@ def run_study(cfg: StudyConfig) -> dict:
                 U1 = U_fields.get(0)
                 if U1 is None:
                     U1 = corr.build_corrector(hom_full[0], a_mesh, cell_sol,
-                                              eps, bundle, cutoff=True,
-                                              source_index=0)
+                                              eps, bundle, cutoff=True)
                 mu = 1.0 / float(homog_spec.eigenvalues[0])
                 vres = corr.visik_check(bundle, U1.values, mu, spec_eps)
                 per_mode[0]["visik_alpha"] = float(vres.residual)
@@ -249,14 +252,6 @@ def run_study(cfg: StudyConfig) -> dict:
                          "runtime_s": round(time.time() - t_start, 3)},
               "body": body}
     return report
-
-
-def _expand_dirichlet(a_mesh: Mesh, u_red: np.ndarray) -> np.ndarray:
-    fixed = np.zeros(a_mesh.n_nodes, dtype=bool)
-    fixed[a_mesh.outer_nodes()] = True
-    out = np.zeros(a_mesh.n_nodes)
-    out[~fixed] = u_red
-    return out
 
 
 def _fit_all_rates(rows, cfg: StudyConfig) -> dict:

@@ -26,7 +26,6 @@ class DiscreteOperatorBundle:
     mesh: Mesh
     red: fem.ReducedSystem
     tag: str
-    k_rect: tuple | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -63,12 +62,11 @@ def build_perforated_bundle(cfg: DomainConfig, cell_mesh: Mesh | None = None) ->
     S = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     R = fem.assemble_robin_mass(mesh, cfg.k_rect)
-    fixed = np.union1d(mesh.outer_nodes(), np.nonzero(~mesh.fluid_nodes())[0])
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=fixed)
-    red = fem.apply_constraints(S, M, R, cmap, n_nodes=mesh.n_nodes)
+    fixed = ~mesh.fluid_nodes()
+    fixed[mesh.outer_nodes()] = True
+    red = fem.apply_constraints(S, M, R, fem.dof_map(mesh.n_nodes, fixed))
     return DiscreteOperatorBundle(mesh=mesh, red=red, tag=PERFORATED,
-                                  k_rect=cfg.k_rect,
-                                  meta={"cfg": cfg, "cell_mesh": cell_mesh})
+                                  meta={"cfg": cfg})
 
 
 def solve_perforated_evp(cfg: DomainConfig, k: int,
@@ -81,16 +79,14 @@ def solve_perforated_evp(cfg: DomainConfig, k: int,
     if bundle is None:
         bundle = build_perforated_bundle(cfg, cell_mesh)
     spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
-    spec.meta["problem"] = PERFORATED
-    spec.meta["eps"] = cfg.eps
     return spec, bundle
 
 
 def _dirichlet_bundle(a_mesh: Mesh, coeff=None, tag: str = DIRICHLET_LAPLACIAN):
     S = fem.assemble_stiffness(a_mesh, coeff=coeff)
     M = fem.assemble_mass(a_mesh)
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=a_mesh.outer_nodes())
-    red = fem.apply_constraints(S, M, None, cmap, n_nodes=a_mesh.n_nodes)
+    red = fem.apply_constraints(S, M, None,
+                                fem.dof_map(a_mesh.n_nodes, a_mesh.outer_nodes()))
     return DiscreteOperatorBundle(mesh=a_mesh, red=red, tag=tag)
 
 
@@ -107,8 +103,6 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
     spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
     spec.eigenvalues = spec.eigenvalues / cell_area
     spec.eigenvectors = spec.eigenvectors / np.sqrt(cell_area)
-    spec.meta["problem"] = HOMOGENIZED
-    spec.meta["cell_area"] = cell_area
     return spec, bundle
 
 
@@ -116,7 +110,6 @@ def solve_dirichlet_laplacian(a_mesh: Mesh, k: int):
     """Plain Dirichlet Laplacian eigenpairs alpha^j on A."""
     bundle = _dirichlet_bundle(a_mesh)
     spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
-    spec.meta["problem"] = DIRICHLET_LAPLACIAN
     return spec, bundle
 
 

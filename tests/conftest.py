@@ -77,9 +77,21 @@ def a_mesh32():
 
 
 @pytest.fixture(scope="session")
-def dirichlet_spec32(a_mesh32):
-    spec, _ = spectral.solve_dirichlet_laplacian(a_mesh32, 4)
-    return spec
+def dirichlet32(a_mesh32):
+    """Dirichlet Laplacian eigenpairs on A and the bundle they live on."""
+    return spectral.solve_dirichlet_laplacian(a_mesh32, 4)
+
+
+@pytest.fixture(scope="session")
+def dirichlet_spec32(dirichlet32):
+    return dirichlet32[0]
+
+
+@pytest.fixture(scope="session")
+def dirichlet_modes32(dirichlet32):
+    """The four eigenvectors as nodal fields on a_mesh32, one per row."""
+    spec, bundle = dirichlet32
+    return bundle.red.expand(spec.eigenvectors).T
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homoglab import geometry
-from homoglab.cell import compute_ahom, eval_chi, fhom, solve_cell_problem
+from homoglab.cell import CellSolution, compute_ahom, eval_chi, fhom, solve_cell_problem
 from homoglab.errors import GeometryError, OutsideDomainError
 
 # frozen fine-mesh regression value for the isotropic effective coefficient
@@ -144,3 +144,42 @@ def test_refinement_convergence(cell_sol8, cell_sol32):
     assert d1 / d2 >= 1.5  # successive differences shrink on halving
     # frozen regression value at the fine template
     assert a32 == pytest.approx(A_STAR_H32, abs=1e-6)
+
+
+def _reference_two_stage_chi(cell_mesh):
+    """The elimination `solve_cell_problem` made before its one node->DoF
+    map, kept as its reference: fold the periodic faces, then solve only
+    over the reduced DoFs on FLUID triangles with the first one pinned."""
+    from homoglab import fem
+    from homoglab.eigensolve import solve_source
+    S = fem.assemble_stiffness(cell_mesh)
+    M = fem.assemble_mass(cell_mesh)
+    dof = fem.dof_map(cell_mesh.n_nodes, [], fold=fem.periodic_fold(cell_mesh))
+    red = fem.apply_constraints(S, M, None, dof)
+    fl = cell_mesh.fluid_triangles()
+    tris = cell_mesh.triangles[fl]
+    areas = cell_mesh.areas()[fl]
+    grads = cell_mesh.grads()[fl]
+    loads = np.zeros((cell_mesh.n_nodes, 2))
+    for i in range(2):
+        contrib = -areas[:, None] * grads[:, :, i]
+        np.add.at(loads[:, i], tris.ravel(), contrib.ravel())
+    loads_red = red.P.T @ loads
+    active = np.nonzero(cell_mesh.fluid_nodes()[red.keep])[0]
+    free = active[1:]
+    sol_red = np.zeros((red.dim, 2))
+    sol_red[free] = solve_source(red.S[free][:, free], loads_red[free])
+    full = red.expand(sol_red)
+    return full - np.ones(cell_mesh.n_nodes) @ (M @ full) / cell_mesh.fluid_area()
+
+
+@pytest.mark.parametrize("r, h_ref", [(0.25, 1 / 8), (0.25, 1 / 32), (0.0, 1 / 8),
+                                      (0.2, 1 / 12)])
+def test_one_dof_map_matches_two_stage_elimination(r, h_ref):
+    mesh = geometry.build_cell_mesh(r, 32, h_ref)
+    sol = solve_cell_problem(mesh)
+    chi = _reference_two_stage_chi(mesh)
+    assert sol.chi.tobytes() == chi.tobytes()
+    ref = compute_ahom(CellSolution(chi=chi, a_hom=None, cell_area=sol.cell_area,
+                                    hole_perimeter=sol.hole_perimeter), mesh)
+    assert sol.a_hom.tobytes() == ref.tobytes()

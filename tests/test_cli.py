@@ -126,7 +126,10 @@ def test_study_and_check_commands(tmp_path, capsys):
 
 def test_bad_config_file(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("nonsense = 12\n")
-    rc = cli.main(["study", "--config", str(config), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for line in ("nonsense = 12", "k = 2.5", "hole_poly = 3.0",
+                 "eps_list = 1/4, x", "k_rect = 0.25, 0.25, 0.75"):
+        config.write_text("# sweep\n" + line + "\n")
+        rc = cli.main(["study", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "bad.cfg:2: " in err, line

@@ -8,16 +8,15 @@ from homoglab import corrector as corr
 from homoglab import geometry, spectral
 from homoglab.cell import solve_cell_problem
 from homoglab.errors import AlignmentError, SolverError
-from homoglab.harness import _expand_dirichlet
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 
 
 @pytest.fixture(scope="module")
 def hom_field(a_mesh32, cell_sol8):
-    spec, _ = spectral.solve_homogenized_evp(
+    spec, bundle = spectral.solve_homogenized_evp(
         a_mesh32, cell_sol8.a_hom, cell_sol8.cell_area, 1)
-    return _expand_dirichlet(a_mesh32, spec.eigenvectors[:, 0])
+    return bundle.red.expand(spec.eigenvectors[:, 0])
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +73,11 @@ def test_corrector_amplitude_scales_with_eps(sweep, a_mesh32, hom_field):
         assert a >= b - 1e-12
 
 
-def test_alignment_identity_and_sign(dirichlet_spec32, a_mesh32):
+def test_alignment_identity_and_sign(a_mesh32, dirichlet_modes32):
     # two well-separated modes of the Dirichlet problem as the test family
     from homoglab import fem
     M = fem.assemble_mass(a_mesh32)
-    u = np.stack([
-        _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 0]),
-        _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 3]),
-    ])
+    u = dirichlet_modes32[[0, 3]]
     res = corr.align_eigenspaces(u, u, M)
     assert np.allclose(res.matrix, np.eye(2), atol=1e-10)
     assert np.allclose(res.l2_errors, 0.0, atol=1e-10)
@@ -92,13 +88,10 @@ def test_alignment_identity_and_sign(dirichlet_spec32, a_mesh32):
     assert np.allclose(res.l2_errors, 0.0, atol=1e-10)
 
 
-def test_alignment_recovers_rotation(dirichlet_spec32, a_mesh32):
+def test_alignment_recovers_rotation(a_mesh32, dirichlet_modes32):
     from homoglab import fem
     M = fem.assemble_mass(a_mesh32)
-    u = np.stack([
-        _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 0]),
-        _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 3]),
-    ])
+    u = dirichlet_modes32[[0, 3]]
     th = 0.37
     Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     res = corr.align_eigenspaces(u, Q @ u, M)
@@ -109,22 +102,22 @@ def test_alignment_recovers_rotation(dirichlet_spec32, a_mesh32):
     assert res.l2_errors.sum() <= ident_err.sum() + 1e-12
 
 
-def test_alignment_errors(dirichlet_spec32, a_mesh32):
+def test_alignment_errors(a_mesh32, dirichlet_modes32):
     from homoglab import fem
     M = fem.assemble_mass(a_mesh32)
-    v1 = _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 0])
-    v2 = _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 1])
+    v1 = dirichlet_modes32[0]
+    v2 = dirichlet_modes32[1]
     with pytest.raises(AlignmentError):
         corr.align_eigenspaces(v1[None, :], v2[None, :], M)  # orthogonal pair
     with pytest.raises(AlignmentError):
         corr.align_eigenspaces(np.stack([v1, v2]), v1[None, :], M)
 
 
-def test_eigenspace_gap_limits(dirichlet_spec32, a_mesh32):
+def test_eigenspace_gap_limits(a_mesh32, dirichlet_modes32):
     from homoglab import fem
     M = fem.assemble_mass(a_mesh32)
-    v1 = _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 0])
-    v2 = _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 1])
+    v1 = dirichlet_modes32[0]
+    v2 = dirichlet_modes32[1]
     assert corr.eigenspace_gap(v1[None, :], v1[None, :], M) <= 1e-12
     assert corr.eigenspace_gap(v1[None, :], v2[None, :], M) == pytest.approx(1.0, abs=1e-10)
     # basis invariance: a rotated basis of the same span has zero gap

@@ -194,21 +194,21 @@ def test_apply_constraints_dirichlet():
     S = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     # empty constraint set: identity transformation
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET)
-    red = fem.apply_constraints(S, M, None, cmap, n_nodes=mesh.n_nodes)
+    red = fem.apply_constraints(S, M, None, fem.dof_map(mesh.n_nodes, []))
     assert red.dim == mesh.n_nodes
     assert (red.P - sp.eye(mesh.n_nodes)).nnz == 0
     # all nodes constrained: degenerate space
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=np.arange(mesh.n_nodes))
     with pytest.raises(ConstraintError):
-        fem.apply_constraints(S, M, None, cmap, n_nodes=mesh.n_nodes)
-    # out-of-range index
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=np.array([mesh.n_nodes]))
+        fem.apply_constraints(S, M, None, np.full(mesh.n_nodes, -1))
+    # a map that does not cover every node
     with pytest.raises(ConstraintError):
-        fem.apply_constraints(S, M, None, cmap, n_nodes=mesh.n_nodes)
+        fem.apply_constraints(S, M, None, np.arange(mesh.n_nodes + 1))
+    # a map that leaves a reduced DoF without nodes
+    with pytest.raises(ConstraintError):
+        fem.apply_constraints(S, M, None, 2 * np.arange(mesh.n_nodes))
     # expansion round trip
-    cmap = fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=mesh.outer_nodes())
-    red = fem.apply_constraints(S, M, None, cmap, n_nodes=mesh.n_nodes)
+    red = fem.apply_constraints(S, M, None,
+                                fem.dof_map(mesh.n_nodes, mesh.outer_nodes()))
     u = np.arange(red.dim, dtype=float)
     full = red.expand(u)
     assert np.allclose(full[mesh.outer_nodes()], 0.0)
@@ -218,16 +218,59 @@ def test_apply_constraints_dirichlet():
 def test_apply_constraints_periodic(template8):
     S = fem.assemble_stiffness(template8)
     M = fem.assemble_mass(template8)
-    cmap = fem.periodic_constraints(template8)
-    red = fem.apply_constraints(S, M, None, cmap, n_nodes=template8.n_nodes)
+    dof = fem.dof_map(template8.n_nodes, [], fold=fem.periodic_fold(template8))
+    red = fem.apply_constraints(S, M, None, dof)
     # constants stay in the stiffness kernel after periodic folding
     ones = np.ones(red.dim)
     assert np.max(np.abs(red.S @ ones)) <= 1e-10
-    # a node may not be both master and slave
-    with pytest.raises(ConstraintError):
-        fem.ConstraintMap(kind=fem.PERIODIC, pairs=np.array([[0, 1], [1, 2]]))
-    with pytest.raises(ConstraintError):
-        fem.ConstraintMap(kind="NONSENSE")
+
+
+def _reference_periodic_P(template):
+    """The master/slave pair list and chain resolution the periodic fold
+    replaced, kept as its reference; returns the expansion matrix P."""
+    face_keys = template.meta["face_keys"]
+    m = template.meta["m"]
+    by_key = {v: k for k, v in face_keys.items()}
+    pairs = []
+    for (kx, ky), node in sorted(by_key.items()):
+        if kx == m and ky == m:
+            pairs.append((by_key[(0, 0)], node))
+        elif kx == m and 0 < ky < m:
+            pairs.append((by_key[(0, ky)], node))
+        elif ky == m and 0 < kx < m:
+            pairs.append((by_key[(kx, 0)], node))
+        elif kx == m and ky == 0:
+            pairs.append((by_key[(0, 0)], node))
+        elif kx == 0 and ky == m:
+            pairs.append((by_key[(0, 0)], node))
+    n = template.n_nodes
+    target = np.arange(n)
+    for mref, s in pairs:
+        target[s] = mref
+    for _ in range(4):
+        target = target[target]
+    retained = np.nonzero(target == np.arange(n))[0]
+    red_index = -np.ones(n, dtype=np.int64)
+    red_index[retained] = np.arange(len(retained))
+    col = red_index[target]
+    assert (col >= 0).all()
+    return sp.csr_matrix((np.ones(n), (np.arange(n), col)), shape=(n, len(retained)))
+
+
+@pytest.mark.parametrize("r, h_ref", [(0.25, 1 / 8), (0.25, 1 / 16), (0.25, 1 / 32),
+                                      (0.0, 1 / 8), (0.2, 1 / 12)])
+def test_periodic_fold_matches_pair_list(r, h_ref):
+    """Folding face keys mod m gives the pair list's P and reduced S bitwise."""
+    template = geometry.build_cell_mesh(r, 32, h_ref)
+    S = fem.assemble_stiffness(template)
+    P_ref = _reference_periodic_P(template)
+    dof = fem.dof_map(template.n_nodes, [], fold=fem.periodic_fold(template))
+    red = fem.apply_constraints(S, fem.assemble_mass(template), None, dof)
+    S_ref = (P_ref.T @ S @ P_ref).tocsr()
+    for name, got, want in (("P", red.P, P_ref), ("S", red.S, S_ref)):
+        for part in ("data", "indices", "indptr"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
 
 
 def test_norms():

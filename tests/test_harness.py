@@ -53,6 +53,9 @@ def test_study_config_validation():
     # a bad eps fails at construction, before any cell problem is solved
     with pytest.raises(ConfigError):
         StudyConfig(eps_list=(1 / 4, 0.3))
+    # so does a repeated one, which would leave one eps for the rate fits
+    with pytest.raises(ConfigError, match="repeats"):
+        StudyConfig(eps_list=(1 / 4, 1 / 4))
     # eps values are sorted descending regardless of the input order
     cfg = StudyConfig(eps_list=(1 / 16, 1 / 4, 1 / 8))
     assert cfg.eps_list == (1 / 4, 1 / 8, 1 / 16)

@@ -8,7 +8,6 @@ import scipy.linalg as la
 from homoglab import fem, geometry, lab, spectral
 from homoglab.eigensolve import Spectrum
 from homoglab.errors import ConfigError
-from homoglab.harness import _expand_dirichlet
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 
@@ -213,8 +212,8 @@ def test_periodic_osc(bundle_quarter, cell_sol8):
     assert row2.worst_ratio == pytest.approx(row.worst_ratio, rel=1e-12)
 
 
-def test_strip_poincare(a_mesh32, dirichlet_spec32):
-    u = _expand_dirichlet(a_mesh32, dirichlet_spec32.eigenvectors[:, 0])
+def test_strip_poincare(a_mesh32, dirichlet_modes32):
+    u = dirichlet_modes32[0]
     row = lab.check_strip_poincare(a_mesh32, u, [0.2, 0.1, 0.05])
     assert row.check == "strip_poincare"
     assert np.isfinite(row.worst_ratio) and row.worst_ratio > 0.0

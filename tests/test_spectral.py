@@ -173,8 +173,7 @@ def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
     ref = fem.apply_constraints(
         fem.assemble_stiffness(ref_mesh), fem.assemble_mass(ref_mesh),
         fem.assemble_robin_mass(ref_mesh, K_RECT),
-        fem.ConstraintMap(kind=fem.DIRICHLET, dirichlet=ref_mesh.outer_nodes()),
-        n_nodes=ref_mesh.n_nodes)
+        fem.dof_map(ref_mesh.n_nodes, ref_mesh.outer_nodes()))
     assert bundle.red.dim == ref.dim
     assert np.array_equal(bundle.red.keep, ref_mesh.meta["fluid_to_full"][ref.keep])
     for name, got, want in (("S", bundle.S, ref.S), ("M", bundle.M, ref.M),
