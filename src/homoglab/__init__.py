@@ -2,9 +2,8 @@
 eigenproblem on periodically perforated planar domains."""
 
 from .cell import CellSolution, compute_ahom, eval_chi, fhom, solve_cell_problem
-from .corrector import (AlignmentResult, CorrectorField, VisikResult,
-                        align_eigenspaces, build_corrector, eigenspace_gap,
-                        visik_check)
+from .corrector import (AlignmentResult, VisikResult, align_eigenspaces,
+                        build_corrector, eigenspace_gap, visik_check)
 from .eigensolve import Spectrum, solve_gevp, solve_source
 from .errors import (AlignmentError, AssemblyError, ConfigError,
                      ConstraintError, GeometryError, HomoglabError,
@@ -20,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError", "AlignmentResult", "AssemblyError", "CellSolution",
-    "ConfigError", "ConstraintError", "CorrectorField",
-    "DiscreteOperatorBundle", "DomainConfig", "GeometryError", "HomoglabError",
-    "Mesh", "MeshInternalError", "OutsideDomainError", "SolverError",
+    "ConfigError", "ConstraintError", "DiscreteOperatorBundle",
+    "DomainConfig", "GeometryError", "HomoglabError", "Mesh",
+    "MeshInternalError", "OutsideDomainError", "SolverError",
     "Spectrum", "StudyConfig", "VisikResult", "align_eigenspaces",
     "apply_Keps", "build_cell_mesh", "build_corrector", "build_domain_mesh",
     "build_perforated_mesh", "compute_ahom", "eigenspace_gap", "emit",

@@ -102,8 +102,8 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
     return float(np.einsum("t,ta,ta->", areas, corr, corr))
 
 
-def eval_chi(sol: CellSolution, cell_mesh: Mesh, x, eps: float):
-    """chi(x/eps) and the piecewise-constant gradient of the containing triangle.
+def eval_chi(sol: CellSolution, x, eps: float):
+    """chi(x/eps) and its constant gradient on the sol.mesh triangle holding it.
 
     x is one point (2,) or many (P, 2); the results are (2,) and (2, 2) or
     (P, 2) and (P, 2, 2), with grad[..., k, a] = dchi^k/dy_a.  Points are
@@ -114,14 +114,14 @@ def eval_chi(sol: CellSolution, cell_mesh: Mesh, x, eps: float):
     y = x.reshape(-1, 2) / eps
     y -= np.floor(y)
     y[(y < 1e-12) | (y > 1.0 - 1e-12)] = 0.0
-    tri, lam = geometry.locate_point(cell_mesh, y)
+    tri, lam = geometry.locate_point(sol.mesh, y)
     if (tri < 0).any():
         p = int(np.argmax(tri < 0))
         raise OutsideDomainError(f"point {x.reshape(-1, 2)[p].tolist()} maps into "
                                  f"the hole at y={y[p].tolist()}")
-    chi = sol.chi[cell_mesh.triangles[tri]]                      # (P, 3, 2)
+    chi = sol.chi[sol.mesh.triangles[tri]]                      # (P, 3, 2)
     value = (lam[:, None, :] @ chi)[:, 0]
-    grad = np.einsum("pla,plk->pka", cell_mesh.grads()[tri], chi)
+    grad = np.einsum("pla,plk->pka", sol.mesh.grads()[tri], chi)
     if x.ndim == 1:
         return value[0], grad[0]
     return value, grad

@@ -26,8 +26,10 @@ def _configure_threads():
 def _parse_number(text: str) -> float:
     """Accept plain floats and fractions like 1/16."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(s) for s in text.split("/", 1))
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -115,7 +117,7 @@ def _load_study_config(path, seed):
                     kwargs[key] = tuple(v.strip().upper() for v in val.split(","))
                 else:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{path}:{ln}: bad {key} value {val!r}: {exc}") from None
     if seed is not None:
         kwargs["seed"] = seed

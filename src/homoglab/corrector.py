@@ -17,22 +17,12 @@ from .spectral import DiscreteOperatorBundle, apply_Keps
 
 
 @dataclass
-class CorrectorField:
-    """Nodal corrector values on the perforated-mesh DoFs."""
-
-    values: np.ndarray
-    cutoff_applied: bool
-    eps: float
-
-
-@dataclass
 class AlignmentResult:
     """Optimal orthogonal match between corrector and discrete eigenfamilies."""
 
     matrix: np.ndarray            # M_eps, (m, m) orthogonal
     heps_errors: np.ndarray       # per-mode error in the eps-norm
     l2_errors: np.ndarray
-    gap: float                    # largest principal-angle sine of the spans
 
 
 def recovered_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -54,8 +44,12 @@ def recovered_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
 def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
                     eps: float, bundle: DiscreteOperatorBundle,
-                    cutoff: bool) -> CorrectorField:
-    """U(x) = u(x) + eps * psi(x) * chi(x/eps) . grad u(x) on the reduced DoFs.
+                    cutoff: bool) -> np.ndarray:
+    """U^j(x) = u^j(x) + eps * psi(x) * chi(x/eps) . grad u^j(x) for each macro
+    mode u^j, a column of the nodal fields u_hom (N, m) on the A mesh.
+
+    Returns the (m, n) corrector values on the n reduced DoFs; the m modes
+    share one point location on A and one evaluation of chi.
 
     Outside A the corrector is zero.  With cutoff=True, psi ramps linearly
     from 0 at dA to 1 at distance 2*eps, so |grad psi| = 1/(2 eps) <= 2/eps.
@@ -68,21 +62,24 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     d = geometry.rect_distance(rect, nodes)
     inside = np.nonzero(d > 0.0)[0]
     x = nodes[inside]
-    # u, its recovered gradient and the constant 1, which interpolates to 0
-    # exactly where point location failed
-    fields = np.column_stack([u_hom, recovered_gradient(a_mesh, u_hom),
+    # the modes, their recovered gradients and the constant 1, which
+    # interpolates to 0 exactly where point location failed
+    grad = np.stack([recovered_gradient(a_mesh, u) for u in u_hom.T], axis=1)
+    fields = np.column_stack([u_hom, grad[:, :, 0], grad[:, :, 1],
                               np.ones(a_mesh.n_nodes)])
-    uval, gx, gy, located = geometry.interpolate(a_mesh, fields, x).T
-    failures = keep[inside[located == 0.0]]
+    vals = geometry.interpolate(a_mesh, fields, x)
+    failures = keep[inside[vals[:, -1] == 0.0]]
     if len(failures):
         raise GeometryError(
             f"point location failed for {len(failures)} nodes inside A, "
             f"first offenders {failures[:5].tolist()}")
-    chi_val, _ = eval_chi(sol, sol.mesh, x, eps)
-    psi = np.minimum(1.0, d[inside] / (2.0 * eps)) if cutoff else 1.0
-    values = np.zeros(len(keep))
-    values[inside] = uval + eps * psi * (chi_val[:, 0] * gx + chi_val[:, 1] * gy)
-    return CorrectorField(values=values, cutoff_applied=cutoff, eps=eps)
+    uval, gx, gy = np.split(vals[:, :-1], 3, axis=1)
+    chi_val, _ = eval_chi(sol, x, eps)
+    psi = np.minimum(1.0, d[inside] / (2.0 * eps))[:, None] if cutoff else 1.0
+    U = np.zeros((u_hom.shape[1], len(keep)))
+    U[:, inside] = (uval + eps * psi * (chi_val[:, :1] * gx
+                                        + chi_val[:, 1:] * gy)).T
+    return U
 
 
 def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,
@@ -111,8 +108,7 @@ def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,
         l2[l] = np.sqrt(float(diff @ (M_mass @ diff)))
         if A_form is not None:
             heps[l] = np.sqrt(float(diff @ (A_form @ diff)))
-    gap = eigenspace_gap(u_eps, U, M_mass)
-    return AlignmentResult(matrix=M_eps, heps_errors=heps, l2_errors=l2, gap=gap)
+    return AlignmentResult(matrix=M_eps, heps_errors=heps, l2_errors=l2)
 
 
 def _orthonormalize(X: np.ndarray, M_mass) -> np.ndarray:

@@ -198,6 +198,8 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     boundary nodes sit at uniform spacing so opposite faces carry identical
     node distributions.
     """
+    if not h_ref > 0.0:
+        raise GeometryError(f"mesh size h_ref must be > 0, got {h_ref}")
     if r + h_ref >= 0.5:
         raise GeometryError(f"r + h_ref = {r + h_ref} >= 0.5")
     m = max(1, int(round(1.0 / h_ref)))
@@ -370,6 +372,8 @@ def build_domain_mesh(rect: tuple[float, float, float, float], h: float) -> Mesh
     x0, y0, x1, y1 = rect
     if not (x1 > x0 and y1 > y0):
         raise GeometryError(f"degenerate rectangle {rect}")
+    if not h > 0.0:
+        raise GeometryError(f"mesh size h must be > 0, got {h}")
     nx, ny = domain_grid(rect, h)
 
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")

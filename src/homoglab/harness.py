@@ -142,11 +142,10 @@ def run_study(cfg: StudyConfig) -> dict:
         "h_domain": cfg.h_macro,
     }
     clusters = _eigen_clusters(homog_spec.eigenvalues)
-    # eigenvectors live on the Dirichlet-reduced DoFs; expand once to nodal
-    # fields on the A mesh for interpolation and corrector building, then
-    # free the two macro bundles and their LUs before the sweep
-    hom_full = [homog_bundle.red.expand(homog_spec.eigenvectors[:, j])
-                for j in range(cfg.k)]
+    # eigenvectors live on the Dirichlet-reduced DoFs; expand once to (N, k)
+    # nodal fields on the A mesh for interpolation and corrector building,
+    # then free the two macro bundles and their LUs before the sweep
+    hom_full = homog_bundle.red.expand(homog_spec.eigenvectors[:, :cfg.k])
     alpha1_full = alpha_bundle.red.expand(alpha_spec.eigenvectors[:, 0])
     del homog_bundle, alpha_bundle
 
@@ -171,51 +170,35 @@ def run_study(cfg: StudyConfig) -> dict:
                         "visik_alpha": None}
                     for j in range(cfg.k)}
 
-        need_corr = {"CORRECTOR", "EIGENSPACE", "VISIK"} & set(cfg.modes)
-        if need_corr:
-            U_fields = {}
+        if {"CORRECTOR", "VISIK"} & set(cfg.modes):
+            U = corr.build_corrector(hom_full, a_mesh, cell_sol, eps, bundle,
+                                     cutoff=True)
+        if "CORRECTOR" in cfg.modes:
             for cl in clusters:
                 if cl[-1] >= cfg.k:
                     continue
-                for j in cl:
-                    U_fields[j] = corr.build_corrector(
-                        hom_full[j], a_mesh, cell_sol, eps,
-                        bundle, cutoff=True)
-            if "CORRECTOR" in cfg.modes:
-                A_form = bundle.A
-                for cl in clusters:
-                    if cl[-1] >= cfg.k or any(j not in U_fields for j in cl):
-                        continue
-                    fam_u = np.stack([spec_eps.eigenvectors[:, j] for j in cl])
-                    fam_U = np.stack([U_fields[j].values for j in cl])
-                    res = corr.align_eigenspaces(fam_u, fam_U, bundle.M,
-                                                 A_form=A_form)
-                    for pos, j in enumerate(cl):
-                        per_mode[j]["heps_err"] = float(res.heps_errors[pos])
-                        per_mode[j]["l2_err"] = float(res.l2_errors[pos])
+                res = corr.align_eigenspaces(spec_eps.eigenvectors[:, cl].T,
+                                             U[cl], bundle.M, A_form=bundle.A)
+                for pos, j in enumerate(cl):
+                    per_mode[j]["heps_err"] = float(res.heps_errors[pos])
+                    per_mode[j]["l2_err"] = float(res.l2_errors[pos])
 
-            if "EIGENSPACE" in cfg.modes:
-                mesh = bundle.mesh
-                M_omega = fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles))
-                cl = clusters[0]
-                ext = np.stack([spectral.extend_Teps(bundle,
-                                                     spec_eps.eigenvectors[:, j])
-                                for j in cl])
-                hom = geometry.interpolate(
-                    a_mesh, np.column_stack([hom_full[j] for j in cl]), mesh.nodes).T
-                gap = corr.eigenspace_gap(ext, hom, M_omega)
-                per_mode[cl[0]]["gap"] = gap
+        if "EIGENSPACE" in cfg.modes:
+            mesh = bundle.mesh
+            M_omega = fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles))
+            cl = clusters[0]
+            ext = np.stack([spectral.extend_Teps(bundle,
+                                                 spec_eps.eigenvectors[:, j])
+                            for j in cl])
+            hom = geometry.interpolate(a_mesh, hom_full[:, cl], mesh.nodes).T
+            per_mode[cl[0]]["gap"] = corr.eigenspace_gap(ext, hom, M_omega)
 
-            if "VISIK" in cfg.modes:
-                U1 = U_fields.get(0)
-                if U1 is None:
-                    U1 = corr.build_corrector(hom_full[0], a_mesh, cell_sol,
-                                              eps, bundle, cutoff=True)
-                mu = 1.0 / float(homog_spec.eigenvalues[0])
-                vres = corr.visik_check(bundle, U1.values, mu, spec_eps)
-                per_mode[0]["visik_alpha"] = float(vres.residual)
-                per_mode[0]["visik_certificate"] = bool(vres.certificate)
-                per_mode[0]["visik_nearest_distance"] = float(vres.nearest_distance)
+        if "VISIK" in cfg.modes:
+            mu = 1.0 / float(homog_spec.eigenvalues[0])
+            vres = corr.visik_check(bundle, U[0], mu, spec_eps)
+            per_mode[0]["visik_alpha"] = float(vres.residual)
+            per_mode[0]["visik_certificate"] = bool(vres.certificate)
+            per_mode[0]["visik_nearest_distance"] = float(vres.nearest_distance)
 
         if "LAB" in cfg.modes:
             lab_rows.append(lab.check_trace(bundle).as_dict())

@@ -93,7 +93,7 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     tris = mesh.triangles[fl]
     areas = mesh.areas()[fl]
     centroids = mesh.nodes[tris].mean(axis=1)
-    chi_val, _ = eval_chi(sol, sol.mesh, centroids, eps)
+    chi_val, _ = eval_chi(sol, centroids, eps)
     total = float(np.sum(areas * chi_val[:, 0] * u_fn(centroids) * v_fn(centroids)))
 
     S = fem.assemble_stiffness(mesh)

@@ -155,9 +155,9 @@ def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
         Sh = fem.assemble_stiffness(mesh, tris=hole_tris)
         S_ii = sp.csc_matrix(Sh[interior][:, interior])
         S_ib = Sh[interior][:, boundary]
-        cached = (interior, boundary, S_ii, S_ib)
+        cached = (interior, boundary, S_ii, S_ib, factorized_solver(S_ii))
         bundle.meta["hole_extension"] = cached
-    interior, boundary, S_ii, S_ib = cached
-    out[interior] = solve_source(S_ii, -(S_ib @ out[boundary]))
+    interior, boundary, S_ii, S_ib, solve = cached
+    out[interior] = solve_source(S_ii, -(S_ib @ out[boundary]), solve=solve)
     return out
 

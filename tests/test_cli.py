@@ -13,6 +13,26 @@ def test_parse_number():
     assert cli._parse_number("1/16") == pytest.approx(0.0625)
 
 
+def test_parse_number_zero_denominator(capsys):
+    with pytest.raises(ValueError):
+        cli._parse_number("1/0")
+    # argparse turns the ValueError into a usage error (exit status 2)
+    for argv in (["spectrum", "--eps", "1/0"], ["mesh", "--href", "1/0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["cell", "--href", "0"],
+                                  ["cell", "--href", "-0.1"],
+                                  ["mesh", "--kind", "domain", "--href", "0"]])
+def test_nonpositive_href_is_an_error(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be > 0" in err
+
+
 def test_parse_krect():
     assert cli._parse_krect("0.25,0.25,0.75,0.75") == (0.25, 0.25, 0.75, 0.75)
     import argparse

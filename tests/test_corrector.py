@@ -27,10 +27,10 @@ def sweep(template8, cell_sol8, a_mesh32, hom_field):
         cfg = geometry.DomainConfig(eps=eps, hole_radius=0.25, hole_poly=32,
                                     k_rect=K_RECT, h_ref=1.0 / 8.0)
         bundle = spectral.build_perforated_bundle(cfg, template8)
-        u_off = corr.build_corrector(hom_field, a_mesh32, cell_sol8, eps,
-                                     bundle, cutoff=False)
-        u_on = corr.build_corrector(hom_field, a_mesh32, cell_sol8, eps,
-                                    bundle, cutoff=True)
+        u_off = corr.build_corrector(hom_field[:, None], a_mesh32, cell_sol8,
+                                     eps, bundle, cutoff=False)[0]
+        u_on = corr.build_corrector(hom_field[:, None], a_mesh32, cell_sol8,
+                                    eps, bundle, cutoff=True)[0]
         out[eps] = (bundle, u_off, u_on)
     return out
 
@@ -41,11 +41,26 @@ def test_no_hole_corrector_is_interpolant(a_mesh32, hom_field):
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.0, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
     bundle = spectral.build_perforated_bundle(cfg, cell0)
-    U = corr.build_corrector(hom_field, a_mesh32, sol0, 0.25, bundle, cutoff=False)
+    U = corr.build_corrector(hom_field[:, None], a_mesh32, sol0, 0.25, bundle,
+                             cutoff=False)
     interp = bundle.red.restrict(
         geometry.interpolate(a_mesh32, hom_field, bundle.mesh.nodes))
-    assert np.allclose(U.values, interp, atol=1e-12)
-    assert U.cutoff_applied is False
+    assert np.allclose(U[0], interp, atol=1e-12)
+
+
+def test_batched_corrector_matches_single_modes(sweep, a_mesh32, cell_sol8):
+    # one call over three macro modes gives each mode's own corrector
+    spec, hbundle = spectral.solve_homogenized_evp(
+        a_mesh32, cell_sol8.a_hom, cell_sol8.cell_area, 3)
+    modes = hbundle.red.expand(spec.eigenvectors)
+    bundle = sweep[0.125][0]
+    U = corr.build_corrector(modes, a_mesh32, cell_sol8, 0.125, bundle,
+                             cutoff=True)
+    assert U.shape == (3, bundle.red.dim)
+    for j in range(3):
+        one = corr.build_corrector(modes[:, j:j + 1], a_mesh32, cell_sol8,
+                                   0.125, bundle, cutoff=True)
+        assert np.array_equal(U[j], one[0])
 
 
 def test_cutoff_only_acts_near_boundary(sweep, a_mesh32):
@@ -53,10 +68,10 @@ def test_cutoff_only_acts_near_boundary(sweep, a_mesh32):
     for eps, (bundle, u_off, u_on) in sweep.items():
         d = geometry.rect_distance(rect, bundle.mesh.nodes[bundle.red.keep])
         far = d > 2.0 * eps
-        assert np.array_equal(u_on.values[far], u_off.values[far])
+        assert np.array_equal(u_on[far], u_off[far])
         inside = d > 0.0
         # outside A both correctors vanish
-        assert np.max(np.abs(u_on.values[~inside])) == 0.0
+        assert np.max(np.abs(u_on[~inside])) == 0.0
 
 
 def test_corrector_amplitude_scales_with_eps(sweep, a_mesh32, hom_field):
@@ -67,7 +82,7 @@ def test_corrector_amplitude_scales_with_eps(sweep, a_mesh32, hom_field):
         bundle, u_off, _ = sweep[eps]
         interp = bundle.red.restrict(
             geometry.interpolate(a_mesh32, hom_field, bundle.mesh.nodes))
-        d = u_off.values - interp
+        d = u_off - interp
         norms.append(float(np.sqrt(d @ (bundle.M @ d))))
     for a, b in zip(norms, norms[1:]):
         assert a >= b - 1e-12
@@ -81,7 +96,7 @@ def test_alignment_identity_and_sign(a_mesh32, dirichlet_modes32):
     res = corr.align_eigenspaces(u, u, M)
     assert np.allclose(res.matrix, np.eye(2), atol=1e-10)
     assert np.allclose(res.l2_errors, 0.0, atol=1e-10)
-    assert res.gap <= 1e-10
+    assert corr.eigenspace_gap(u, u, M) <= 1e-10
 
     res = corr.align_eigenspaces(u, -u, M)
     assert np.allclose(res.matrix, -np.eye(2), atol=1e-10)
@@ -185,7 +200,7 @@ def test_corrector_consistency_order_eps(sweep, a_mesh32, hom_field):
         bundle, u_off, _ = sweep[eps]
         interp = bundle.red.restrict(
             geometry.interpolate(a_mesh32, hom_field, bundle.mesh.nodes))
-        d = u_off.values - interp
+        d = u_off - interp
         errs.append(float(np.sqrt(d @ (bundle.M @ d))))
     for a, b in zip(errs, errs[1:]):
         assert 1.5 <= a / b <= 2.5
@@ -195,6 +210,6 @@ def test_cutoff_proximity_scaling(sweep):
     """||U_cutoff - U_plain||_L2 / eps^(3/2) stays in a factor-4 band."""
     vals = []
     for eps, (bundle, u_off, u_on) in sweep.items():
-        d = u_on.values - u_off.values
+        d = u_on - u_off
         vals.append(float(np.sqrt(d @ (bundle.M @ d))) / eps**1.5)
     assert max(vals) / min(vals) <= 4.0

@@ -185,6 +185,16 @@ def test_rect_helpers():
     assert point_in_closed_rect(rect, X).tolist() == [True, True, False, True, True, False]
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_nonpositive_mesh_size_rejected(h):
+    # checked before 1/h is taken: no ZeroDivisionError, no "too coarse"
+    for r in (0.0, 0.25):
+        with pytest.raises(GeometryError, match="must be > 0"):
+            build_cell_mesh(r, 32, h)
+    with pytest.raises(GeometryError, match="must be > 0"):
+        build_domain_mesh((0.25, 0.25, 0.75, 0.75), h)
+
+
 def test_cell_mesh_resolution_guards():
     with pytest.raises(GeometryError):
         build_cell_mesh(0.45, 32, 1.0 / 8.0)   # hole touches the boundary

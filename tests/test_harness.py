@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from homoglab import corrector
 from homoglab.errors import ConfigError
 from homoglab.harness import (CSV_COLUMNS, StudyConfig, body_bytes, emit,
                               fit_rate, run_study)
@@ -146,3 +147,24 @@ def test_study_flags_monotonicity(small_report):
     flags = small_report["body"]["flags"]
     assert flags["abs_err_j1_strictly_decreasing"] is True
     assert flags["gap_lambda12_min"] > 1e-8
+
+
+@pytest.mark.parametrize("modes,per_eps", [(StudyConfig.modes, 1),
+                                           (("EIGENVALUES", "EIGENSPACE"), 0)],
+                         ids=["default_modes", "eigenspace_only"])
+def test_one_corrector_batch_per_eps(monkeypatch, modes, per_eps):
+    # every macro mode's corrector comes from one call per eps, and only the
+    # CORRECTOR and VISIK modes read correctors
+    calls = []
+    build = corrector.build_corrector
+
+    def counting(u_hom, a_mesh, sol, eps, bundle, cutoff):
+        calls.append((eps, u_hom.shape))
+        return build(u_hom, a_mesh, sol, eps, bundle, cutoff)
+
+    monkeypatch.setattr(corrector, "build_corrector", counting)
+    cfg = StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
+                      cell_refine=2, modes=modes)
+    run_study(cfg)
+    n_nodes = (32 + 1) ** 2   # nodal fields on the 32 x 32 macro grid
+    assert calls == [(eps, (n_nodes, 2)) for eps in cfg.eps_list] * per_eps

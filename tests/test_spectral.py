@@ -208,6 +208,28 @@ def test_extend_linear_field(bundle_quarter):
     assert np.allclose(out[interior], lin[interior], atol=1e-10)
 
 
+def test_extend_factorizes_once(template8, monkeypatch):
+    # the hole Laplacian S_ii is factorized on the first call and reused
+    from homoglab import eigensolve
+    made = []
+
+    def counting(A):
+        made.append(A.shape)
+        return real(A)
+
+    real = eigensolve.factorized_solver
+    monkeypatch.setattr(eigensolve, "factorized_solver", counting)
+    monkeypatch.setattr(spectral, "factorized_solver", counting)
+    cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
+                                k_rect=K_RECT, h_ref=1.0 / 8.0)
+    bundle = spectral.build_perforated_bundle(cfg, template8)
+    u = np.random.default_rng(3).standard_normal(bundle.red.dim)
+    first = spectral.extend_Teps(bundle, u)
+    second = spectral.extend_Teps(bundle, u)
+    assert len(made) == 1
+    assert first.tobytes() == second.tobytes()
+
+
 def test_extension_energy_uniform(template8, spec_quarter, bundle_quarter):
     ratios = []
     for eps, (spec, bundle) in {
