@@ -48,7 +48,7 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     fl = cell_mesh.fluid_triangles()
     tris = cell_mesh.triangles[fl]
     areas = cell_mesh.areas()[fl]
-    grads = cell_mesh.grads()[fl]
+    grads = cell_mesh.grads(fl)
     loads = np.zeros((cell_mesh.n_nodes, 2))
     for i in range(2):
         contrib = -areas[:, None] * grads[:, :, i]
@@ -64,16 +64,18 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
         hole_perimeter=float(cell_mesh.meta.get("hole_perimeter", 0.0)),
         mesh=cell_mesh,
     )
-    sol.a_hom = compute_ahom(sol, cell_mesh)
+    sol.a_hom = compute_ahom(sol)
     return sol
 
 
-def compute_ahom(sol: CellSolution, cell_mesh: Mesh) -> np.ndarray:
-    """a_hom[k,l] = int_Y (e_k + grad chi^k) . (e_l + grad chi^l) dx."""
-    fl = cell_mesh.fluid_triangles()
-    tris = cell_mesh.triangles[fl]
-    areas = cell_mesh.areas()[fl]
-    grads = cell_mesh.grads()[fl]
+def compute_ahom(sol: CellSolution) -> np.ndarray:
+    """a_hom[k,l] = int_Y (e_k + grad chi^k) . (e_l + grad chi^l) dx over
+    the FLUID triangles of sol.mesh."""
+    mesh = sol.mesh
+    fl = mesh.fluid_triangles()
+    tris = mesh.triangles[fl]
+    areas = mesh.areas()[fl]
+    grads = mesh.grads(fl)
     # piecewise-constant corrected gradients e_k + grad chi^k per triangle
     gchi = np.einsum("tla,tlk->tka", grads, sol.chi[tris])  # (T, k, 2)
     eye = np.eye(2)
@@ -95,7 +97,7 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
     fl = mesh.fluid_triangles()
     tris = mesh.triangles[fl]
     areas = mesh.areas()[fl]
-    grads = mesh.grads()[fl]
+    grads = mesh.grads(fl)
     w = sol.chi @ xi  # w_xi = xi . chi nodal field
     gw = np.einsum("tla,tl->ta", grads, w[tris])
     corr = gw + xi[None, :]
@@ -121,7 +123,7 @@ def eval_chi(sol: CellSolution, x, eps: float):
                                  f"the hole at y={y[p].tolist()}")
     chi = sol.chi[sol.mesh.triangles[tri]]                      # (P, 3, 2)
     value = (lam[:, None, :] @ chi)[:, 0]
-    grad = np.einsum("pla,plk->pka", sol.mesh.grads()[tri], chi)
+    grad = np.einsum("pla,plk->pka", sol.mesh.grads(tri), chi)
     if x.ndim == 1:
         return value[0], grad[0]
     return value, grad

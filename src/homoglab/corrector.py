@@ -25,20 +25,21 @@ class AlignmentResult:
     l2_errors: np.ndarray
 
 
-def recovered_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Area-weighted average of adjacent element gradients at each node."""
+def recovered_gradient(mesh: Mesh, U: np.ndarray) -> np.ndarray:
+    """Area-weighted average of adjacent element gradients at each node, for
+    each column of the (N, m) nodal fields U; returns (N, m, 2)."""
     fl = mesh.fluid_triangles()
     tris = mesh.triangles[fl]
     areas = mesh.areas()[fl]
-    grads = mesh.grads()[fl]
-    gu = np.einsum("tla,tl->ta", grads, u[tris])   # per-element gradient
-    acc = np.zeros((mesh.n_nodes, 2))
+    grads = mesh.grads(fl)
+    gu = np.einsum("tla,tlm->tma", grads, U[tris])   # per-element gradients
+    acc = np.zeros((mesh.n_nodes, U.shape[1], 2))
     wsum = np.zeros(mesh.n_nodes)
     for loc in range(3):
-        np.add.at(acc, tris[:, loc], areas[:, None] * gu)
+        np.add.at(acc, tris[:, loc], areas[:, None, None] * gu)
         np.add.at(wsum, tris[:, loc], areas)
     used = wsum > 0.0
-    acc[used] /= wsum[used, None]
+    acc[used] /= wsum[used, None, None]
     return acc
 
 
@@ -64,7 +65,7 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     x = nodes[inside]
     # the modes, their recovered gradients and the constant 1, which
     # interpolates to 0 exactly where point location failed
-    grad = np.stack([recovered_gradient(a_mesh, u) for u in u_hom.T], axis=1)
+    grad = recovered_gradient(a_mesh, u_hom)
     fields = np.column_stack([u_hom, grad[:, :, 0], grad[:, :, 1],
                               np.ones(a_mesh.n_nodes)])
     vals = geometry.interpolate(a_mesh, fields, x)

@@ -109,9 +109,15 @@ def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
 
 
 def factorized_solver(A):
-    """Sparse LU factorization wrapped as a callable; raises on singular A."""
+    """Sparse LU factorization of the symmetric matrix A, returned as the
+    `SuperLU` object's bound `solve`; raises on singular A.
+
+    A must be symmetric: a CSR A is factorized through its transpose view,
+    which is A's own CSC form, so no copy of A is made beside the LU.
+    """
     try:
-        lu = spla.splu(sp.csc_matrix(A))
+        lu = spla.splu(A.T if sp.issparse(A) and A.format == "csr"
+                       else sp.csc_matrix(A))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     return lu.solve

@@ -56,7 +56,7 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None,
         tris = mesh.fluid_triangles()
     _check_areas(mesh, tris)
     areas = mesh.areas()[tris]
-    grads = mesh.grads()[tris]  # (T,3,2)
+    grads = mesh.grads(tris)  # (T,3,2)
     tri_nodes = mesh.triangles[tris]
     if coeff is not None:
         cg = np.einsum("ab,tlb->tla", np.asarray(coeff, dtype=float), grads)
@@ -134,7 +134,16 @@ class ReducedSystem:
         return u_full[self.keep]
 
     def project(self, A) -> sp.csr_matrix:
-        """Reduce a full-node matrix to the reduced DoFs: P' A P."""
+        """Reduce a full-node matrix to the reduced DoFs: P' A P.
+
+        When no two nodes share a DoF this is the submatrix A[keep][:, keep]
+        less its explicit zeros, which the sparse products drop: the same
+        matrix, bitwise, without the two products.
+        """
+        if self.P.nnz == self.dim:
+            sub = A[self.keep][:, self.keep]
+            sub.eliminate_zeros()
+            return sub
         return (self.P.T @ A @ self.P).tocsr()
 
 
@@ -168,7 +177,8 @@ def periodic_fold(template: Mesh) -> np.ndarray:
 
 
 def apply_constraints(S, M, R, dof: np.ndarray) -> ReducedSystem:
-    """Eliminate constraints by projection: reduced A = P' A P.
+    """Eliminate constraints by projection: reduced A = P' A P (see
+    `ReducedSystem.project`).
 
     dof[i] is the reduced DoF of node i, or -1 where the node is fixed to
     zero; P has a one in row i, column dof[i].  Nodes sharing a DoF are

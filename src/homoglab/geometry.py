@@ -26,6 +26,11 @@ HOLE_BDRY = 1
 
 _NO_CELL = (-(2 ** 30), -(2 ** 30))
 
+# storage dtype of each Mesh index and tag array
+_INDEX_DTYPES = {"triangles": np.int32, "boundary_edges": np.int32,
+                 "tri_cell": np.int32, "edge_cell": np.int32,
+                 "tri_region": np.int8, "edge_kind": np.int8}
+
 
 @dataclass
 class DomainConfig:
@@ -63,13 +68,16 @@ class DomainConfig:
 class Mesh:
     """Conforming triangulation with region and boundary tags.
 
-    nodes          (N,2) float coordinates
-    triangles      (T,3) node indices, positively oriented
-    tri_region     (T,)  FLUID or HOLE
-    tri_cell       (T,2) lattice index of the originating cell, _NO_CELL if n/a
-    boundary_edges (E,2) node index pairs
-    edge_kind      (E,)  OUTER or HOLE_BDRY
-    edge_cell      (E,2) lattice index for HOLE_BDRY edges, _NO_CELL otherwise
+    nodes          (N,2) float64 coordinates
+    triangles      (T,3) int32 node indices, positively oriented
+    tri_region     (T,)  int8 FLUID or HOLE
+    tri_cell       (T,2) int32 lattice index of the originating cell, _NO_CELL if n/a
+    boundary_edges (E,2) int32 node index pairs
+    edge_kind      (E,)  int8 OUTER or HOLE_BDRY
+    edge_cell      (E,2) int32 lattice index for HOLE_BDRY edges, _NO_CELL otherwise
+
+    Whatever a constructor passes, `__post_init__` casts the index and tag
+    arrays to these dtypes.
     """
 
     nodes: np.ndarray
@@ -84,8 +92,11 @@ class Mesh:
 
     # lazy caches
     _areas: np.ndarray | None = field(default=None, repr=False)
-    _grads: np.ndarray | None = field(default=None, repr=False)
     _locator: object | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name, dtype in _INDEX_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     @property
     def n_nodes(self) -> int:
@@ -105,19 +116,20 @@ class Mesh:
             )
         return self._areas
 
-    def grads(self) -> np.ndarray:
-        """(T,3,2) gradients of the three P1 hat functions per triangle."""
-        if self._grads is None:
-            p = self.nodes[self.triangles]
-            a = self.areas()
-            g = np.empty((self.n_triangles, 3, 2))
-            for loc in range(3):
-                pj = p[:, (loc + 1) % 3]
-                pk = p[:, (loc + 2) % 3]
-                g[:, loc, 0] = (pj[:, 1] - pk[:, 1]) / (2.0 * a)
-                g[:, loc, 1] = (pk[:, 0] - pj[:, 0]) / (2.0 * a)
-            self._grads = g
-        return self._grads
+    def grads(self, tris: np.ndarray | None = None) -> np.ndarray:
+        """(T,3,2) gradients of the three P1 hat functions on each triangle
+        of `tris` (all by default); computed on every call, never stored."""
+        if tris is None:
+            tris = slice(None)
+        p = self.nodes[self.triangles[tris]]
+        a = self.areas()[tris]
+        g = np.empty((len(p), 3, 2))
+        for loc in range(3):
+            pj = p[:, (loc + 1) % 3]
+            pk = p[:, (loc + 2) % 3]
+            g[:, loc, 0] = (pj[:, 1] - pk[:, 1]) / (2.0 * a)
+            g[:, loc, 1] = (pk[:, 0] - pj[:, 0]) / (2.0 * a)
+        return g
 
     def fluid_triangles(self) -> np.ndarray:
         return np.nonzero(self.tri_region == FLUID)[0]

@@ -152,79 +152,24 @@ def run_study(cfg: StudyConfig) -> dict:
     # the study template at the configured h_ref; micro size is eps * h_ref
     template = geometry.build_cell_mesh(cfg.hole_radius, cfg.hole_poly, cfg.h_ref)
 
-    sweep_specs = {}
+    sweep_eigenvalues = {}
     rows = []
     lab_rows = []
     for eps in cfg.eps_list:
-        dom = cfg.domain_config(eps)
-        spec_eps, bundle = spectral.solve_perforated_evp(dom, cfg.k,
-                                                         cell_mesh=template)
-        sweep_specs[eps] = spec_eps
-
-        per_mode = {j: {"eps": eps, "j": j + 1,
-                        "lambda_eps": float(spec_eps.eigenvalues[j]),
-                        "lambda_hom": float(homog_spec.eigenvalues[j]),
-                        "abs_err": abs(float(spec_eps.eigenvalues[j]
-                                             - homog_spec.eigenvalues[j])),
-                        "heps_err": None, "l2_err": None, "gap": None,
-                        "visik_alpha": None}
-                    for j in range(cfg.k)}
-
-        if {"CORRECTOR", "VISIK"} & set(cfg.modes):
-            U = corr.build_corrector(hom_full, a_mesh, cell_sol, eps, bundle,
-                                     cutoff=True)
-        if "CORRECTOR" in cfg.modes:
-            for cl in clusters:
-                if cl[-1] >= cfg.k:
-                    continue
-                res = corr.align_eigenspaces(spec_eps.eigenvectors[:, cl].T,
-                                             U[cl], bundle.M, A_form=bundle.A)
-                for pos, j in enumerate(cl):
-                    per_mode[j]["heps_err"] = float(res.heps_errors[pos])
-                    per_mode[j]["l2_err"] = float(res.l2_errors[pos])
-
-        if "EIGENSPACE" in cfg.modes:
-            mesh = bundle.mesh
-            M_omega = fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles))
-            cl = clusters[0]
-            ext = np.stack([spectral.extend_Teps(bundle,
-                                                 spec_eps.eigenvectors[:, j])
-                            for j in cl])
-            hom = geometry.interpolate(a_mesh, hom_full[:, cl], mesh.nodes).T
-            per_mode[cl[0]]["gap"] = corr.eigenspace_gap(ext, hom, M_omega)
-
-        if "VISIK" in cfg.modes:
-            mu = 1.0 / float(homog_spec.eigenvalues[0])
-            vres = corr.visik_check(bundle, U[0], mu, spec_eps)
-            per_mode[0]["visik_alpha"] = float(vres.residual)
-            per_mode[0]["visik_certificate"] = bool(vres.certificate)
-            per_mode[0]["visik_nearest_distance"] = float(vres.nearest_distance)
-
-        if "LAB" in cfg.modes:
-            lab_rows.append(lab.check_trace(bundle).as_dict())
-            lab_rows.append(lab.check_volsup(bundle, cell_sol, cfg.k_rect).as_dict())
-
-            # smooth H1_0(Omega) fields; v is modulated to break the mesh's
-            # mirror symmetries, under which the oscillation integral cancels
-            # to machine zero
-            def u_fn(p):
-                return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
-
-            def v_fn(p):
-                return (p[:, 0] + 2.0 * p[:, 1]) * u_fn(p)
-
-            lab_rows.append(lab.check_periodic_osc(
-                cell_sol, bundle, u_fn, v_fn).as_dict())
-            lab_rows.append(lab.check_norm_equivalence(bundle).as_dict())
-
-        rows.extend(per_mode[j] for j in range(cfg.k))
+        # each eps's bundle (mesh, matrices, LUs) is freed when _eps_rows
+        # returns, before the next eps is built
+        sweep_eigenvalues[eps], eps_rows, eps_lab = _eps_rows(
+            cfg, eps, template, cell_sol, a_mesh, hom_full,
+            homog_spec.eigenvalues, clusters)
+        rows.extend(eps_rows)
+        lab_rows.extend(eps_lab)
 
     if "LAB" in cfg.modes:
         side = min(x1 - x0, y1 - y0)
         lab_rows.append(lab.check_strip_poincare(
             a_mesh, alpha1_full, [side / 2.5, side / 5.0, side / 10.0]).as_dict())
         lab_rows.append(lab.check_eigen_bounds(
-            sweep_specs, homog_spec, alpha_spec).as_dict())
+            sweep_eigenvalues, alpha_spec.eigenvalues).as_dict())
 
     body["rows"] = sorted(rows, key=lambda r: (-r["eps"], r["j"]))
     body["lab"] = lab_rows
@@ -235,6 +180,72 @@ def run_study(cfg: StudyConfig) -> dict:
                          "runtime_s": round(time.time() - t_start, 3)},
               "body": body}
     return report
+
+
+# smooth H1_0(Omega) fields for the periodic-oscillation check; v is
+# modulated to break the mesh's mirror symmetries, under which the
+# oscillation integral cancels to machine zero
+def _lab_u(p):
+    return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
+
+
+def _lab_v(p):
+    return (p[:, 0] + 2.0 * p[:, 1]) * _lab_u(p)
+
+
+def _eps_rows(cfg: StudyConfig, eps: float, template, cell_sol, a_mesh,
+              hom_full: np.ndarray, lam_hom: np.ndarray, clusters):
+    """Solve the perforated problem at one eps and run the configured modes.
+
+    Returns the eigenvalues, the k report rows and the lab rows; nothing
+    returned refers to the eps's bundle.
+    """
+    spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k,
+                                                     cell_mesh=template)
+    rows = [{"eps": eps, "j": j + 1,
+             "lambda_eps": float(spec_eps.eigenvalues[j]),
+             "lambda_hom": float(lam_hom[j]),
+             "abs_err": abs(float(spec_eps.eigenvalues[j] - lam_hom[j])),
+             "heps_err": None, "l2_err": None, "gap": None, "visik_alpha": None}
+            for j in range(cfg.k)]
+
+    if {"CORRECTOR", "VISIK"} & set(cfg.modes):
+        U = corr.build_corrector(hom_full, a_mesh, cell_sol, eps, bundle,
+                                 cutoff=True)
+    if "CORRECTOR" in cfg.modes:
+        for cl in clusters:
+            if cl[-1] >= cfg.k:
+                continue
+            res = corr.align_eigenspaces(spec_eps.eigenvectors[:, cl].T,
+                                         U[cl], bundle.M, A_form=bundle.A)
+            for pos, j in enumerate(cl):
+                rows[j]["heps_err"] = float(res.heps_errors[pos])
+                rows[j]["l2_err"] = float(res.l2_errors[pos])
+
+    if "EIGENSPACE" in cfg.modes:
+        mesh = bundle.mesh
+        M_omega = fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles))
+        cl = clusters[0]
+        ext = np.stack([spectral.extend_Teps(bundle, spec_eps.eigenvectors[:, j])
+                        for j in cl])
+        hom = geometry.interpolate(a_mesh, hom_full[:, cl], mesh.nodes).T
+        rows[cl[0]]["gap"] = corr.eigenspace_gap(ext, hom, M_omega)
+
+    if "VISIK" in cfg.modes:
+        mu = 1.0 / float(lam_hom[0])
+        vres = corr.visik_check(bundle, U[0], mu, spec_eps)
+        rows[0]["visik_alpha"] = float(vres.residual)
+        rows[0]["visik_certificate"] = bool(vres.certificate)
+        rows[0]["visik_nearest_distance"] = float(vres.nearest_distance)
+
+    lab_rows = []
+    if "LAB" in cfg.modes:
+        lab_rows = [lab.check_trace(bundle).as_dict(),
+                    lab.check_volsup(bundle, cell_sol, cfg.k_rect).as_dict(),
+                    lab.check_periodic_osc(cell_sol, bundle, _lab_u, _lab_v).as_dict(),
+                    lab.check_norm_equivalence(bundle).as_dict()]
+
+    return spec_eps.eigenvalues, rows, lab_rows
 
 
 def _fit_all_rates(rows, cfg: StudyConfig) -> dict:

@@ -135,17 +135,17 @@ def check_strip_poincare(a_mesh: Mesh, u: np.ndarray, delta_list) -> LabRow:
                   passed=bool(np.isfinite(worst)))
 
 
-def check_eigen_bounds(sweep: dict, homog_spec, dirichlet_spec,
+def check_eigen_bounds(sweep: dict, dirichlet_eigenvalues: np.ndarray,
                        upper_slack: float = 1.05) -> LabRow:
-    """c <= lambda^j_eps <= c_j, plus the desk-scale upper-bound lemma check."""
+    """c <= lambda^j_eps <= c_j, plus the desk-scale upper-bound lemma check;
+    `sweep` maps each eps to its perforated eigenvalues."""
     if len(sweep) < 2:
         raise ConfigError("eigen-bounds check needs at least two eps values")
     eps_sorted = sorted(sweep, reverse=True)
-    lam1 = [sweep[e].eigenvalues[0] for e in eps_sorted]
-    all_finite = all(np.isfinite(sweep[e].eigenvalues).all() for e in eps_sorted)
-    alpha1 = float(dirichlet_spec.eigenvalues[0])
-    upper_ok = all(sweep[e].eigenvalues[0] <= upper_slack * alpha1
-                   for e in eps_sorted[-2:])
+    lam1 = [sweep[e][0] for e in eps_sorted]
+    all_finite = all(np.isfinite(sweep[e]).all() for e in eps_sorted)
+    alpha1 = float(dirichlet_eigenvalues[0])
+    upper_ok = all(sweep[e][0] <= upper_slack * alpha1 for e in eps_sorted[-2:])
     passed = min(lam1) > 0.0 and all_finite and upper_ok
     return LabRow("eigen_bounds", min(eps_sorted), float(max(lam1)), 0,
                   passed=bool(passed))

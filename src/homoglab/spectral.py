@@ -7,7 +7,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, geometry
 from .eigensolve import Spectrum, factorized_solver, solve_gevp, solve_source
@@ -153,7 +152,7 @@ def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
         boundary = np.nonzero(in_hole_tri & fluid)[0]
 
         Sh = fem.assemble_stiffness(mesh, tris=hole_tris)
-        S_ii = sp.csc_matrix(Sh[interior][:, interior])
+        S_ii = Sh[interior][:, interior]
         S_ib = Sh[interior][:, boundary]
         cached = (interior, boundary, S_ii, S_ib, factorized_solver(S_ii))
         bundle.meta["hole_extension"] = cached

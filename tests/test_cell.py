@@ -47,7 +47,7 @@ def test_ahom_invariants(cell_sol8):
     assert abs(a[0, 1]) <= 1e-3 * a[0, 0]
     assert abs(a[0, 0] - a[1, 1]) <= 1e-3 * a[0, 0]
     # recomputation path agrees with the stored tensor
-    assert np.allclose(compute_ahom(cell_sol8, cell_sol8.mesh), a, atol=1e-14)
+    assert np.allclose(compute_ahom(cell_sol8), a, atol=1e-14)
 
 
 def test_c_star_consistency(cell_sol8):
@@ -181,5 +181,5 @@ def test_one_dof_map_matches_two_stage_elimination(r, h_ref):
     chi = _reference_two_stage_chi(mesh)
     assert sol.chi.tobytes() == chi.tobytes()
     ref = compute_ahom(CellSolution(chi=chi, a_hom=None, cell_area=sol.cell_area,
-                                    hole_perimeter=sol.hole_perimeter), mesh)
+                                    hole_perimeter=sol.hole_perimeter, mesh=mesh))
     assert sol.a_hom.tobytes() == ref.tobytes()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from homoglab.eigensolve import Spectrum, solve_gevp, solve_source
+from homoglab.eigensolve import Spectrum, factorized_solver, solve_gevp, solve_source
 from homoglab.errors import SolverError
 
 
@@ -99,6 +100,17 @@ def test_solve_source_round_trip(bundle_quarter):
     u_star = rng.standard_normal(A.shape[0])
     u = solve_source(A, A @ u_star)
     assert np.linalg.norm(u - u_star) <= 1e-10 * np.linalg.norm(u_star)
+
+
+def test_factorized_solver_csr_view_matches_csc_copy(bundle_quarter):
+    # a symmetric CSR matrix is factorized through its transpose view; the
+    # solves equal those of its CSC copy bitwise
+    A = bundle_quarter.A
+    assert A.format == "csr"
+    view, copy = factorized_solver(A), factorized_solver(sp.csc_matrix(A))
+    assert isinstance(view.__self__, spla.SuperLU)
+    b = np.sin(np.arange(A.shape[0], dtype=float))
+    assert view(b).tobytes() == copy(b).tobytes()
 
 
 def test_solve_source_singular():

@@ -273,6 +273,28 @@ def test_periodic_fold_matches_pair_list(r, h_ref):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
 
 
+def test_project_submatrix_matches_triple_product(bundle_quarter, a_mesh32):
+    """With no folded nodes, project takes A[keep][:, keep] less its explicit
+    zeros: P' A P bitwise, on the perforated map and on the Dirichlet map of
+    the structured macro mesh, whose stiffness stores exact zeros."""
+    mesh, red = bundle_quarter.mesh, bundle_quarter.red
+    S_a = fem.assemble_stiffness(a_mesh32)
+    red_a = fem.apply_constraints(S_a, fem.assemble_mass(a_mesh32), None,
+                                  fem.dof_map(a_mesh32.n_nodes, a_mesh32.outer_nodes()))
+    assert (S_a.data == 0.0).any()
+    cases = {"S": (red, fem.assemble_stiffness(mesh)),
+             "M": (red, fem.assemble_mass(mesh)),
+             "R": (red, fem.assemble_robin_mass(mesh, K_RECT)),
+             "R_all": (red, fem.assemble_robin_mass(mesh, None)),
+             "S on A": (red_a, S_a)}
+    for name, (r, A) in cases.items():
+        assert r.P.nnz == r.dim, name     # no two nodes share a DoF
+        got, want = r.project(A), (r.P.T @ A @ r.P).tocsr()
+        for part in ("data", "indices", "indptr"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
+
+
 def test_norms():
     mesh = build_domain_mesh((0.0, 0.0, 1.0, 1.0), 0.5)
     S = fem.assemble_stiffness(mesh)

@@ -106,6 +106,25 @@ def test_perforated_mesh_no_hole_half():
     assert mesh.fluid_area() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_grads_of_a_triangle_subset(template8):
+    cfg = DomainConfig(eps=1 / 4, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
+    mesh = build_perforated_mesh(cfg, template8)
+    hole = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
+    for tris in (mesh.fluid_triangles(), hole, np.array([7, 0, 7])):
+        assert mesh.grads(tris).tobytes() == mesh.grads()[tris].tobytes()
+    assert mesh.grads().shape == (mesh.n_triangles, 3, 2)
+    assert not hasattr(mesh, "_grads")
+
+
+def test_tiled_mesh_dtypes(template8):
+    cfg = DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
+    mesh = build_perforated_mesh(cfg, template8)
+    want = {"nodes": np.float64, "triangles": np.int32, "boundary_edges": np.int32,
+            "tri_cell": np.int32, "edge_cell": np.int32,
+            "tri_region": np.int8, "edge_kind": np.int8}
+    assert {name: getattr(mesh, name).dtype for name in want} == want
+
+
 def test_domain_mesh_counts():
     mesh = build_domain_mesh((0.0, 0.0, 1.0, 1.0), 0.25)
     assert mesh.n_nodes == 25
@@ -282,12 +301,12 @@ def _reference_tile_template(cfg, cell):
 
     return dict(
         nodes=np.array(nodes),
-        triangles=np.concatenate(all_tris),
-        tri_region=np.concatenate(all_reg),
-        tri_cell=np.concatenate(all_cell).astype(np.int64),
-        boundary_edges=np.array(all_edges, dtype=np.int64),
-        edge_kind=np.array(all_kinds, dtype=np.int64),
-        edge_cell=np.array(all_ecell, dtype=np.int64),
+        triangles=np.concatenate(all_tris).astype(np.int32),
+        tri_region=np.concatenate(all_reg).astype(np.int8),
+        tri_cell=np.concatenate(all_cell).astype(np.int32),
+        boundary_edges=np.array(all_edges, dtype=np.int32),
+        edge_kind=np.array(all_kinds, dtype=np.int8),
+        edge_cell=np.array(all_ecell, dtype=np.int32),
     )
 
 
@@ -313,11 +332,11 @@ def _reference_perforate(full):
     return dict(
         nodes=full["nodes"][used],
         triangles=new_of_old[tris],
-        tri_region=np.zeros(len(tris), dtype=np.int64),
+        tri_region=np.zeros(len(tris), dtype=np.int8),
         tri_cell=full["tri_cell"][keep_tri],
-        boundary_edges=np.array(edges, dtype=np.int64),
-        edge_kind=np.array(kinds, dtype=np.int64),
-        edge_cell=np.array(cells, dtype=np.int64),
+        boundary_edges=np.array(edges, dtype=np.int32),
+        edge_kind=np.array(kinds, dtype=np.int8),
+        edge_cell=np.array(cells, dtype=np.int32),
         fluid_to_full=np.nonzero(used)[0],
     )
 
@@ -351,10 +370,12 @@ def test_tiling_matches_reference_loop():
         _assert_bitwise(np.nonzero(mesh.fluid_nodes())[0], to_full, f"fluid nodes {where}")
         for got, ref, name in (
                 (mesh.nodes[mesh.fluid_nodes()], ref_perf["nodes"], "nodes"),
-                (mesh.triangles[fl], to_full[ref_perf["triangles"]], "triangles"),
+                (mesh.triangles[fl], to_full[ref_perf["triangles"]].astype(np.int32),
+                 "triangles"),
                 (mesh.tri_region[fl], ref_perf["tri_region"], "tri_region"),
                 (mesh.tri_cell[fl], ref_perf["tri_cell"], "tri_cell"),
-                (mesh.boundary_edges, to_full[ref_perf["boundary_edges"]], "boundary_edges"),
+                (mesh.boundary_edges, to_full[ref_perf["boundary_edges"]].astype(np.int32),
+                 "boundary_edges"),
                 (mesh.edge_kind, ref_perf["edge_kind"], "edge_kind"),
                 (mesh.edge_cell, ref_perf["edge_cell"], "edge_cell")):
             _assert_bitwise(got, ref, f"perforated {name} {where}")
@@ -410,8 +431,8 @@ def test_domain_mesh_matches_reference_loop():
         for n in np.unique(mesh.boundary_edges):
             x, y = mesh.nodes[n]
             keys[int(n)] = (int(round(x * 8)), int(round(y * 8)))
-        _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int64), f"triangles {rect}")
-        _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int64), f"edges {rect}")
+        _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int32), f"triangles {rect}")
+        _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int32), f"edges {rect}")
         got = geometry._structured_face_keys(mesh, 8)
         assert list(got.items()) == list(keys.items())
         assert all(type(v) is int for node, key in got.items() for v in (node, *key))
@@ -492,8 +513,8 @@ def test_cell_mesh_matches_reference_loop(h_ref):
         face_keys[int(ring_ids[n_layers, i])] = tuple(int(v) for v in outer_keys_m[i])
 
     _assert_bitwise(mesh.nodes, np.array(node_list), "nodes")
-    _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int64), "triangles")
-    _assert_bitwise(mesh.tri_region, np.array(regions, dtype=np.int64), "tri_region")
-    _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int64), "edges")
-    _assert_bitwise(mesh.edge_kind, np.array(kinds, dtype=np.int64), "edge_kind")
+    _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int32), "triangles")
+    _assert_bitwise(mesh.tri_region, np.array(regions, dtype=np.int8), "tri_region")
+    _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int32), "edges")
+    _assert_bitwise(mesh.edge_kind, np.array(kinds, dtype=np.int8), "edge_kind")
     assert list(mesh.meta["face_keys"].items()) == list(face_keys.items())

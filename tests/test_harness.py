@@ -2,11 +2,12 @@
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from homoglab import corrector
+from homoglab import corrector, spectral
 from homoglab.errors import ConfigError
 from homoglab.harness import (CSV_COLUMNS, StudyConfig, body_bytes, emit,
                               fit_rate, run_study)
@@ -168,3 +169,22 @@ def test_one_corrector_batch_per_eps(monkeypatch, modes, per_eps):
     run_study(cfg)
     n_nodes = (32 + 1) ** 2   # nodal fields on the 32 x 32 macro grid
     assert calls == [(eps, (n_nodes, 2)) for eps in cfg.eps_list] * per_eps
+
+
+def test_each_eps_bundle_is_freed_before_the_next(monkeypatch):
+    # eps n's bundle (mesh, matrices, LUs) is collected before eps n + 1's
+    # is built, in every mode
+    build = spectral.build_perforated_bundle
+    refs = []
+
+    def tracking(cfg, cell_mesh=None):
+        assert [ref() for ref in refs] == [None] * len(refs), f"at eps={cfg.eps}"
+        bundle = build(cfg, cell_mesh)
+        refs.extend((weakref.ref(bundle), weakref.ref(bundle.mesh)))
+        return bundle
+
+    monkeypatch.setattr(spectral, "build_perforated_bundle", tracking)
+    cfg = StudyConfig(eps_list=(1 / 4, 1 / 6, 1 / 8), k=2, h_domain=0.5 / 32,
+                      cell_refine=2)
+    run_study(cfg)
+    assert len(refs) == 2 * len(cfg.eps_list)

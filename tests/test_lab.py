@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg as la
 
 from homoglab import fem, geometry, lab, spectral
-from homoglab.eigensolve import Spectrum
 from homoglab.errors import ConfigError
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
@@ -224,23 +223,16 @@ def test_strip_poincare(a_mesh32, dirichlet_modes32):
     assert np.isfinite(wide.worst_ratio) and wide.worst_ratio > 0.0
 
 
-def _dummy_spec(values):
-    v = np.asarray(values, dtype=float)
-    return Spectrum(eigenvalues=v, eigenvectors=np.eye(len(v)),
-                    residuals=np.zeros(len(v)))
-
-
 def test_eigen_bounds():
-    homog = _dummy_spec([66.0, 165.0])
-    alpha = _dummy_spec([79.0, 197.0])
-    sweep = {0.25: _dummy_spec([19.0, 21.0]), 0.125: _dummy_spec([21.0, 24.0])}
-    row = lab.check_eigen_bounds(sweep, homog, alpha)
+    alpha = np.array([79.0, 197.0])
+    sweep = {0.25: np.array([19.0, 21.0]), 0.125: np.array([21.0, 24.0])}
+    row = lab.check_eigen_bounds(sweep, alpha)
     assert row.passed
     # upper-bound violation flips the flag
-    sweep_bad = {0.25: _dummy_spec([19.0, 21.0]), 0.125: _dummy_spec([90.0, 95.0])}
-    assert not lab.check_eigen_bounds(sweep_bad, homog, alpha).passed
+    sweep_bad = {0.25: np.array([19.0, 21.0]), 0.125: np.array([90.0, 95.0])}
+    assert not lab.check_eigen_bounds(sweep_bad, alpha).passed
     with pytest.raises(ConfigError):
-        lab.check_eigen_bounds({0.25: _dummy_spec([19.0])}, homog, alpha)
+        lab.check_eigen_bounds({0.25: np.array([19.0])}, alpha)
 
 
 def test_norm_equivalence(bundle_quarter):
