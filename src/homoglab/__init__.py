@@ -12,8 +12,8 @@ from .geometry import (DomainConfig, Mesh, build_cell_mesh, build_domain_mesh,
                        build_perforated_mesh, locate_point, tile_template)
 from .harness import StudyConfig, emit, fit_rate, run_study
 from .spectral import (DiscreteOperatorBundle, apply_Keps, extend_Teps,
-                       rayleigh_quotient, solve_dirichlet_laplacian,
-                       solve_homogenized_evp, solve_perforated_evp)
+                       solve_dirichlet_laplacian, solve_homogenized_evp,
+                       solve_perforated_evp)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "apply_Keps", "build_cell_mesh", "build_corrector", "build_domain_mesh",
     "build_perforated_mesh", "compute_ahom", "eigenspace_gap", "emit",
     "eval_chi", "extend_Teps", "fhom", "fit_rate", "locate_point",
-    "rayleigh_quotient", "run_study", "solve_cell_problem",
+    "run_study", "solve_cell_problem",
     "solve_dirichlet_laplacian", "solve_gevp", "solve_homogenized_evp",
     "solve_perforated_evp", "solve_source", "tile_template",
     "visik_check", "__version__",

@@ -45,10 +45,7 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     red = fem.apply_constraints(S, M, None, np.maximum(dof - 1, -1))  # pin DoF 0
 
     # load: b_v = -int_Y e_i . grad(phi_v), assembled over fluid triangles
-    fl = cell_mesh.fluid_triangles()
-    tris = cell_mesh.triangles[fl]
-    areas = cell_mesh.areas()[fl]
-    grads = cell_mesh.grads(fl)
+    tris, areas, grads = cell_mesh.p1()
     loads = np.zeros((cell_mesh.n_nodes, 2))
     for i in range(2):
         contrib = -areas[:, None] * grads[:, :, i]
@@ -71,11 +68,7 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
 def compute_ahom(sol: CellSolution) -> np.ndarray:
     """a_hom[k,l] = int_Y (e_k + grad chi^k) . (e_l + grad chi^l) dx over
     the FLUID triangles of sol.mesh."""
-    mesh = sol.mesh
-    fl = mesh.fluid_triangles()
-    tris = mesh.triangles[fl]
-    areas = mesh.areas()[fl]
-    grads = mesh.grads(fl)
+    tris, areas, grads = sol.mesh.p1()
     # piecewise-constant corrected gradients e_k + grad chi^k per triangle
     gchi = np.einsum("tla,tlk->tka", grads, sol.chi[tris])  # (T, k, 2)
     eye = np.eye(2)
@@ -93,11 +86,7 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
     xi = np.asarray(xi, dtype=float)
     if not direct:
         return float(xi @ sol.a_hom @ xi)
-    mesh = sol.mesh
-    fl = mesh.fluid_triangles()
-    tris = mesh.triangles[fl]
-    areas = mesh.areas()[fl]
-    grads = mesh.grads(fl)
+    tris, areas, grads = sol.mesh.p1()
     w = sol.chi @ xi  # w_xi = xi . chi nodal field
     gw = np.einsum("tla,tl->ta", grads, w[tris])
     corr = gw + xi[None, :]
@@ -121,9 +110,10 @@ def eval_chi(sol: CellSolution, x, eps: float):
         p = int(np.argmax(tri < 0))
         raise OutsideDomainError(f"point {x.reshape(-1, 2)[p].tolist()} maps into "
                                  f"the hole at y={y[p].tolist()}")
-    chi = sol.chi[sol.mesh.triangles[tri]]                      # (P, 3, 2)
+    tri_nodes, _, grads = sol.mesh.p1(tri)
+    chi = sol.chi[tri_nodes]                                    # (P, 3, 2)
     value = (lam[:, None, :] @ chi)[:, 0]
-    grad = np.einsum("pla,plk->pka", sol.mesh.grads(tri), chi)
+    grad = np.einsum("pla,plk->pka", grads, chi)
     if x.ndim == 1:
         return value[0], grad[0]
     return value, grad

@@ -28,10 +28,7 @@ class AlignmentResult:
 def recovered_gradient(mesh: Mesh, U: np.ndarray) -> np.ndarray:
     """Area-weighted average of adjacent element gradients at each node, for
     each column of the (N, m) nodal fields U; returns (N, m, 2)."""
-    fl = mesh.fluid_triangles()
-    tris = mesh.triangles[fl]
-    areas = mesh.areas()[fl]
-    grads = mesh.grads(fl)
+    tris, areas, grads = mesh.p1()
     gu = np.einsum("tla,tlm->tma", grads, U[tris])   # per-element gradients
     acc = np.zeros((mesh.n_nodes, U.shape[1], 2))
     wsum = np.zeros(mesh.n_nodes)

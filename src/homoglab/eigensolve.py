@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -11,7 +11,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
-B_ORTHONORMAL = "B_ORTHONORMAL"
+_EIG_TOL = 1e-9           # eigen residual bound, relative to 1 + |lambda|
+_SIGN_THRESH = 1e-8       # sign fixing ignores components below this
+_SOURCE_REL_TOL = 1e-10   # source-solve residual bound, relative to |rhs|
 
 
 @dataclass
@@ -21,26 +23,24 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray      # (n, k), column j pairs with eigenvalues[j]
     residuals: np.ndarray
-    normalization: str = B_ORTHONORMAL
-    meta: dict = field(default_factory=dict)
 
     @property
     def k(self) -> int:
         return len(self.eigenvalues)
 
 
-def _fix_signs(vecs: np.ndarray, thresh: float = 1e-8) -> np.ndarray:
-    """First component exceeding thresh in absolute value is made positive."""
+def _fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """First component exceeding _SIGN_THRESH in absolute value is made positive."""
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        big = np.nonzero(np.abs(col) > thresh)[0]
+        big = np.nonzero(np.abs(col) > _SIGN_THRESH)[0]
         if len(big) and col[big[0]] < 0.0:
             out[:, j] = -col
     return out
 
 
-def solve_gevp(A, B, k: int, tol: float = 1e-9, solve=None) -> Spectrum:
+def solve_gevp(A, B, k: int, solve=None) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
     Sparse A: shift-invert Lanczos at 0 from a fixed all-ones start vector,
@@ -84,12 +84,11 @@ def solve_gevp(A, B, k: int, tol: float = 1e-9, solve=None) -> Spectrum:
         for j in range(k)
     ])
     scale = 1.0 + np.abs(vals)
-    bad = res > tol * scale
+    bad = res > _EIG_TOL * scale
     if bad.any():
         raise SolverError(
             f"eigen residuals exceed tolerance: {res[bad]} vs tol*{scale[bad]}")
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res,
-                    meta={"tol": tol, "n": n})
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res)
 
 
 def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
@@ -123,8 +122,7 @@ def factorized_solver(A):
     return lu.solve
 
 
-def solve_source(A, rhs: np.ndarray, rel_tol: float = 1e-10,
-                 solve=None) -> np.ndarray:
+def solve_source(A, rhs: np.ndarray, solve=None) -> np.ndarray:
     """Solve A u = rhs with a direct sparse factorization and verify the residual."""
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != rhs.shape[0]:
@@ -135,6 +133,6 @@ def solve_source(A, rhs: np.ndarray, rel_tol: float = 1e-10,
     r = rhs - A @ u
     u = u + solve(r)  # one refinement step keeps coarse meshes honest
     nr = np.linalg.norm(rhs - A @ u)
-    if nr > rel_tol * max(np.linalg.norm(rhs), 1e-300):
+    if nr > _SOURCE_REL_TOL * max(np.linalg.norm(rhs), 1e-300):
         raise SolverError(f"source solve residual {nr:.3e} exceeds tolerance")
     return u

@@ -18,7 +18,7 @@ class MeshInternalError(HomoglabError):
 
 
 class AssemblyError(HomoglabError):
-    """Finite-element assembly failed (degenerate triangle, size mismatch)."""
+    """Finite-element assembly failed (degenerate triangle)."""
 
 
 class ConstraintError(HomoglabError):

@@ -1,5 +1,5 @@
 """P1 assembly of stiffness, mass and hole-boundary (Robin) mass matrices,
-constraint elimination, and the discrete norms used throughout."""
+and constraint elimination."""
 
 from __future__ import annotations
 
@@ -55,9 +55,7 @@ def assemble_stiffness(mesh: Mesh, coeff: np.ndarray | None = None,
     if tris is None:
         tris = mesh.fluid_triangles()
     _check_areas(mesh, tris)
-    areas = mesh.areas()[tris]
-    grads = mesh.grads(tris)  # (T,3,2)
-    tri_nodes = mesh.triangles[tris]
+    tri_nodes, areas, grads = mesh.p1(tris)
     if coeff is not None:
         cg = np.einsum("ab,tlb->tla", np.asarray(coeff, dtype=float), grads)
     else:
@@ -130,9 +128,6 @@ class ReducedSystem:
     def expand(self, u_red: np.ndarray) -> np.ndarray:
         return self.P @ u_red
 
-    def restrict(self, u_full: np.ndarray) -> np.ndarray:
-        return u_full[self.keep]
-
     def project(self, A) -> sp.csr_matrix:
         """Reduce a full-node matrix to the reduced DoFs: P' A P.
 
@@ -199,14 +194,3 @@ def apply_constraints(S, M, R, dof: np.ndarray) -> ReducedSystem:
     red = ReducedSystem(S=None, M=None, R=None, P=P, keep=nodes[first])
     red.S, red.M, red.R = (None if A is None else red.project(A) for A in (S, M, R))
     return red
-
-
-def norms(S, M, R, u: np.ndarray) -> dict[str, float]:
-    """l2 = u'Mu, h1_semi = u'Su, eps_norm_sq = u'(S+R)u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != S.shape[0]:
-        raise AssemblyError(f"field length {u.shape[0]} != system dim {S.shape[0]}")
-    h1 = float(u @ (S @ u))
-    l2 = float(u @ (M @ u))
-    eps_sq = h1 + (float(u @ (R @ u)) if R is not None else 0.0)
-    return {"l2": l2, "h1_semi": h1, "eps_norm_sq": eps_sq}

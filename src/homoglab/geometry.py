@@ -26,6 +26,8 @@ HOLE_BDRY = 1
 
 _NO_CELL = (-(2 ** 30), -(2 ** 30))
 
+_LOCATE_TOL = 1e-12  # barycentric slack: a point this close counts as inside
+
 # storage dtype of each Mesh index and tag array
 _INDEX_DTYPES = {"triangles": np.int32, "boundary_edges": np.int32,
                  "tri_cell": np.int32, "edge_cell": np.int32,
@@ -130,6 +132,13 @@ class Mesh:
             g[:, loc, 0] = (pj[:, 1] - pk[:, 1]) / (2.0 * a)
             g[:, loc, 1] = (pk[:, 0] - pj[:, 0]) / (2.0 * a)
         return g
+
+    def p1(self, tris: np.ndarray | None = None):
+        """P1 data of the triangles `tris`, by default the FLUID ones: their
+        (T,3) node indices, (T,) areas and (T,3,2) hat-function gradients."""
+        if tris is None:
+            tris = self.fluid_triangles()
+        return self.triangles[tris], self.areas()[tris], self.grads(tris)
 
     def fluid_triangles(self) -> np.ndarray:
         return np.nonzero(self.tri_region == FLUID)[0]
@@ -422,7 +431,8 @@ class _Locator:
     """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+        # the mesh's arrays, not the mesh: its cached locator makes no cycle
+        self.nodes, self.triangles = mesh.nodes, mesh.triangles
         fl = mesh.fluid_triangles()
         pts = mesh.nodes[mesh.triangles[fl]]
         self.lo = mesh.nodes.min(axis=0)
@@ -442,7 +452,7 @@ class _Locator:
         self.tri = fl[owner[order]]
         self.start = np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=nb * nb))))
 
-    def query(self, X: np.ndarray, tol: float = 1e-12):
+    def query(self, X: np.ndarray):
         """First containing triangle (-1 if none) and clipped barycentrics of
         each row of X, trying the bin's triangles in increasing id."""
         b = np.clip(((X - self.lo) * self.inv), 0, self.nb - 1).astype(int)
@@ -450,23 +460,23 @@ class _Locator:
         first, n_in_bin = self.start[b], self.start[b + 1] - self.start[b]
         tri = np.full(len(X), -1, dtype=np.int64)
         lam = np.zeros((len(X), 3))
-        nodes = self.mesh.nodes
+        nodes = self.nodes
         for slot in range(int(n_in_bin.max(initial=0))):
             p = np.nonzero((tri < 0) & (n_in_bin > slot))[0]
             t = self.tri[first[p] + slot]
-            p0, p1, p2 = (nodes[self.mesh.triangles[t, i]] for i in range(3))
+            p0, p1, p2 = (nodes[self.triangles[t, i]] for i in range(3))
             e1, e2, d = p1 - p0, p2 - p0, X[p] - p0
             det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
             l1 = (d[:, 0] * e2[:, 1] - e2[:, 0] * d[:, 1]) / det
             l2 = (e1[:, 0] * d[:, 1] - d[:, 0] * e1[:, 1]) / det
             l0 = 1.0 - l1 - l2
-            hit = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+            hit = (l0 >= -_LOCATE_TOL) & (l1 >= -_LOCATE_TOL) & (l2 >= -_LOCATE_TOL)
             tri[p[hit]] = t[hit]
             lam[p[hit]] = np.clip(np.column_stack([l0, l1, l2])[hit], 0.0, 1.0)
         return tri, lam
 
 
-def locate_point(mesh: Mesh, x, tol: float = 1e-12):
+def locate_point(mesh: Mesh, x):
     """Find the FLUID triangle containing each point of x, (2,) or (P, 2).
 
     For (P, 2) input returns (tri, lam): triangle indices with -1 where a
@@ -477,7 +487,7 @@ def locate_point(mesh: Mesh, x, tol: float = 1e-12):
     if mesh._locator is None:
         mesh._locator = _Locator(mesh)
     X = np.asarray(x, dtype=float)
-    tri, lam = mesh._locator.query(X.reshape(-1, 2), tol=tol)
+    tri, lam = mesh._locator.query(X.reshape(-1, 2))
     hit = tri >= 0
     lam[hit] /= (lam[hit, 0] + lam[hit, 1] + lam[hit, 2])[:, None]
     if X.ndim == 1:
@@ -494,17 +504,6 @@ def interpolate(mesh: Mesh, u: np.ndarray, X) -> np.ndarray:
     hit = tri >= 0
     out[hit] = np.einsum("pl,pl...->p...", lam[hit], u[mesh.triangles[tri[hit]]])
     return out
-
-
-def interior_edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
-    """Multiplicity of every edge of the (T, 3) triangles; conformity means
-    interior edges appear exactly twice and boundary edges once."""
-    counts: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def write_mesh_text(mesh: Mesh) -> str:

@@ -21,6 +21,11 @@ from .geometry import DomainConfig
 
 MODES = ("EIGENVALUES", "CORRECTOR", "EIGENSPACE", "VISIK", "LAB")
 
+_CLUSTER_REL_TOL = 1e-2             # relative spread of one eigenvalue cluster
+_SVG_WIDTH, _SVG_HEIGHT = 640, 480  # pixel size of the rates chart
+# row columns whose j = 1 series are fitted, flagged and charted
+_ERROR_COLUMNS = ("abs_err", "heps_err", "l2_err", "gap", "visik_alpha")
+
 
 @dataclass
 class StudyConfig:
@@ -96,11 +101,11 @@ def fit_rate(points) -> dict:
             "r2": float(r2), "points": len(kept)}
 
 
-def _eigen_clusters(values: np.ndarray, rel_tol: float = 1e-2) -> list[list[int]]:
+def _eigen_clusters(values: np.ndarray) -> list[list[int]]:
     """Group near-equal eigenvalues (discrete multiplicities)."""
     clusters = [[0]]
     for j in range(1, len(values)):
-        if values[j] - values[clusters[-1][0]] <= rel_tol * max(1.0, values[j]):
+        if values[j] - values[clusters[-1][0]] <= _CLUSTER_REL_TOL * max(1.0, values[j]):
             clusters[-1].append(j)
         else:
             clusters.append([j])
@@ -250,18 +255,10 @@ def _eps_rows(cfg: StudyConfig, eps: float, template, cell_sol, a_mesh,
 
 def _fit_all_rates(rows, cfg: StudyConfig) -> dict:
     rates = {}
-    series = {
-        "abs_err_j1": [(r["eps"], r["abs_err"]) for r in rows if r["j"] == 1],
-        "abs_err_j2": [(r["eps"], r["abs_err"]) for r in rows if r["j"] == 2],
-        "heps_err_j1": [(r["eps"], r["heps_err"]) for r in rows
-                        if r["j"] == 1 and r["heps_err"] is not None],
-        "l2_err_j1": [(r["eps"], r["l2_err"]) for r in rows
-                      if r["j"] == 1 and r["l2_err"] is not None],
-        "gap_j1": [(r["eps"], r["gap"]) for r in rows
-                   if r["j"] == 1 and r["gap"] is not None],
-        "visik_alpha_j1": [(r["eps"], r["visik_alpha"]) for r in rows
-                           if r["j"] == 1 and r["visik_alpha"] is not None],
-    }
+    series = {f"{col}_j1": [(r["eps"], r[col]) for r in rows
+                            if r["j"] == 1 and r[col] is not None]
+              for col in _ERROR_COLUMNS}
+    series["abs_err_j2"] = [(r["eps"], r["abs_err"]) for r in rows if r["j"] == 2]
     for name, pts in series.items():
         if len(pts) >= 2:
             try:
@@ -274,13 +271,11 @@ def _fit_all_rates(rows, cfg: StudyConfig) -> dict:
 def _study_flags(body: dict, cfg: StudyConfig) -> dict:
     """Cheap always-on sanity flags for the report consumer."""
     flags = {}
-    for key, col in (("abs_err_j1", "abs_err"), ("heps_err_j1", "heps_err"),
-                     ("l2_err_j1", "l2_err"), ("gap_j1", "gap"),
-                     ("visik_alpha_j1", "visik_alpha")):
+    for col in _ERROR_COLUMNS:
         vals = [r[col] for r in body["rows"] if r["j"] == 1 and r[col] is not None]
         if len(vals) >= 2:
-            flags[f"{key}_last_le_first"] = bool(vals[-1] <= vals[0])
-            flags[f"{key}_strictly_decreasing"] = bool(
+            flags[f"{col}_j1_last_le_first"] = bool(vals[-1] <= vals[0])
+            flags[f"{col}_j1_strictly_decreasing"] = bool(
                 all(b < a for a, b in zip(vals, vals[1:])))
     lam1 = [r["lambda_eps"] for r in body["rows"] if r["j"] == 1]
     lam2 = [r["lambda_eps"] for r in body["rows"] if r["j"] == 2]
@@ -332,11 +327,12 @@ def emit(report: dict, out_dir, formats=("json", "csv")) -> list[Path]:
     return written
 
 
-def _render_svg(report: dict, width: int = 640, height: int = 480) -> str:
+def _render_svg(report: dict) -> str:
     """Log-log chart: one polyline per error series, fitted dashed overlay."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     body = report["body"]
     series = {}
-    for col in ("abs_err", "heps_err", "l2_err", "gap", "visik_alpha"):
+    for col in _ERROR_COLUMNS:
         pts = [(r["eps"], r[col]) for r in body["rows"]
                if r["j"] == 1 and r.get(col)]
         pts = [(e, v) for e, v in pts if v and v > 0.0]
@@ -358,15 +354,12 @@ def _render_svg(report: dict, width: int = 640, height: int = 480) -> str:
     colors = {"abs_err": "#1f77b4", "heps_err": "#d62728", "l2_err": "#2ca02c",
               "gap": "#9467bd", "visik_alpha": "#ff7f0e"}
     out = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}'>"]
-    rate_key = {"abs_err": "abs_err_j1", "heps_err": "heps_err_j1",
-                "l2_err": "l2_err_j1", "gap": "gap_j1",
-                "visik_alpha": "visik_alpha_j1"}
     for name, pts in series.items():
         c = colors[name]
         px = [to_px(np.log(e), np.log(v)) for e, v in pts]
         poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in px)
         out.append(f"<polyline fill='none' stroke='{c}' points='{poly}'/>")
-        fit = body["rates"].get(rate_key[name])
+        fit = body["rates"].get(f"{name}_j1")
         if fit:
             lx = [np.log(e) for e, _ in pts]
             ly = [fit["slope"] * v + fit["intercept"] for v in lx]

@@ -15,6 +15,8 @@ from .errors import ConfigError
 from .geometry import Mesh
 from .spectral import DiscreteOperatorBundle
 
+_UPPER_SLACK = 1.05  # lambda^1_eps / alpha^1 allowed at the two smallest eps
+
 
 @dataclass
 class LabRow:
@@ -135,8 +137,7 @@ def check_strip_poincare(a_mesh: Mesh, u: np.ndarray, delta_list) -> LabRow:
                   passed=bool(np.isfinite(worst)))
 
 
-def check_eigen_bounds(sweep: dict, dirichlet_eigenvalues: np.ndarray,
-                       upper_slack: float = 1.05) -> LabRow:
+def check_eigen_bounds(sweep: dict, dirichlet_eigenvalues: np.ndarray) -> LabRow:
     """c <= lambda^j_eps <= c_j, plus the desk-scale upper-bound lemma check;
     `sweep` maps each eps to its perforated eigenvalues."""
     if len(sweep) < 2:
@@ -145,7 +146,7 @@ def check_eigen_bounds(sweep: dict, dirichlet_eigenvalues: np.ndarray,
     lam1 = [sweep[e][0] for e in eps_sorted]
     all_finite = all(np.isfinite(sweep[e]).all() for e in eps_sorted)
     alpha1 = float(dirichlet_eigenvalues[0])
-    upper_ok = all(sweep[e][0] <= upper_slack * alpha1 for e in eps_sorted[-2:])
+    upper_ok = all(sweep[e][0] <= _UPPER_SLACK * alpha1 for e in eps_sorted[-2:])
     passed = min(lam1) > 0.0 and all_finite and upper_ok
     return LabRow("eigen_bounds", min(eps_sorted), float(max(lam1)), 0,
                   passed=bool(passed))

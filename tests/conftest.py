@@ -13,6 +13,7 @@ import pytest
 
 from homoglab import geometry, spectral
 from homoglab.cell import solve_cell_problem
+from homoglab.eigensolve import solve_gevp
 from homoglab.harness import StudyConfig, run_study
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
@@ -65,9 +66,8 @@ def bundle_quarter(template8):
 
 @pytest.fixture(scope="session")
 def spec_quarter(bundle_quarter):
-    spec, _ = spectral.solve_perforated_evp(
-        bundle_quarter.meta["cfg"], 4, bundle=bundle_quarter)
-    return spec
+    b = bundle_quarter
+    return solve_gevp(b.A, b.M, 4, solve=b.solve)
 
 
 @pytest.fixture(scope="session")

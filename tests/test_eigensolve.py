@@ -19,7 +19,6 @@ def test_diagonal_case():
     # sign convention: first significant component positive
     assert spec.eigenvectors[0, 0] > 0.0
     assert spec.eigenvectors[1, 1] > 0.0
-    assert spec.normalization == "B_ORTHONORMAL"
 
 
 def test_residual_postcondition_and_orthonormality(spec_quarter, bundle_quarter):

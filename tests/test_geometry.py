@@ -1,6 +1,8 @@
 """Mesh construction, tiling, point location and rectangle helpers."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,21 @@ from homoglab import geometry
 from homoglab.errors import ConfigError, GeometryError
 from homoglab.geometry import (DomainConfig, build_cell_mesh,
                                build_domain_mesh, build_perforated_mesh,
-                               interior_edge_counts, locate_point,
-                               point_in_closed_rect, polygon_area,
-                               polygon_perimeter, rect_distance)
+                               locate_point, point_in_closed_rect,
+                               polygon_area, polygon_perimeter, rect_distance)
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
+
+
+def interior_edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
+    """Multiplicity of every edge of the (T, 3) triangles; conformity means
+    interior edges appear exactly twice and boundary edges once."""
+    counts: dict[tuple[int, int], int] = {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def test_domain_config_validation():
@@ -112,6 +124,13 @@ def test_grads_of_a_triangle_subset(template8):
     hole = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
     for tris in (mesh.fluid_triangles(), hole, np.array([7, 0, 7])):
         assert mesh.grads(tris).tobytes() == mesh.grads()[tris].tobytes()
+        # p1: node indices, areas and gradients of the same triangles
+        for got, want in zip(mesh.p1(tris), (mesh.triangles[tris], mesh.areas()[tris],
+                                             mesh.grads()[tris])):
+            assert got.tobytes() == want.tobytes()
+    # by default p1 covers the FLUID triangles
+    for got, want in zip(mesh.p1(), mesh.p1(mesh.fluid_triangles())):
+        assert got.tobytes() == want.tobytes()
     assert mesh.grads().shape == (mesh.n_triangles, 3, 2)
     assert not hasattr(mesh, "_grads")
 
@@ -151,6 +170,20 @@ def test_locate_point(template8):
     assert locate_point(template8, (0.5, 0.5)) is None
     # clearly outside the cell
     assert locate_point(template8, (2.0, 2.0)) is None
+
+
+def test_located_mesh_is_freed_without_the_cycle_collector():
+    """The locator cached on a mesh holds the mesh's arrays, not the mesh,
+    so a located mesh is freed as soon as its last reference goes."""
+    mesh = build_domain_mesh(K_RECT, 0.5 / 8.0)
+    assert locate_point(mesh, (0.5, 0.5)) is not None
+    ref = weakref.ref(mesh)
+    gc.disable()
+    try:
+        del mesh
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_locate_point_batched(template8):
@@ -225,9 +258,10 @@ def test_cell_mesh_resolution_guards():
 
 def test_meshes_are_built_only_in_geometry():
     """Other modules pass triangle or edge index sets to fem, never a Mesh
-    copy; and every reduction goes through `fem.apply_constraints`."""
+    copy; every reduction goes through `fem.apply_constraints`; and P1
+    gradients come from `Mesh.p1`, never from a hand-written block."""
     src = Path(geometry.__file__).parent
-    home = {"Mesh": "geometry.py", "ReducedSystem": "fem.py"}
+    home = {"Mesh": "geometry.py", "ReducedSystem": "fem.py", "grads": "geometry.py"}
     offenders = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

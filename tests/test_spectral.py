@@ -112,15 +112,16 @@ def test_one_factorization_per_bundle(monkeypatch, template8):
 
 
 def test_rayleigh_quotient(spec_quarter, bundle_quarter):
+    def rq(u):  # (u'(S+R)u) / (u'Mu)
+        return float(u @ (bundle_quarter.A @ u)) / float(u @ (bundle_quarter.M @ u))
+
     u1 = spec_quarter.eigenvectors[:, 0]
     lam1 = spec_quarter.eigenvalues[0]
-    assert spectral.rayleigh_quotient(bundle_quarter, u1) == pytest.approx(lam1, rel=1e-10)
+    assert rq(u1) == pytest.approx(lam1, rel=1e-10)
     rng = np.random.default_rng(4)
     for _ in range(10):
         v = rng.standard_normal(len(u1))
-        assert spectral.rayleigh_quotient(bundle_quarter, v) >= lam1 - 1e-9
-    with pytest.raises(SolverError):
-        spectral.rayleigh_quotient(bundle_quarter, np.zeros(len(u1)))
+        assert rq(v) >= lam1 - 1e-9
 
 
 def _fluid_only_mesh(cfg, cell):
@@ -200,7 +201,7 @@ def test_extend_linear_field(bundle_quarter):
     red = bundle_quarter.red
     mesh = bundle_quarter.mesh
     lin = 0.3 * mesh.nodes[:, 0] + 0.7 * mesh.nodes[:, 1] + 0.1
-    out = spectral.extend_Teps(bundle_quarter, red.restrict(lin))
+    out = spectral.extend_Teps(bundle_quarter, lin[red.keep])
     # hole-interior nodes reproduce the linear field exactly (the hole
     # boundary data is linear and linears are discrete harmonic)
     interior = ~mesh.fluid_nodes()
