@@ -8,7 +8,7 @@ import numpy as np
 
 from . import fem, geometry
 from .eigensolve import solve_source
-from .errors import GeometryError, OutsideDomainError
+from .errors import OutsideDomainError
 from .geometry import Mesh
 
 
@@ -34,14 +34,13 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     One node->DoF map folds the periodic faces, fixes the hole-interior nodes
     (they touch no FLUID triangle) and pins the first remaining DoF for
     uniqueness; the Y-mean is removed afterwards so int_Y chi^i = 0 holds
-    exactly up to quadrature roundoff.
+    exactly up to quadrature roundoff.  |Sigma^0| is the length of the
+    HOLE_BDRY edges, the boundary the Robin mass integrates over.
     """
-    if "face_keys" not in cell_mesh.meta:
-        raise GeometryError("mesh is not a template cell mesh (no face keys)")
-    S = fem.assemble_stiffness(cell_mesh)
-    M = fem.assemble_mass(cell_mesh)
     dof = fem.dof_map(cell_mesh.n_nodes, ~cell_mesh.fluid_nodes(),
                       fold=fem.periodic_fold(cell_mesh))
+    S = fem.assemble_stiffness(cell_mesh)
+    M = fem.assemble_mass(cell_mesh)
     red = fem.apply_constraints(S, M, None, np.maximum(dof - 1, -1))  # pin DoF 0
 
     # load: b_v = -int_Y e_i . grad(phi_v), assembled over fluid triangles
@@ -53,12 +52,14 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     full = red.expand(solve_source(red.S, red.P.T @ loads))
     area_y = cell_mesh.fluid_area()
     chi = full - np.ones(cell_mesh.n_nodes) @ (M @ full) / area_y
+    ends = cell_mesh.boundary_edges[cell_mesh.edge_kind == geometry.HOLE_BDRY]
+    d = cell_mesh.nodes[ends[:, 1]] - cell_mesh.nodes[ends[:, 0]]
 
     sol = CellSolution(
         chi=chi,
         a_hom=np.eye(2),
         cell_area=area_y,
-        hole_perimeter=float(cell_mesh.meta.get("hole_perimeter", 0.0)),
+        hole_perimeter=float(np.sum(np.hypot(d[:, 0], d[:, 1]))),
         mesh=cell_mesh,
     )
     sol.a_hom = compute_ahom(sol)
@@ -96,24 +97,22 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
 def eval_chi(sol: CellSolution, x, eps: float):
     """chi(x/eps) and its constant gradient on the sol.mesh triangle holding it.
 
-    x is one point (2,) or many (P, 2); the results are (2,) and (2, 2) or
-    (P, 2) and (P, 2, 2), with grad[..., k, a] = dchi^k/dy_a.  Points are
-    wrapped into the unit cell; any point landing inside the hole raises
-    OutsideDomainError (callers must query fluid points only).
+    x holds P points, (P, 2); the results are (P, 2) and (P, 2, 2), with
+    grad[p, k, a] = dchi^k/dy_a.  Points are wrapped into the unit cell; any
+    point landing inside the hole raises OutsideDomainError (callers must
+    query fluid points only).
     """
     x = np.asarray(x, dtype=float)
-    y = x.reshape(-1, 2) / eps
+    y = x / eps
     y -= np.floor(y)
     y[(y < 1e-12) | (y > 1.0 - 1e-12)] = 0.0
     tri, lam = geometry.locate_point(sol.mesh, y)
     if (tri < 0).any():
         p = int(np.argmax(tri < 0))
-        raise OutsideDomainError(f"point {x.reshape(-1, 2)[p].tolist()} maps into "
+        raise OutsideDomainError(f"point {x[p].tolist()} maps into "
                                  f"the hole at y={y[p].tolist()}")
     tri_nodes, _, grads = sol.mesh.p1(tri)
     chi = sol.chi[tri_nodes]                                    # (P, 3, 2)
     value = (lam[:, None, :] @ chi)[:, 0]
     grad = np.einsum("pla,plk->pka", grads, chi)
-    if x.ndim == 1:
-        return value[0], grad[0]
     return value, grad

@@ -13,14 +13,16 @@ def _configure_threads():
     """Pin BLAS/OpenMP thread counts before numpy gets imported."""
     n = os.environ.get("HOMOGLAB_THREADS", "1")
     try:
-        int(n)
+        k = int(n)
     except ValueError:
-        print(f"error: HOMOGLAB_THREADS must be an integer, got {n!r}",
+        k = 0
+    if k < 1:
+        print(f"error: HOMOGLAB_THREADS must be an integer >= 1, got {n!r}",
               file=sys.stderr)
         raise SystemExit(1)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
+        os.environ.setdefault(var, str(k))
 
 
 def _parse_number(text: str) -> float:
@@ -87,12 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default ./study_out)")
         sp.add_argument("--csv", action="store_true", help="also write CSV")
         sp.add_argument("--svg", action="store_true", help="also write SVG")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the sweep seed")
     return p
 
 
-def _load_study_config(path, seed):
+def _load_study_config(path):
     from .errors import ConfigError
     from .harness import StudyConfig
     kwargs = {}
@@ -119,8 +119,6 @@ def _load_study_config(path, seed):
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{path}:{ln}: bad {key} value {val!r}: {exc}") from None
-    if seed is not None:
-        kwargs["seed"] = seed
     return StudyConfig(**kwargs)
 
 
@@ -183,7 +181,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_study(args, grade: bool) -> int:
     from .harness import emit, run_study
-    cfg = _load_study_config(args.config, args.seed)
+    cfg = _load_study_config(args.config)
     report = run_study(cfg)
     formats = ["json"] + (["csv"] if args.csv else []) + (["svg"] if args.svg else [])
     written = emit(report, args.out, formats=formats)

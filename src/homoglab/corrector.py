@@ -53,11 +53,8 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     from 0 at dA to 1 at distance 2*eps, so |grad psi| = 1/(2 eps) <= 2/eps.
     """
     keep = bundle.red.keep
-    rect = a_mesh.meta.get("rect")
-    if rect is None:
-        raise GeometryError("A mesh does not carry its rectangle metadata")
     nodes = bundle.mesh.nodes[keep]
-    d = geometry.rect_distance(rect, nodes)
+    d = geometry.rect_distance(a_mesh.bounds(), nodes)
     inside = np.nonzero(d > 0.0)[0]
     x = nodes[inside]
     # the modes, their recovered gradients and the constant 1, which

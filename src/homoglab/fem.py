@@ -160,10 +160,10 @@ def periodic_fold(template: Mesh) -> np.ndarray:
     """The node each template node folds onto under periodicity: a face node
     at lattice key (kx, ky) onto the one at (kx mod m, ky mod m), so the
     three non-origin corners all land on the (0, 0) corner."""
-    m = template.meta["m"]
-    face_keys: dict[int, tuple[int, int]] = template.meta["face_keys"]
-    nodes = np.fromiter(face_keys, dtype=np.int64, count=len(face_keys))
-    kx, ky = np.array(list(face_keys.values()), dtype=np.int64).T
+    key = geometry.face_keys(template)
+    m = int(key.max())
+    nodes = np.nonzero(key[:, 0] >= 0)[0]
+    kx, ky = key[nodes].T
     at_key = np.full((m + 1, m + 1), -1, dtype=np.int64)
     at_key[kx, ky] = nodes
     fold = np.arange(template.n_nodes)

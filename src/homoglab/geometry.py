@@ -90,7 +90,6 @@ class Mesh:
     edge_kind: np.ndarray
     edge_cell: np.ndarray
     eps: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     # lazy caches
     _areas: np.ndarray | None = field(default=None, repr=False)
@@ -152,6 +151,11 @@ class Mesh:
     def fluid_area(self) -> float:
         return float(np.sum(self.areas()[self.tri_region == FLUID]))
 
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(x0, y0, x1, y1), the node extents: the rectangle a domain mesh covers."""
+        (x0, y0), (x1, y1) = self.nodes.min(axis=0), self.nodes.max(axis=0)
+        return float(x0), float(y0), float(x1), float(y1)
+
     def outer_nodes(self) -> np.ndarray:
         """Sorted unique node indices lying on OUTER boundary edges."""
         e = self.boundary_edges[self.edge_kind == OUTER]
@@ -174,41 +178,34 @@ def _polygon(r: float, n_b: int) -> np.ndarray:
     return np.column_stack([0.5 + r * np.cos(ang), 0.5 + r * np.sin(ang)])
 
 
-def polygon_area(r: float, n_b: int) -> float:
-    """Exact area of the regular n_b-gon inscribed in the radius-r circle."""
-    if r == 0.0:
-        return 0.0
-    return 0.5 * n_b * r * r * np.sin(2.0 * np.pi / n_b)
-
-
-def polygon_perimeter(r: float, n_b: int) -> float:
-    if r == 0.0:
-        return 0.0
-    return 2.0 * n_b * r * np.sin(np.pi / n_b)
-
-
-def _square_boundary_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _square_boundary_nodes(m: int) -> np.ndarray:
     """4m boundary nodes of the unit square, CCW from (0,0), uniform spacing 1/m.
 
     Coordinates are produced as k/m so the same parameter value yields the
-    identical float on opposite faces.  Also returns the integer lattice keys
-    (kx, ky) of each node in units of 1/m.
+    identical float on opposite faces.
     """
-    pts = []
-    keys = []
-    for k in range(m):       # bottom
-        pts.append((k / m, 0.0))
-        keys.append((k, 0))
-    for k in range(m):       # right
-        pts.append((1.0, k / m))
-        keys.append((m, k))
-    for k in range(m):       # top
-        pts.append(((m - k) / m, 1.0))
-        keys.append((m - k, m))
-    for k in range(m):       # left
-        pts.append((0.0, (m - k) / m))
-        keys.append((0, m - k))
-    return np.array(pts), np.array(keys, dtype=np.int64)
+    up, down = np.arange(m) / m, np.arange(m, 0, -1) / m
+    zero, one = np.zeros(m), np.ones(m)
+    return np.concatenate([np.column_stack([up, zero]), np.column_stack([one, up]),
+                           np.column_stack([down, one]), np.column_stack([zero, down])])
+
+
+def face_keys(cell: Mesh) -> np.ndarray:
+    """(N, 2) integer lattice keys (kx, ky) of the template nodes on the unit
+    square's faces, in units of 1/m with m OUTER edges per face; -1 off the
+    square boundary.  Tiling stitches nodes, and the periodic fold pairs
+    them, by key.
+    """
+    outer = cell.outer_nodes()
+    m = int(np.count_nonzero(cell.edge_kind == OUTER)) // 4
+    k = np.rint(cell.nodes[outer] * m).astype(np.int64)
+    on_face = ((k == 0) | (k == m)).any(axis=1) & ((k >= 0) & (k <= m)).all(axis=1)
+    if m == 0 or not on_face.all() or not np.array_equal(k / m, cell.nodes[outer]):
+        raise GeometryError("not a template cell mesh: its OUTER nodes do not "
+                            "sit on a 1/m lattice of the unit square's faces")
+    key = np.full((cell.n_nodes, 2), -1, dtype=np.int64)
+    key[outer] = k
+    return key
 
 
 def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
@@ -228,9 +225,6 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     if r == 0.0:
         mesh = build_domain_mesh((0.0, 0.0, 1.0, 1.0), 1.0 / m)
         mesh.tri_cell[:] = 0
-        mesh.meta = {"h_ref": h_ref, "m": m, "r": r, "n_b": n_b,
-                     "cell_area": 1.0, "hole_perimeter": 0.0}
-        mesh.meta["face_keys"] = _structured_face_keys(mesh, m)
         return mesh
 
     if n_b < 8:
@@ -256,7 +250,7 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
             inner.append((1.0 - t) * p0 + t * p1)
     inner = np.array(inner)
 
-    outer, outer_keys = _square_boundary_nodes(m)
+    outer = _square_boundary_nodes(m)
 
     # rotate the outer contour so index 0 sits nearest the inner start angle
     ang_in0 = np.arctan2(inner[0, 1] - 0.5, inner[0, 0] - 0.5)
@@ -265,7 +259,6 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     rot = int(np.argmin(diff))
     order = (np.arange(n_ring) + rot) % n_ring
     outer_m = outer[order]
-    outer_keys_m = outer_keys[order]
 
     # layered ring between polygon and square, matched node indices
     n_layers = max(1, int(round((0.5 - r) / h_ref)))
@@ -300,32 +293,14 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
         boundary_edges=edges,
         edge_kind=kinds,
         edge_cell=edge_cell,
-        meta={
-            "h_ref": h_ref, "m": m, "r": r, "n_b": n_b,
-            "cell_area": 1.0 - polygon_area(r, n_b),
-            "hole_perimeter": polygon_perimeter(r, n_b),
-        },
     )
-    # exact integer face keys for the square-boundary nodes, used for periodic
-    # pairing and for tile stitching
-    mesh.meta["face_keys"] = dict(zip(ring_ids[n_layers].tolist(),
-                                      map(tuple, outer_keys_m.tolist())))
     return _validate(mesh, "cell mesh")
-
-
-def _structured_face_keys(mesh: Mesh, m: int) -> dict[int, tuple[int, int]]:
-    """Integer (kx, ky) keys, units 1/m, for structured-grid boundary nodes."""
-    b = np.unique(mesh.boundary_edges)
-    keys = np.rint(mesh.nodes[b] * m).astype(np.int64)
-    return dict(zip(b.tolist(), map(tuple, keys.tolist())))
 
 
 def build_perforated_mesh(cfg: DomainConfig, cell: Mesh) -> Mesh:
     """The tiled mesh of the unit square with its HOLE triangles kept and
     tagged; Omega_eps is its FLUID triangles."""
-    mesh = tile_template(cfg, cell)
-    mesh.meta["n_holes"] = cfg.n_cells ** 2 if cfg.hole_radius > 0.0 else 0
-    return mesh
+    return tile_template(cfg, cell)
 
 
 def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
@@ -337,15 +312,12 @@ def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
     """
     n = cfg.n_cells
     eps = cfg.eps
-    m = cell.meta["m"]
-    face_keys: dict[int, tuple[int, int]] = cell.meta["face_keys"]
+    key = face_keys(cell)
+    m = int(key.max())
     iy, ix = np.divmod(np.arange(n * n), n)
     cells = np.column_stack([ix, iy])
     ix, iy = cells[:, :1], cells[:, 1:]
 
-    # template node -> (kx, ky) lattice key, -1 off the square boundary
-    key = np.full((cell.n_nodes, 2), -1, dtype=np.int64)
-    key[list(face_keys)] = list(face_keys.values())
     on_face = key[:, 0] >= 0
     side = n * m + 1
     ids = np.where(on_face, (ix * m + key[:, 0]) * side + (iy * m + key[:, 1]),
@@ -377,7 +349,6 @@ def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
         edge_kind=np.where(hole[le], HOLE_BDRY, OUTER),
         edge_cell=np.where(hole[le, None], cells[ce], _NO_CELL[0]),
         eps=eps,
-        meta={"template": cell, "n": n},
     )
     return _validate(mesh, "tiled mesh")
 
@@ -418,7 +389,6 @@ def build_domain_mesh(rect: tuple[float, float, float, float], h: float) -> Mesh
         boundary_edges=edges,
         edge_kind=np.full(2 * (nx + ny), OUTER, dtype=np.int64),
         edge_cell=np.full((2 * (nx + ny), 2), _NO_CELL[0], dtype=np.int64),
-        meta={"rect": rect, "nx": nx, "ny": ny},
     )
     return _validate(mesh, "domain mesh")
 
@@ -476,22 +446,19 @@ class _Locator:
         return tri, lam
 
 
-def locate_point(mesh: Mesh, x):
-    """Find the FLUID triangle containing each point of x, (2,) or (P, 2).
+def locate_point(mesh: Mesh, X: np.ndarray):
+    """Find the FLUID triangle containing each point of X, (P, 2).
 
-    For (P, 2) input returns (tri, lam): triangle indices with -1 where a
-    point lies in no FLUID triangle (inside a hole or outside the mesh), and
-    (P, 3) barycentric coordinates.  The lowest-index triangle wins ties on
-    shared edges.  For a single point returns (t, lam), or None on a miss.
+    Returns (tri, lam): triangle indices with -1 where a point lies in no
+    FLUID triangle (inside a hole or outside the mesh), and (P, 3)
+    barycentric coordinates.  The lowest-index triangle wins ties on shared
+    edges.
     """
     if mesh._locator is None:
         mesh._locator = _Locator(mesh)
-    X = np.asarray(x, dtype=float)
-    tri, lam = mesh._locator.query(X.reshape(-1, 2))
+    tri, lam = mesh._locator.query(np.asarray(X, dtype=float))
     hit = tri >= 0
     lam[hit] /= (lam[hit, 0] + lam[hit, 1] + lam[hit, 2])[:, None]
-    if X.ndim == 1:
-        return (int(tri[0]), lam[0]) if hit[0] else None
     return tri, lam
 
 
@@ -499,7 +466,7 @@ def interpolate(mesh: Mesh, u: np.ndarray, X) -> np.ndarray:
     """P1 interpolant of nodal field(s) u, (N,) or (N, c), at the points X
     (P, 2); zero where a point lies in no FLUID triangle."""
     u = np.asarray(u, dtype=float)
-    tri, lam = locate_point(mesh, np.reshape(X, (-1, 2)))
+    tri, lam = locate_point(mesh, X)
     out = np.zeros((len(tri),) + u.shape[1:])
     hit = tri >= 0
     out[hit] = np.einsum("pl,pl...->p...", lam[hit], u[mesh.triangles[tri[hit]]])

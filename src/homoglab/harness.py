@@ -115,8 +115,8 @@ def _eigen_clusters(values: np.ndarray) -> list[list[int]]:
 def run_study(cfg: StudyConfig) -> dict:
     """Execute the sweep and return the full nested report (dict).
 
-    The report body is a pure function of the configuration; the
-    timestamp lives in a separate header so the body is byte-reproducible.
+    With one BLAS thread the body is a pure function of the configuration;
+    the timestamp lives in the header, so the body is byte-reproducible.
     """
     t_start = time.time()
     body: dict = {"config": _config_echo(cfg), "cell": {}, "homogenized": {},

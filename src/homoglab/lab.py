@@ -114,11 +114,10 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
 
 def check_strip_poincare(a_mesh: Mesh, u: np.ndarray, delta_list) -> LabRow:
     """int_{A \\ A^delta} u^2 <= C delta^2 int_{A \\ A^delta} |grad u|^2."""
-    rect = a_mesh.meta["rect"]
     fl = a_mesh.fluid_triangles()
     tris = a_mesh.triangles[fl]
     centroids = a_mesh.nodes[tris].mean(axis=1)
-    dists = geometry.rect_distance(rect, centroids)
+    dists = geometry.rect_distance(a_mesh.bounds(), centroids)
     worst = 0.0
     skipped = 0
     for delta in delta_list:

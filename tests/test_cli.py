@@ -46,6 +46,17 @@ def test_threads_guard(monkeypatch):
         cli._configure_threads()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_rejected(value, monkeypatch, capsys):
+    """OpenBLAS reads 0 or a negative count as "every core", which breaks the
+    byte reproducibility of the report body."""
+    monkeypatch.setenv("HOMOGLAB_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        cli._configure_threads()
+    assert exc.value.code == 1
+    assert "error: HOMOGLAB_THREADS" in capsys.readouterr().err
+
+
 def test_mesh_command(capsys):
     rc = cli.main(["mesh", "--kind", "template", "--href", "1/8"])
     assert rc == 0
@@ -73,7 +84,7 @@ def test_config_file_rejects_cell_refine_zero(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("cell_refine = 0\n")
     with pytest.raises(ConfigError):
-        cli._load_study_config(config, None)
+        cli._load_study_config(config)
 
 
 def test_config_file_rejects_lab_samples(tmp_path):
@@ -81,7 +92,7 @@ def test_config_file_rejects_lab_samples(tmp_path):
     config = tmp_path / "old.cfg"
     config.write_text("lab_samples = 10\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        cli._load_study_config(config, None)
+        cli._load_study_config(config)
 
 
 def test_mesh_command_to_file(tmp_path, capsys):

@@ -64,7 +64,7 @@ def test_batched_corrector_matches_single_modes(sweep, a_mesh32, cell_sol8):
 
 
 def test_cutoff_only_acts_near_boundary(sweep, a_mesh32):
-    rect = a_mesh32.meta["rect"]
+    rect = a_mesh32.bounds()
     for eps, (bundle, u_off, u_on) in sweep.items():
         d = geometry.rect_distance(rect, bundle.mesh.nodes[bundle.red.keep])
         far = d > 2.0 * eps

@@ -64,7 +64,8 @@ def test_mass_area_identities(bundle_quarter):
     M_all = fem.assemble_mass(pm, tris=np.arange(pm.n_triangles))
     assert float(onesp @ (M_all @ onesp)) == pytest.approx(1.0, abs=1e-12)
     M_hole = fem.assemble_mass(pm, tris=np.nonzero(pm.tri_region == geometry.HOLE)[0])
-    hole_area = 16.0 * 0.25**2 * geometry.polygon_area(0.25, 32)
+    # exact area of the inscribed 32-gon, n r^2 sin(2 pi / n) / 2
+    hole_area = 16.0 * 0.25**2 * (0.5 * 32 * 0.25 * 0.25 * np.sin(2.0 * np.pi / 32))
     assert float(onesp @ (M_hole @ onesp)) == pytest.approx(hole_area, abs=1e-12)
 
 
@@ -128,7 +129,8 @@ def test_robin_mass_support(bundle_quarter):
     # hole perimeter, 16 holes scaled by eps
     R_all = fem.assemble_robin_mass(mesh, k_rect=None)
     ones = np.ones(mesh.n_nodes)
-    total = 16 * 0.25 * geometry.polygon_perimeter(0.25, 32)
+    # exact perimeter of the inscribed 32-gon, 2 n r sin(pi / n)
+    total = 16 * 0.25 * (2.0 * 32 * 0.25 * np.sin(np.pi / 32))
     assert float(ones @ (R_all @ ones)) == pytest.approx(total, abs=1e-12)
 
     # K covering every hole midpoint kills the matrix
@@ -226,12 +228,15 @@ def test_apply_constraints_periodic(template8):
     assert np.max(np.abs(red.S @ ones)) <= 1e-10
 
 
-def _reference_periodic_P(template):
+def _reference_periodic_P(template, h_ref):
     """The master/slave pair list and chain resolution the periodic fold
-    replaced, kept as its reference; returns the expansion matrix P."""
-    face_keys = template.meta["face_keys"]
-    m = template.meta["m"]
-    by_key = {v: k for k, v in face_keys.items()}
+    replaced, kept as its reference; returns the expansion matrix P.  Face
+    nodes are keyed by their coordinates in units of 1/m, m = 1/h_ref."""
+    m = int(round(1.0 / h_ref))
+    by_key = {}
+    for node in template.outer_nodes().tolist():
+        x, y = template.nodes[node]
+        by_key[(int(round(x * m)), int(round(y * m)))] = node
     pairs = []
     for (kx, ky), node in sorted(by_key.items()):
         if kx == m and ky == m:
@@ -264,7 +269,7 @@ def test_periodic_fold_matches_pair_list(r, h_ref):
     """Folding face keys mod m gives the pair list's P and reduced S bitwise."""
     template = geometry.build_cell_mesh(r, 32, h_ref)
     S = fem.assemble_stiffness(template)
-    P_ref = _reference_periodic_P(template)
+    P_ref = _reference_periodic_P(template, h_ref)
     dof = fem.dof_map(template.n_nodes, [], fold=fem.periodic_fold(template))
     red = fem.apply_constraints(S, fem.assemble_mass(template), None, dof)
     S_ref = (P_ref.T @ S @ P_ref).tocsr()

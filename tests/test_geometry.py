@@ -1,6 +1,7 @@
 """Mesh construction, tiling, point location and rectangle helpers."""
 
 import ast
+import dataclasses
 import gc
 import weakref
 from pathlib import Path
@@ -9,13 +10,36 @@ import numpy as np
 import pytest
 
 from homoglab import geometry
+from homoglab.cell import solve_cell_problem
 from homoglab.errors import ConfigError, GeometryError
 from homoglab.geometry import (DomainConfig, build_cell_mesh,
                                build_domain_mesh, build_perforated_mesh,
-                               locate_point, point_in_closed_rect,
-                               polygon_area, polygon_perimeter, rect_distance)
+                               domain_grid, locate_point, point_in_closed_rect,
+                               rect_distance)
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
+
+
+def polygon_area(r: float, n_b: int) -> float:
+    """Exact area of the regular n_b-gon inscribed in the radius-r circle."""
+    return 0.5 * n_b * r * r * np.sin(2.0 * np.pi / n_b)
+
+
+def polygon_perimeter(r: float, n_b: int) -> float:
+    """Exact perimeter of the same polygon."""
+    return 2.0 * n_b * r * np.sin(np.pi / n_b)
+
+
+def reference_face_keys(cell) -> dict[int, tuple[int, int]]:
+    """Node -> (kx, ky) lattice key, in units of 1/m, of every node on an
+    OUTER edge, built node by node from the coordinates."""
+    m = int(np.sum(cell.edge_kind == geometry.OUTER)) // 4
+    keys = {}
+    for a, b in cell.boundary_edges[cell.edge_kind == geometry.OUTER]:
+        for node in (int(a), int(b)):
+            x, y = cell.nodes[node]
+            keys[node] = (int(round(x * m)), int(round(y * m)))
+    return keys
 
 
 def interior_edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
@@ -46,19 +70,19 @@ def test_domain_config_validation():
 def test_template_no_hole():
     mesh = build_cell_mesh(0.0, 32, 1.0 / 8.0)
     assert mesh.fluid_area() == pytest.approx(1.0, abs=1e-12)
-    assert mesh.meta["hole_perimeter"] == 0.0
+    assert solve_cell_problem(mesh).hole_perimeter == 0.0
     assert not (mesh.edge_kind == geometry.HOLE_BDRY).any()
     assert (mesh.areas() > 0.0).all()
 
 
-def test_template_with_hole_measures(template8):
+def test_template_with_hole_measures(template8, cell_sol8):
     area = polygon_area(0.25, 32)
     perim = polygon_perimeter(0.25, 32)
     # exact polygon formulas: |hole| = n r^2 sin(2 pi / n) / 2
     assert area == pytest.approx(32 * 0.25**2 * np.sin(2 * np.pi / 32) / 2,
                                  abs=1e-15)
     assert template8.fluid_area() == pytest.approx(1.0 - area, abs=1e-12)
-    assert template8.meta["hole_perimeter"] == pytest.approx(perim, abs=1e-12)
+    assert cell_sol8.hole_perimeter == pytest.approx(perim, abs=1e-12)
     # inscribed 32-gon perimeter 2 n r sin(pi/n), just below pi/2
     assert perim == pytest.approx(2 * 32 * 0.25 * np.sin(np.pi / 32), abs=1e-15)
     assert perim == pytest.approx(np.pi / 2, abs=5e-3)
@@ -79,9 +103,9 @@ def test_template_conformity(template8):
 
 
 def test_periodic_face_matching(template8):
-    face_keys = template8.meta["face_keys"]
-    m = template8.meta["m"]
-    by_key = {v: k for k, v in face_keys.items()}
+    key = geometry.face_keys(template8)
+    m = int(key.max())
+    by_key = {(int(kx), int(ky)): node for node, (kx, ky) in enumerate(key) if kx >= 0}
     for ky in range(m + 1):
         left = template8.nodes[by_key[(0, ky)]]
         right = template8.nodes[by_key[(m, ky)]]
@@ -98,7 +122,7 @@ def test_perforated_mesh_tiling(template8):
     cfg = DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                        k_rect=K_RECT, h_ref=1.0 / 8.0)
     mesh = build_perforated_mesh(cfg, template8)
-    assert mesh.meta["n_holes"] == 16
+    assert np.unique(mesh.edge_cell[mesh.edge_kind == geometry.HOLE_BDRY], axis=0).shape == (16, 2)
     assert mesh.eps == 0.25
     # fluid area is 16 scaled copies of the template fluid area
     assert mesh.fluid_area() == pytest.approx(template8.fluid_area(), abs=1e-12)
@@ -155,28 +179,50 @@ def test_domain_mesh_counts():
         build_domain_mesh((0.0, 0.0, 0.0, 1.0), 0.25)
 
 
+def test_domain_mesh_bounds():
+    # the rectangle A is read back from the node extents
+    assert build_domain_mesh(K_RECT, 0.5 / 32.0).bounds() == K_RECT
+    assert build_domain_mesh((0.0, 0.0, 1.0, 0.5), 0.25).bounds() == (0.0, 0.0, 1.0, 0.5)
+
+
+def test_tiled_mesh_does_not_keep_its_template():
+    """A tiled mesh holds no reference to the template it was tiled from,
+    so the template is freed while the tiled mesh lives on."""
+    cfg = DomainConfig(eps=1 / 4, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
+    template = build_cell_mesh(0.25, 32, 1 / 8)
+    mesh = build_perforated_mesh(cfg, template)
+    ref = weakref.ref(template)
+    gc.disable()
+    try:
+        del template
+        assert ref() is None
+        assert mesh.n_nodes == 1345
+    finally:
+        gc.enable()
+
+
 def test_locate_point(template8):
     # vertex: the barycentric combination reproduces the node coordinates
     n = int(template8.triangles[template8.fluid_triangles()[0], 0])
-    t, lam = locate_point(template8, template8.nodes[n])
-    rec = lam @ template8.nodes[template8.triangles[t]]
+    tri, lam = locate_point(template8, template8.nodes[n][None])
+    rec = lam[0] @ template8.nodes[template8.triangles[tri[0]]]
     assert np.allclose(rec, template8.nodes[n], atol=1e-12)
     # centroid of a fluid triangle finds a triangle with the same centroid value
     ft = template8.fluid_triangles()[3]
     c = template8.nodes[template8.triangles[ft]].mean(axis=0)
-    t, lam = locate_point(template8, c)
-    assert np.allclose(lam @ template8.nodes[template8.triangles[t]], c, atol=1e-12)
+    tri, lam = locate_point(template8, c[None])
+    assert np.allclose(lam[0] @ template8.nodes[template8.triangles[tri[0]]], c, atol=1e-12)
     # hole center is in no fluid triangle
-    assert locate_point(template8, (0.5, 0.5)) is None
+    assert locate_point(template8, np.array([(0.5, 0.5)]))[0][0] == -1
     # clearly outside the cell
-    assert locate_point(template8, (2.0, 2.0)) is None
+    assert locate_point(template8, np.array([(2.0, 2.0)]))[0][0] == -1
 
 
 def test_located_mesh_is_freed_without_the_cycle_collector():
     """The locator cached on a mesh holds the mesh's arrays, not the mesh,
     so a located mesh is freed as soon as its last reference goes."""
     mesh = build_domain_mesh(K_RECT, 0.5 / 8.0)
-    assert locate_point(mesh, (0.5, 0.5)) is not None
+    assert locate_point(mesh, np.array([(0.5, 0.5)]))[0][0] != -1
     ref = weakref.ref(mesh)
     gc.disable()
     try:
@@ -195,11 +241,11 @@ def test_locate_point_batched(template8):
     assert tri.shape == (len(pts),) and lam.shape == (len(pts), 3)
     # identical to one call per point, misses marked -1
     for x, t, l in zip(pts, tri, lam):
-        hit = locate_point(template8, x)
-        if hit is None:
+        t1, l1 = locate_point(template8, x[None])
+        if t1[0] == -1:
             assert t == -1
         else:
-            assert t == hit[0] and np.array_equal(l, hit[1])
+            assert t == t1[0] and np.array_equal(l, l1[0])
     assert tri[-2] == -1 and tri[-1] == -1
     # brute force over all FLUID triangles: the lowest-index container wins
     p = template8.nodes[template8.triangles[fl]]
@@ -273,13 +319,25 @@ def test_meshes_are_built_only_in_geometry():
     assert offenders == []
 
 
+def test_no_untyped_mesh_metadata():
+    """Every fact about a mesh comes from its arrays: no module reads or
+    writes a `.meta` attribute."""
+    src = Path(geometry.__file__).parent
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "meta"]
+    assert offenders == []
+    assert "meta" not in {f.name for f in dataclasses.fields(geometry.Mesh)}
+
+
 def _reference_tile_template(cfg, cell):
     """The per-cell, per-node tiling loop the array-built `tile_template`
     replaced, kept as its reference; returns the Mesh fields it filled."""
     n = cfg.n_cells
     eps = cfg.eps
-    m = cell.meta["m"]
-    face_keys = cell.meta["face_keys"]
+    face_keys = reference_face_keys(cell)
+    m = max(max(k) for k in face_keys.values())
     _NO_CELL = geometry._NO_CELL
     HOLE_BDRY, OUTER = geometry.HOLE_BDRY, geometry.OUTER
 
@@ -419,7 +477,7 @@ def test_tiled_mesh_conformity(template8):
     """Edge multiplicities, counted from the triangles alone, agree with the
     declared boundary edges of the tiled and the perforated mesh."""
     cfg = DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
-    n, m = cfg.n_cells, template8.meta["m"]
+    n, m = cfg.n_cells, int(geometry.face_keys(template8).max())
     mesh = build_perforated_mesh(cfg, template8)
 
     def edge_set(kind):
@@ -441,10 +499,11 @@ def test_tiled_mesh_conformity(template8):
 
 def test_domain_mesh_matches_reference_loop():
     """Array-built structured triangles, edges and face keys equal the
-    per-square loops bitwise, also with nx != ny."""
+    per-square loops bitwise, also with nx != ny; only the unit square is a
+    template cell mesh with face keys."""
     for rect in ((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 0.5)):
         mesh = build_domain_mesh(rect, 1.0 / 8.0)
-        nx, ny = mesh.meta["nx"], mesh.meta["ny"]
+        nx, ny = domain_grid(rect, 1.0 / 8.0)
         tris = []
         for j in range(ny):
             for i in range(nx):
@@ -467,9 +526,14 @@ def test_domain_mesh_matches_reference_loop():
             keys[int(n)] = (int(round(x * 8)), int(round(y * 8)))
         _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int32), f"triangles {rect}")
         _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int32), f"edges {rect}")
-        got = geometry._structured_face_keys(mesh, 8)
-        assert list(got.items()) == list(keys.items())
-        assert all(type(v) is int for node, key in got.items() for v in (node, *key))
+        if rect[3] < 1.0:
+            with pytest.raises(GeometryError, match="not a template cell mesh"):
+                geometry.face_keys(mesh)
+            continue
+        got = geometry.face_keys(mesh)
+        want = np.full((mesh.n_nodes, 2), -1, dtype=np.int64)
+        want[list(keys)] = list(keys.values())
+        _assert_bitwise(got, want, f"face keys {rect}")
 
 
 @pytest.mark.parametrize("h_ref", [1 / 8, 1 / 12, 1 / 32])
@@ -477,7 +541,7 @@ def test_cell_mesh_matches_reference_loop(h_ref):
     """The array-built hole ring equals the per-node and per-triangle loops
     it replaced, bitwise."""
     mesh = build_cell_mesh(0.25, 32, h_ref)
-    r, n_b, m = 0.25, 32, mesh.meta["m"]
+    r, n_b, m = 0.25, 32, int(round(1.0 / h_ref))
     n_ring = 4 * m
     FLUID, HOLE, HOLE_BDRY, OUTER = (geometry.FLUID, geometry.HOLE,
                                      geometry.HOLE_BDRY, geometry.OUTER)
@@ -492,7 +556,21 @@ def test_cell_mesh_matches_reference_loop(h_ref):
             t = s / segs
             inner.append((1.0 - t) * p0 + t * p1)
     inner = np.array(inner)
-    outer, outer_keys = geometry._square_boundary_nodes(m)
+    pts, keys = [], []
+    for k in range(m):       # bottom
+        pts.append((k / m, 0.0))
+        keys.append((k, 0))
+    for k in range(m):       # right
+        pts.append((1.0, k / m))
+        keys.append((m, k))
+    for k in range(m):       # top
+        pts.append(((m - k) / m, 1.0))
+        keys.append((m - k, m))
+    for k in range(m):       # left
+        pts.append((0.0, (m - k) / m))
+        keys.append((0, m - k))
+    outer, outer_keys = np.array(pts), np.array(keys, dtype=np.int64)
+    _assert_bitwise(geometry._square_boundary_nodes(m), outer, "square boundary")
     c = np.array([0.5, 0.5])
     ang_in0 = np.arctan2(inner[0, 1] - 0.5, inner[0, 0] - 0.5)
     ang_out = np.arctan2(outer[:, 1] - 0.5, outer[:, 0] - 0.5)
@@ -542,13 +620,13 @@ def test_cell_mesh_matches_reference_loop(h_ref):
         kinds.append(HOLE_BDRY)
         edges.append((ring_ids[n_layers, i], ring_ids[n_layers, j]))
         kinds.append(OUTER)
-    face_keys = {}
+    face_keys = np.full((len(node_list), 2), -1, dtype=np.int64)
     for i in range(n_ring):
-        face_keys[int(ring_ids[n_layers, i])] = tuple(int(v) for v in outer_keys_m[i])
+        face_keys[ring_ids[n_layers, i]] = outer_keys_m[i]
 
     _assert_bitwise(mesh.nodes, np.array(node_list), "nodes")
     _assert_bitwise(mesh.triangles, np.array(tris, dtype=np.int32), "triangles")
     _assert_bitwise(mesh.tri_region, np.array(regions, dtype=np.int8), "tri_region")
     _assert_bitwise(mesh.boundary_edges, np.array(edges, dtype=np.int32), "edges")
     _assert_bitwise(mesh.edge_kind, np.array(kinds, dtype=np.int8), "edge_kind")
-    assert list(mesh.meta["face_keys"].items()) == list(face_keys.items())
+    _assert_bitwise(geometry.face_keys(mesh), face_keys, "face keys")

@@ -159,11 +159,10 @@ def test_volsup_empty_subdomain(template8, cell_sol8):
         lab.check_volsup(bundle, cell_sol8, K_RECT)
 
 
-def _volsup_support_per_cell(mesh, k_rect):
-    """Reference selection: loop over the cells, keep the FLUID triangles and
-    HOLE_BDRY edges of those off K."""
+def _volsup_support_per_cell(mesh, n, k_rect):
+    """Reference selection: loop over the n x n cells, keep the FLUID
+    triangles and HOLE_BDRY edges of those off K."""
     eps = mesh.eps
-    n = mesh.meta["n"]
     kx0, ky0, kx1, ky1 = k_rect
     ok_cells = set()
     for iy in range(n):
@@ -185,7 +184,7 @@ def test_volsup_support_matches_per_cell_loop(template8, eps):
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
     mesh = geometry.build_perforated_mesh(cfg, template8)
     tris, edges = lab._volsup_support(mesh, K_RECT)
-    ref_tris, ref_edges = _volsup_support_per_cell(mesh, K_RECT)
+    ref_tris, ref_edges = _volsup_support_per_cell(mesh, cfg.n_cells, K_RECT)
     assert len(tris) and len(edges)
     assert np.array_equal(tris, ref_tris)
     assert np.array_equal(edges, ref_edges)

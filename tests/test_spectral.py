@@ -126,8 +126,8 @@ def test_rayleigh_quotient(spec_quarter, bundle_quarter):
 
 def _fluid_only_mesh(cfg, cell):
     """The FLUID-only renumbered copy of the tiled mesh that the perforated
-    problem used to be assembled on, kept as the reference."""
-    n = cfg.n_cells
+    problem used to be assembled on, kept as the reference, and the tiled
+    node of each of its nodes."""
     full = geometry.tile_template(cfg, cell)
 
     keep_tri = full.tri_region == geometry.FLUID
@@ -148,15 +148,8 @@ def _fluid_only_mesh(cfg, cell):
         edge_kind=full.edge_kind[keep_edge],
         edge_cell=full.edge_cell[keep_edge],
         eps=cfg.eps,
-        meta={
-            "template": cell,
-            "full_mesh": full,
-            "fluid_to_full": np.nonzero(used)[0],
-            "n": n,
-            "n_holes": n * n if cfg.hole_radius > 0.0 else 0,
-        },
     )
-    return geometry._validate(mesh, "perforated mesh")
+    return geometry._validate(mesh, "perforated mesh"), np.nonzero(used)[0]
 
 
 @pytest.mark.parametrize("eps, r, h_ref", [
@@ -170,13 +163,13 @@ def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
     cfg = geometry.DomainConfig(eps=eps, hole_radius=r, k_rect=K_RECT, h_ref=h_ref)
     cell = geometry.build_cell_mesh(r, 32, h_ref)
     bundle = spectral.build_perforated_bundle(cfg, cell)
-    ref_mesh = _fluid_only_mesh(cfg, cell)
+    ref_mesh, fluid_to_full = _fluid_only_mesh(cfg, cell)
     ref = fem.apply_constraints(
         fem.assemble_stiffness(ref_mesh), fem.assemble_mass(ref_mesh),
         fem.assemble_robin_mass(ref_mesh, K_RECT),
         fem.dof_map(ref_mesh.n_nodes, ref_mesh.outer_nodes()))
     assert bundle.red.dim == ref.dim
-    assert np.array_equal(bundle.red.keep, ref_mesh.meta["fluid_to_full"][ref.keep])
+    assert np.array_equal(bundle.red.keep, fluid_to_full[ref.keep])
     for name, got, want in (("S", bundle.S, ref.S), ("M", bundle.M, ref.M),
                             ("R", bundle.R, ref.R),
                             ("A", bundle.A, (ref.S + ref.R).tocsr())):
