@@ -94,13 +94,12 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
     return float(np.einsum("t,ta,ta->", areas, corr, corr))
 
 
-def eval_chi(sol: CellSolution, x, eps: float):
-    """chi(x/eps) and its constant gradient on the sol.mesh triangle holding it.
+def eval_chi(sol: CellSolution, x, eps: float) -> np.ndarray:
+    """chi(x/eps), the P1 interpolant of chi on the sol.mesh triangle holding
+    x/eps, at the P points x, (P, 2); returns (P, 2).
 
-    x holds P points, (P, 2); the results are (P, 2) and (P, 2, 2), with
-    grad[p, k, a] = dchi^k/dy_a.  Points are wrapped into the unit cell; any
-    point landing inside the hole raises OutsideDomainError (callers must
-    query fluid points only).
+    Points are wrapped into the unit cell; any point landing inside the hole
+    raises OutsideDomainError (callers must query fluid points only).
     """
     x = np.asarray(x, dtype=float)
     y = x / eps
@@ -111,8 +110,5 @@ def eval_chi(sol: CellSolution, x, eps: float):
         p = int(np.argmax(tri < 0))
         raise OutsideDomainError(f"point {x[p].tolist()} maps into "
                                  f"the hole at y={y[p].tolist()}")
-    tri_nodes, _, grads = sol.mesh.p1(tri)
-    chi = sol.chi[tri_nodes]                                    # (P, 3, 2)
-    value = (lam[:, None, :] @ chi)[:, 0]
-    grad = np.einsum("pla,plk->pka", grads, chi)
-    return value, grad
+    chi = sol.chi[sol.mesh.triangles[tri]]                      # (P, 3, 2)
+    return (lam[:, None, :] @ chi)[:, 0]

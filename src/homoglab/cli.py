@@ -10,19 +10,17 @@ from pathlib import Path
 
 
 def _configure_threads():
-    """Pin BLAS/OpenMP thread counts before numpy gets imported."""
-    n = os.environ.get("HOMOGLAB_THREADS", "1")
-    try:
-        k = int(n)
-    except ValueError:
-        k = 0
-    if k < 1:
-        print(f"error: HOMOGLAB_THREADS must be an integer >= 1, got {n!r}",
-              file=sys.stderr)
-        raise SystemExit(1)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(k))
+    """Pin BLAS/OpenMP thread counts before numpy gets imported: a thread
+    variable keeps its preset value, the unset ones get HOMOGLAB_THREADS
+    (default 1).  Each must be an integer >= 1, since OpenBLAS reads 0 or a
+    negative count as every core and the report bytes then vary."""
+    default = os.environ.get("HOMOGLAB_THREADS", "1")
+    for var in ("HOMOGLAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        n = os.environ.setdefault(var, default)
+        if not (n.strip().isdecimal() and int(n) >= 1):
+            print(f"error: {var} must be an integer >= 1, got {n!r}", file=sys.stderr)
+            raise SystemExit(1)
 
 
 def _parse_number(text: str) -> float:
@@ -126,15 +124,12 @@ def _cmd_mesh(args) -> int:
     from . import geometry
     if args.kind == "domain":
         mesh = geometry.build_domain_mesh(args.krect, args.href)
+    elif args.kind == "template":
+        mesh = geometry.build_cell_mesh(args.radius, args.npoly, args.href)
     else:
-        cell = geometry.build_cell_mesh(args.radius, args.npoly, args.href)
-        if args.kind == "template":
-            mesh = cell
-        else:
-            cfg = geometry.DomainConfig(eps=args.eps, hole_radius=args.radius,
-                                        hole_poly=args.npoly, k_rect=args.krect,
-                                        h_ref=args.href)
-            mesh = geometry.build_perforated_mesh(cfg, cell)
+        mesh = geometry.build_perforated_mesh(geometry.DomainConfig(
+            eps=args.eps, hole_radius=args.radius, hole_poly=args.npoly,
+            k_rect=args.krect, h_ref=args.href))
     text = geometry.write_mesh_text(mesh)
     if args.out is None:
         sys.stdout.write(text)

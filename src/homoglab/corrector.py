@@ -69,7 +69,7 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
             f"point location failed for {len(failures)} nodes inside A, "
             f"first offenders {failures[:5].tolist()}")
     uval, gx, gy = np.split(vals[:, :-1], 3, axis=1)
-    chi_val, _ = eval_chi(sol, x, eps)
+    chi_val = eval_chi(sol, x, eps)
     psi = np.minimum(1.0, d[inside] / (2.0 * eps))[:, None] if cutoff else 1.0
     U = np.zeros((u_hom.shape[1], len(keep)))
     U[:, inside] = (uval + eps * psi * (chi_val[:, :1] * gx

@@ -1,10 +1,10 @@
 """Meshes for the perforated cell, the tiled perforated domain and the target rectangle.
 
-All meshes are conforming P1 triangulations with region tags (FLUID/HOLE),
-tagged boundary edges and, for tiled meshes, the lattice index of the cell
-each triangle came from.  The template cell mesh places its square-boundary
-nodes at exact multiples of the grid spacing so that opposite faces match
-bitwise and tiling can stitch nodes by integer arithmetic alone.
+All meshes are conforming P1 triangulations with region tags (FLUID/HOLE)
+and tagged boundary edges; a point x of a tiled mesh lies in cell
+floor(x / eps).  The template cell mesh places its square-boundary nodes at
+exact multiples of the grid spacing so that opposite faces match bitwise and
+tiling can stitch nodes by integer arithmetic alone.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ HOLE = 1
 OUTER = 0
 HOLE_BDRY = 1
 
-_NO_CELL = (-(2 ** 30), -(2 ** 30))
-
 _LOCATE_TOL = 1e-12  # barycentric slack: a point this close counts as inside
 
 # storage dtype of each Mesh index and tag array
 _INDEX_DTYPES = {"triangles": np.int32, "boundary_edges": np.int32,
-                 "tri_cell": np.int32, "edge_cell": np.int32,
                  "tri_region": np.int8, "edge_kind": np.int8}
 
 
@@ -73,10 +70,10 @@ class Mesh:
     nodes          (N,2) float64 coordinates
     triangles      (T,3) int32 node indices, positively oriented
     tri_region     (T,)  int8 FLUID or HOLE
-    tri_cell       (T,2) int32 lattice index of the originating cell, _NO_CELL if n/a
     boundary_edges (E,2) int32 node index pairs
     edge_kind      (E,)  int8 OUTER or HOLE_BDRY
-    edge_cell      (E,2) int32 lattice index for HOLE_BDRY edges, _NO_CELL otherwise
+    eps            the cell size: eps for a tiled mesh, 1.0 for the template
+                   (one unit cell), 0 for a domain mesh (no cells)
 
     Whatever a constructor passes, `__post_init__` casts the index and tag
     arrays to these dtypes.
@@ -85,10 +82,8 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     tri_region: np.ndarray
-    tri_cell: np.ndarray
     boundary_edges: np.ndarray
     edge_kind: np.ndarray
-    edge_cell: np.ndarray
     eps: float = 0.0
 
     # lazy caches
@@ -138,6 +133,11 @@ class Mesh:
         if tris is None:
             tris = self.fluid_triangles()
         return self.triangles[tris], self.areas()[tris], self.grads(tris)
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """(P, 2) int32 lattice index (ix, iy) of the cell eps * (i + Y)
+        holding each point of x, (P, 2): floor(x / eps)."""
+        return np.floor(x / self.eps).astype(np.int32)
 
     def fluid_triangles(self) -> np.ndarray:
         return np.nonzero(self.tri_region == FLUID)[0]
@@ -224,7 +224,7 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
 
     if r == 0.0:
         mesh = build_domain_mesh((0.0, 0.0, 1.0, 1.0), 1.0 / m)
-        mesh.tri_cell[:] = 0
+        mesh.eps = 1.0
         return mesh
 
     if n_b < 8:
@@ -280,27 +280,21 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     regions = np.repeat([FLUID, HOLE], [2 * n_layers * n_ring, n_ring])
     edges = np.column_stack([ring_ids[0], ring_ids[0, j],
                              ring_ids[n_layers], ring_ids[n_layers, j]]).reshape(-1, 2)
-    kinds = np.tile([HOLE_BDRY, OUTER], n_ring)
-
-    edge_cell = np.zeros((len(edges), 2), dtype=np.int64)
-    edge_cell[kinds == OUTER] = _NO_CELL[0]
-
     mesh = Mesh(
         nodes=np.vstack([ring.reshape(-1, 2), [0.5, 0.5]]),
         triangles=tris,
         tri_region=regions,
-        tri_cell=np.zeros((len(tris), 2), dtype=np.int64),
         boundary_edges=edges,
-        edge_kind=kinds,
-        edge_cell=edge_cell,
+        edge_kind=np.tile([HOLE_BDRY, OUTER], n_ring),
+        eps=1.0,
     )
     return _validate(mesh, "cell mesh")
 
 
-def build_perforated_mesh(cfg: DomainConfig, cell: Mesh) -> Mesh:
-    """The tiled mesh of the unit square with its HOLE triangles kept and
-    tagged; Omega_eps is its FLUID triangles."""
-    return tile_template(cfg, cell)
+def build_perforated_mesh(cfg: DomainConfig) -> Mesh:
+    """The configured template, tiled over the unit square with its HOLE
+    triangles kept and tagged; Omega_eps is its FLUID triangles."""
+    return tile_template(cfg, build_cell_mesh(cfg.hole_radius, cfg.hole_poly, cfg.h_ref))
 
 
 def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
@@ -344,10 +338,8 @@ def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
         nodes=nodes,
         triangles=l2g[:, cell.triangles].reshape(-1, 3),
         tri_region=np.tile(cell.tri_region, n * n),
-        tri_cell=np.repeat(cells, cell.n_triangles, axis=0),
         boundary_edges=l2g[ce[:, None], cell.boundary_edges[le]],
         edge_kind=np.where(hole[le], HOLE_BDRY, OUTER),
-        edge_cell=np.where(hole[le, None], cells[ce], _NO_CELL[0]),
         eps=eps,
     )
     return _validate(mesh, "tiled mesh")
@@ -385,10 +377,8 @@ def build_domain_mesh(rect: tuple[float, float, float, float], h: float) -> Mesh
         nodes=nodes,
         triangles=tris,
         tri_region=np.zeros(len(tris), dtype=np.int64),
-        tri_cell=np.full((len(tris), 2), _NO_CELL[0], dtype=np.int64),
         boundary_edges=edges,
         edge_kind=np.full(2 * (nx + ny), OUTER, dtype=np.int64),
-        edge_cell=np.full((2 * (nx + ny), 2), _NO_CELL[0], dtype=np.int64),
     )
     return _validate(mesh, "domain mesh")
 
@@ -474,17 +464,19 @@ def interpolate(mesh: Mesh, u: np.ndarray, X) -> np.ndarray:
 
 
 def write_mesh_text(mesh: Mesh) -> str:
-    """Line-oriented text dump: header, nodes, triangles, boundary edges."""
+    """Line-oriented text dump: header, nodes, triangles, boundary edges; on
+    a mesh with cells, each triangle and HOLE_BDRY edge names its cell."""
     out = io.StringIO()
     out.write(f"{mesh.n_nodes} nodes {mesh.n_triangles} triangles "
               f"{len(mesh.boundary_edges)} edges\n")
     for x, y in mesh.nodes:
         out.write(f"{x!r} {y!r}\n")
     region_name = {FLUID: "FLUID", HOLE: "HOLE"}
-    for tri, reg, cix in zip(mesh.triangles, mesh.tri_region, mesh.tri_cell):
-        out.write(f"{tri[0]} {tri[1]} {tri[2]} {region_name[int(reg)]} "
-                  f"{cix[0]} {cix[1]}\n")
-    for (a, b), kind, cix in zip(mesh.boundary_edges, mesh.edge_kind, mesh.edge_cell):
+    tri_cells, edge_cells = (mesh.cells(mesh.nodes[ends].mean(axis=1)) if mesh.eps
+                             else ends[:, :0] for ends in (mesh.triangles, mesh.boundary_edges))
+    for tri, reg, cix in zip(mesh.triangles, mesh.tri_region, tri_cells):
+        out.write(" ".join(map(str, [*tri, region_name[int(reg)], *cix])) + "\n")
+    for (a, b), kind, cix in zip(mesh.boundary_edges, mesh.edge_kind, edge_cells):
         tag = "OUTER" if kind == OUTER else f"HOLE_BDRY({cix[0]},{cix[1]})"
         out.write(f"{a} {b} {tag}\n")
     return out.getvalue()

@@ -31,7 +31,8 @@ _ERROR_COLUMNS = ("abs_err", "heps_err", "l2_err", "gap", "visik_alpha")
 class StudyConfig:
     """Everything a sweep needs; defaults sized for a laptop run.  `seed` is
     only echoed in the report (nothing is random); `lab_samples` is ignored,
-    accepted only because perfbench/selftest.py passes it."""
+    accepted only because perfbench/selftest.py passes it.  The eigenvalues
+    are always solved, so the EIGENVALUES mode is accepted only for the echo."""
 
     hole_radius: float = 0.25
     hole_poly: int = 32
@@ -154,9 +155,6 @@ def run_study(cfg: StudyConfig) -> dict:
     alpha1_full = alpha_bundle.red.expand(alpha_spec.eigenvectors[:, 0])
     del homog_bundle, alpha_bundle
 
-    # the study template at the configured h_ref; micro size is eps * h_ref
-    template = geometry.build_cell_mesh(cfg.hole_radius, cfg.hole_poly, cfg.h_ref)
-
     sweep_eigenvalues = {}
     rows = []
     lab_rows = []
@@ -164,7 +162,7 @@ def run_study(cfg: StudyConfig) -> dict:
         # each eps's bundle (mesh, matrices, LUs) is freed when _eps_rows
         # returns, before the next eps is built
         sweep_eigenvalues[eps], eps_rows, eps_lab = _eps_rows(
-            cfg, eps, template, cell_sol, a_mesh, hom_full,
+            cfg, eps, cell_sol, a_mesh, hom_full,
             homog_spec.eigenvalues, clusters)
         rows.extend(eps_rows)
         lab_rows.extend(eps_lab)
@@ -198,15 +196,14 @@ def _lab_v(p):
     return (p[:, 0] + 2.0 * p[:, 1]) * _lab_u(p)
 
 
-def _eps_rows(cfg: StudyConfig, eps: float, template, cell_sol, a_mesh,
+def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
               hom_full: np.ndarray, lam_hom: np.ndarray, clusters):
     """Solve the perforated problem at one eps and run the configured modes.
 
     Returns the eigenvalues, the k report rows and the lab rows; nothing
     returned refers to the eps's bundle.
     """
-    spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k,
-                                                     cell_mesh=template)
+    spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k)
     rows = [{"eps": eps, "j": j + 1,
              "lambda_eps": float(spec_eps.eigenvalues[j]),
              "lambda_hom": float(lam_hom[j]),
@@ -253,11 +250,14 @@ def _eps_rows(cfg: StudyConfig, eps: float, template, cell_sol, a_mesh,
     return spec_eps.eigenvalues, rows, lab_rows
 
 
+def _j1_series(rows, col: str) -> list:
+    """(eps, value) of column `col` over the j = 1 rows where it was measured."""
+    return [(r["eps"], r[col]) for r in rows if r["j"] == 1 and r[col] is not None]
+
+
 def _fit_all_rates(rows, cfg: StudyConfig) -> dict:
     rates = {}
-    series = {f"{col}_j1": [(r["eps"], r[col]) for r in rows
-                            if r["j"] == 1 and r[col] is not None]
-              for col in _ERROR_COLUMNS}
+    series = {f"{col}_j1": _j1_series(rows, col) for col in _ERROR_COLUMNS}
     series["abs_err_j2"] = [(r["eps"], r["abs_err"]) for r in rows if r["j"] == 2]
     for name, pts in series.items():
         if len(pts) >= 2:
@@ -272,7 +272,7 @@ def _study_flags(body: dict, cfg: StudyConfig) -> dict:
     """Cheap always-on sanity flags for the report consumer."""
     flags = {}
     for col in _ERROR_COLUMNS:
-        vals = [r[col] for r in body["rows"] if r["j"] == 1 and r[col] is not None]
+        vals = [v for _, v in _j1_series(body["rows"], col)]
         if len(vals) >= 2:
             flags[f"{col}_j1_last_le_first"] = bool(vals[-1] <= vals[0])
             flags[f"{col}_j1_strictly_decreasing"] = bool(
@@ -333,9 +333,7 @@ def _render_svg(report: dict) -> str:
     body = report["body"]
     series = {}
     for col in _ERROR_COLUMNS:
-        pts = [(r["eps"], r[col]) for r in body["rows"]
-               if r["j"] == 1 and r.get(col)]
-        pts = [(e, v) for e, v in pts if v and v > 0.0]
+        pts = [(e, v) for e, v in _j1_series(body["rows"], col) if v > 0.0]
         if len(pts) >= 2:
             series[col] = pts
     if not series:

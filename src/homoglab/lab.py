@@ -42,10 +42,12 @@ def check_trace(bundle: DiscreteOperatorBundle) -> LabRow:
     return LabRow("trace", eps, float(theta), 0, passed=bool(np.isfinite(theta)))
 
 
-def _cells_outside_k(cells: np.ndarray, eps: float, k_rect) -> np.ndarray:
-    """True where the cell square eps * (c + [0,1]^2) misses the open K."""
+def _cells_outside_k(mesh: Mesh, ends: np.ndarray, k_rect) -> np.ndarray:
+    """True where the cell square eps * (c + [0,1]^2) holding the centroid
+    of each row of node indices `ends` misses the open K."""
+    eps = mesh.eps
     kx0, ky0, kx1, ky1 = k_rect
-    cx, cy = cells[:, 0], cells[:, 1]
+    cx, cy = mesh.cells(mesh.nodes[ends].mean(axis=1)).T
     return ((eps * (cx + 1) <= kx0) | (eps * cx >= kx1)
             | (eps * (cy + 1) <= ky0) | (eps * cy >= ky1))
 
@@ -53,11 +55,10 @@ def _cells_outside_k(cells: np.ndarray, eps: float, k_rect) -> np.ndarray:
 def _volsup_support(mesh: Mesh, k_rect):
     """FLUID triangle and HOLE_BDRY edge indices of Omega_eps^K: the cells
     whose Y^i_eps lies in Omega \\ K."""
-    tris = np.nonzero((mesh.tri_region == geometry.FLUID)
-                      & _cells_outside_k(mesh.tri_cell, mesh.eps, k_rect))[0]
-    edges = np.nonzero((mesh.edge_kind == geometry.HOLE_BDRY)
-                       & _cells_outside_k(mesh.edge_cell, mesh.eps, k_rect))[0]
-    return tris, edges
+    tris = mesh.fluid_triangles()
+    edges = np.nonzero(mesh.edge_kind == geometry.HOLE_BDRY)[0]
+    return (tris[_cells_outside_k(mesh, mesh.triangles[tris], k_rect)],
+            edges[_cells_outside_k(mesh, mesh.boundary_edges[edges], k_rect)])
 
 
 def check_volsup(bundle: DiscreteOperatorBundle, sol: CellSolution,
@@ -95,7 +96,7 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     tris = mesh.triangles[fl]
     areas = mesh.areas()[fl]
     centroids = mesh.nodes[tris].mean(axis=1)
-    chi_val, _ = eval_chi(sol, centroids, eps)
+    chi_val = eval_chi(sol, centroids, eps)
     total = float(np.sum(areas * chi_val[:, 0] * u_fn(centroids) * v_fn(centroids)))
 
     S = fem.assemble_stiffness(mesh)

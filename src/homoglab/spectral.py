@@ -64,12 +64,10 @@ class DiscreteOperatorBundle:
         return interior, boundary, S_ii, Sh[interior][:, boundary], factorized_solver(S_ii)
 
 
-def build_perforated_bundle(cfg: DomainConfig, cell_mesh: Mesh | None = None) -> DiscreteOperatorBundle:
+def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
     """Tile Omega, assemble S, M, R over its FLUID triangles (Omega_eps) and
     eliminate the outer Dirichlet nodes and the nodes off Omega_eps."""
-    if cell_mesh is None:
-        cell_mesh = geometry.build_cell_mesh(cfg.hole_radius, cfg.hole_poly, cfg.h_ref)
-    mesh = geometry.build_perforated_mesh(cfg, cell_mesh)
+    mesh = geometry.build_perforated_mesh(cfg)
     S = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
     R = fem.assemble_robin_mass(mesh, cfg.k_rect)
@@ -79,12 +77,12 @@ def build_perforated_bundle(cfg: DomainConfig, cell_mesh: Mesh | None = None) ->
     return DiscreteOperatorBundle(mesh=mesh, red=red)
 
 
-def solve_perforated_evp(cfg: DomainConfig, k: int, cell_mesh: Mesh | None = None):
+def solve_perforated_evp(cfg: DomainConfig, k: int):
     """k smallest eigenpairs of (S+R) u = lambda M u on Omega_eps.
 
     Eigenfunctions come back L2(Omega_eps)-orthonormal on the reduced DoFs.
     """
-    bundle = build_perforated_bundle(cfg, cell_mesh)
+    bundle = build_perforated_bundle(cfg)
     spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
     return spec, bundle
 

@@ -58,10 +58,10 @@ def cell_sol32(template32):
 
 
 @pytest.fixture(scope="session")
-def bundle_quarter(template8):
+def bundle_quarter():
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    return spectral.build_perforated_bundle(cfg, template8)
+    return spectral.build_perforated_bundle(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -109,13 +109,13 @@ def test_criterion_05_visik_certificate(study_report, acceptance_log):
              f"{slope:.3f} (want >= 0.4)")
 
 
-def test_criterion_06_spectrum_structure(template8, acceptance_log):
+def test_criterion_06_spectrum_structure(acceptance_log):
     gaps = []
     signdef = []
     for eps in (1 / 4, 1 / 8, 1 / 16):
         cfg = geometry.DomainConfig(eps=eps, hole_radius=0.25, hole_poly=32,
                                     k_rect=K_RECT, h_ref=1 / 8)
-        spec, _ = spectral.solve_perforated_evp(cfg, 2, cell_mesh=template8)
+        spec, _ = spectral.solve_perforated_evp(cfg, 2)
         gaps.append(float(spec.eigenvalues[1] - spec.eigenvalues[0]))
         u1 = spec.eigenvectors[:, 0]
         signdef.append(float(u1.min()) * float(u1.max())

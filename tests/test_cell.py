@@ -78,14 +78,13 @@ def test_eval_chi_periodicity(cell_sol8):
     eps = 0.25
     # dyadic coordinates so the periodic wrap is exact in floating point
     x = np.array([0.015625, 0.03125])
-    v0, g0 = eval_chi(cell_sol8, x[None], eps)
-    v1, g1 = eval_chi(cell_sol8, (x + np.array([eps, 0.0]))[None], eps)
+    v0 = eval_chi(cell_sol8, x[None], eps)
+    v1 = eval_chi(cell_sol8, (x + np.array([eps, 0.0]))[None], eps)
     assert np.array_equal(v0[0], v1[0])
-    assert np.array_equal(g0[0], g1[0])
     # generic point: agreement up to roundoff in the wrap
     y = np.array([0.012, 0.027])
-    w0, _ = eval_chi(cell_sol8, y[None], eps)
-    w1, _ = eval_chi(cell_sol8, (y + np.array([0.0, eps]))[None], eps)
+    w0 = eval_chi(cell_sol8, y[None], eps)
+    w1 = eval_chi(cell_sol8, (y + np.array([0.0, eps]))[None], eps)
     assert np.allclose(w0[0], w1[0], atol=1e-10)
 
 
@@ -96,7 +95,7 @@ def test_eval_chi_nodal_exactness(cell_sol8, template8):
         x, y = template8.nodes[n]
         if 0.02 < x < 0.2 and 0.02 < y < 0.2:
             break
-    val, _ = eval_chi(cell_sol8, 0.25 * template8.nodes[n][None], 0.25)
+    val = eval_chi(cell_sol8, 0.25 * template8.nodes[n][None], 0.25)
     assert np.allclose(val[0], cell_sol8.chi[n], atol=1e-12)
 
 
@@ -111,11 +110,10 @@ def test_eval_chi_batched(cell_sol8, template8):
     y = np.vstack([np.unique(template8.nodes[template8.triangles[fl]].reshape(-1, 2), axis=0),
                    template8.nodes[template8.triangles[fl]].mean(axis=1)])
     X = eps * (y + np.array([1.0, 2.0]))
-    vals, grads = eval_chi(cell_sol8, X, eps)
-    assert vals.shape == (len(X), 2) and grads.shape == (len(X), 2, 2)
-    for x, v, g in zip(X, vals, grads):
-        v1, g1 = eval_chi(cell_sol8, x[None], eps)
-        assert np.array_equal(v, v1[0]) and np.array_equal(g, g1[0])
+    vals = eval_chi(cell_sol8, X, eps)
+    assert vals.shape == (len(X), 2)
+    for x, v in zip(X, vals):
+        assert np.array_equal(v, eval_chi(cell_sol8, x[None], eps)[0])
     # one point in the hole fails the whole batch and is named
     bad = np.vstack([X[:3], [0.5 * eps, 0.5 * eps], X[3:5]])
     with pytest.raises(OutsideDomainError, match=r"\[0\.125, 0\.125\]"):
@@ -128,8 +126,8 @@ def test_chi_odd_under_cell_rotation(cell_sol8):
     pts = [(0.07, 0.11), (0.31, 0.04), (0.13, 0.42)]
     for p in pts:
         q = (1.0 - p[0], 1.0 - p[1])
-        vp, _ = eval_chi(cell_sol8, np.array([p]), 1.0)
-        vq, _ = eval_chi(cell_sol8, np.array([q]), 1.0)
+        vp = eval_chi(cell_sol8, np.array([p]), 1.0)
+        vq = eval_chi(cell_sol8, np.array([q]), 1.0)
         assert np.allclose(vq[0], -vp[0], atol=1e-10)
 
 

@@ -1,5 +1,6 @@
 """Command line front end: subcommands, config parsing and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,32 @@ def test_threads_below_one_rejected(value, monkeypatch, capsys):
     assert "error: HOMOGLAB_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("var, value", [("OMP_NUM_THREADS", "0"),
+                                        ("OPENBLAS_NUM_THREADS", "0"),
+                                        ("OPENBLAS_NUM_THREADS", "x")])
+def test_preset_blas_threads_checked(var, value, monkeypatch, capsys):
+    """A thread variable already in the environment is kept, so it must be
+    a valid count too: OpenBLAS reads 0 as "every core"."""
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        cli._configure_threads()
+    assert exc.value.code == 1
+    assert f"error: {var} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["--kind", "template", "--href", "1/8"],
+     "3d066d619049d4de6d0fc625b196f55452b66108ec42b894ed2202f507391b66"),
+    (["--kind", "perforated", "--eps", "1/4", "--href", "1/8"],
+     "992017af49bc20e6b8d28dcf3f911d4fd85ce0ce06d405b0906b68d3ea707af4")],
+    ids=["template", "perforated"])
+def test_mesh_dump_bytes(argv, sha256, capsys):
+    # pinned to the dumps of the stored-cell meshes: deriving each cell from
+    # floor(x / eps) changes no byte
+    assert cli.main(["mesh", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_mesh_command(capsys):
     rc = cli.main(["mesh", "--kind", "template", "--href", "1/8"])
     assert rc == 0
@@ -101,7 +128,13 @@ def test_mesh_command_to_file(tmp_path, capsys):
                    "--out", str(out_file)])
     assert rc == 0
     assert out_file.exists()
-    assert "OUTER" in out_file.read_text()
+    lines = out_file.read_text().splitlines()
+    assert "OUTER" in lines[-1]
+    # a domain mesh has no cells: its triangle lines end with the region
+    assert lines[0] == "25 nodes 32 triangles 16 edges"
+    tri_lines = lines[1 + 25:1 + 25 + 32]
+    assert {len(line.split()) for line in tri_lines} == {4}
+    assert all(line.endswith(" FLUID") for line in tri_lines)
 
 
 def test_cell_command(tmp_path, capsys):

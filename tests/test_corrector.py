@@ -20,13 +20,13 @@ def hom_field(a_mesh32, cell_sol8):
 
 
 @pytest.fixture(scope="module")
-def sweep(template8, cell_sol8, a_mesh32, hom_field):
+def sweep(cell_sol8, a_mesh32, hom_field):
     """Correctors with and without cutoff over three cell sizes."""
     out = {}
     for eps in (0.25, 0.125, 0.0625):
         cfg = geometry.DomainConfig(eps=eps, hole_radius=0.25, hole_poly=32,
                                     k_rect=K_RECT, h_ref=1.0 / 8.0)
-        bundle = spectral.build_perforated_bundle(cfg, template8)
+        bundle = spectral.build_perforated_bundle(cfg)
         u_off = corr.build_corrector(hom_field[:, None], a_mesh32, cell_sol8,
                                      eps, bundle, cutoff=False)[0]
         u_on = corr.build_corrector(hom_field[:, None], a_mesh32, cell_sol8,
@@ -40,7 +40,7 @@ def test_no_hole_corrector_is_interpolant(a_mesh32, hom_field):
     sol0 = solve_cell_problem(cell0)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.0, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    bundle = spectral.build_perforated_bundle(cfg, cell0)
+    bundle = spectral.build_perforated_bundle(cfg)
     U = corr.build_corrector(hom_field[:, None], a_mesh32, sol0, 0.25, bundle,
                              cutoff=False)
     interp = geometry.interpolate(

@@ -18,10 +18,8 @@ def _single_triangle(pts):
         nodes=np.asarray(pts, dtype=float),
         triangles=np.array([[0, 1, 2]], dtype=np.int64),
         tri_region=np.zeros(1, dtype=np.int64),
-        tri_cell=np.full((1, 2), -1, dtype=np.int64),
         boundary_edges=np.empty((0, 2), dtype=np.int64),
         edge_kind=np.empty(0, dtype=np.int64),
-        edge_cell=np.empty((0, 2), dtype=np.int64),
     )
 
 
@@ -74,9 +72,8 @@ def _sub_mesh(mesh, tris, edges):
     return geometry.Mesh(
         nodes=mesh.nodes, triangles=mesh.triangles[tris],
         tri_region=np.zeros(len(tris), dtype=np.int64),
-        tri_cell=mesh.tri_cell[tris],
         boundary_edges=mesh.boundary_edges[edges],
-        edge_kind=mesh.edge_kind[edges], edge_cell=mesh.edge_cell[edges],
+        edge_kind=mesh.edge_kind[edges],
         eps=mesh.eps,
     )
 
@@ -86,14 +83,15 @@ def _bitwise_equal(A, B):
             and np.array_equal(A.indptr, B.indptr))
 
 
-def test_index_set_assembly_matches_sub_mesh(bundle_quarter):
+def test_index_set_assembly_matches_sub_mesh(bundle_quarter, template8):
     mesh = bundle_quarter.mesh
     fluid = mesh.fluid_triangles()
     hole_bdry = np.nonzero(mesh.edge_kind == geometry.HOLE_BDRY)[0]
+    iy, ix = np.divmod(fluid // template8.n_triangles, 4)   # cells run row by row
     tri_sets = {
         "hole": np.nonzero(mesh.tri_region == geometry.HOLE)[0],
         "all": np.arange(mesh.n_triangles),
-        "fluid subset": fluid[(mesh.tri_cell[fluid, 0] + mesh.tri_cell[fluid, 1]) % 2 == 0],
+        "fluid subset": fluid[(ix + iy) % 2 == 0],
     }
     coeff = np.array([[2.0, 0.3], [0.3, 1.0]])
     for name, tris in tri_sets.items():
@@ -106,7 +104,8 @@ def test_index_set_assembly_matches_sub_mesh(bundle_quarter):
             assert _bitwise_equal(got, ref), name
     edge_sets = {
         "hole_bdry": hole_bdry,
-        "one column of cells": hole_bdry[mesh.edge_cell[hole_bdry, 0] == 1],
+        "one column of cells": hole_bdry[mesh.cells(
+            mesh.nodes[mesh.boundary_edges[hole_bdry]].mean(axis=1))[:, 0] == 1],
     }
     for name, edges in edge_sets.items():
         sub = _sub_mesh(mesh, np.empty(0, dtype=np.int64), edges)
@@ -140,12 +139,12 @@ def test_robin_mass_support(bundle_quarter):
     # default K: exactly the 12 boundary-cell holes contribute
     R = fem.assemble_robin_mass(mesh, k_rect=K_RECT)
     contributing = set()
-    for (a, b), kind, cix in zip(mesh.boundary_edges, mesh.edge_kind, mesh.edge_cell):
+    for (a, b), kind in zip(mesh.boundary_edges, mesh.edge_kind):
         if kind != geometry.HOLE_BDRY:
             continue
         mid = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
         if not geometry.point_in_closed_rect(K_RECT, mid):
-            contributing.add((int(cix[0]), int(cix[1])))
+            contributing.add((int(mid[0] // 0.25), int(mid[1] // 0.25)))
     assert len(contributing) == 12
     assert all(c not in contributing for c in [(1, 1), (1, 2), (2, 1), (2, 2)])
     # R carries less mass than the unrestricted matrix, but not none
@@ -364,13 +363,13 @@ def _reference_mass(mesh, tris=None):
     return mat
 
 
-def test_assembly_matches_concatenated_coo(template8):
+def test_assembly_matches_concatenated_coo():
     """Stiffness and mass written into preallocated int32 blocks equal the
     list-and-concatenate assembly bitwise, index dtype included."""
     coeff = np.array([[2.0, 0.3], [0.3, 1.0]])
     for eps in (1 / 8, 1 / 16):
         cfg = DomainConfig(eps=eps, hole_radius=0.25, k_rect=K_RECT, h_ref=1.0 / 8.0)
-        mesh = build_perforated_mesh(cfg, template8)
+        mesh = build_perforated_mesh(cfg)
         hole = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
         every = np.arange(mesh.n_triangles)
         cases = {

@@ -3,13 +3,14 @@
 import ast
 import dataclasses
 import gc
+import inspect
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homoglab import geometry
+from homoglab import geometry, spectral
 from homoglab.cell import solve_cell_problem
 from homoglab.errors import ConfigError, GeometryError
 from homoglab.geometry import (DomainConfig, build_cell_mesh,
@@ -121,8 +122,9 @@ def test_periodic_face_matching(template8):
 def test_perforated_mesh_tiling(template8):
     cfg = DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                        k_rect=K_RECT, h_ref=1.0 / 8.0)
-    mesh = build_perforated_mesh(cfg, template8)
-    assert np.unique(mesh.edge_cell[mesh.edge_kind == geometry.HOLE_BDRY], axis=0).shape == (16, 2)
+    mesh = build_perforated_mesh(cfg)
+    hole_edges = mesh.boundary_edges[mesh.edge_kind == geometry.HOLE_BDRY]
+    assert np.unique(mesh.cells(mesh.nodes[hole_edges].mean(axis=1)), axis=0).shape == (16, 2)
     assert mesh.eps == 0.25
     # fluid area is 16 scaled copies of the template fluid area
     assert mesh.fluid_area() == pytest.approx(template8.fluid_area(), abs=1e-12)
@@ -134,17 +136,16 @@ def test_perforated_mesh_tiling(template8):
 
 
 def test_perforated_mesh_no_hole_half():
-    cell = build_cell_mesh(0.0, 32, 1.0 / 8.0)
     cfg = DomainConfig(eps=0.5, hole_radius=0.0, hole_poly=32,
                        k_rect=K_RECT, h_ref=1.0 / 8.0)
-    mesh = build_perforated_mesh(cfg, cell)
+    mesh = build_perforated_mesh(cfg)
     assert not (mesh.edge_kind == geometry.HOLE_BDRY).any()
     assert mesh.fluid_area() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grads_of_a_triangle_subset(template8):
+def test_grads_of_a_triangle_subset():
     cfg = DomainConfig(eps=1 / 4, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
-    mesh = build_perforated_mesh(cfg, template8)
+    mesh = build_perforated_mesh(cfg)
     hole = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
     for tris in (mesh.fluid_triangles(), hole, np.array([7, 0, 7])):
         assert mesh.grads(tris).tobytes() == mesh.grads()[tris].tobytes()
@@ -159,11 +160,10 @@ def test_grads_of_a_triangle_subset(template8):
     assert not hasattr(mesh, "_grads")
 
 
-def test_tiled_mesh_dtypes(template8):
+def test_tiled_mesh_dtypes():
     cfg = DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
-    mesh = build_perforated_mesh(cfg, template8)
+    mesh = build_perforated_mesh(cfg)
     want = {"nodes": np.float64, "triangles": np.int32, "boundary_edges": np.int32,
-            "tri_cell": np.int32, "edge_cell": np.int32,
             "tri_region": np.int8, "edge_kind": np.int8}
     assert {name: getattr(mesh, name).dtype for name in want} == want
 
@@ -190,7 +190,7 @@ def test_tiled_mesh_does_not_keep_its_template():
     so the template is freed while the tiled mesh lives on."""
     cfg = DomainConfig(eps=1 / 4, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
     template = build_cell_mesh(0.25, 32, 1 / 8)
-    mesh = build_perforated_mesh(cfg, template)
+    mesh = geometry.tile_template(cfg, template)
     ref = weakref.ref(template)
     gc.disable()
     try:
@@ -331,14 +331,52 @@ def test_no_untyped_mesh_metadata():
     assert "meta" not in {f.name for f in dataclasses.fields(geometry.Mesh)}
 
 
+def test_cells_are_derived_not_stored():
+    """A mesh stores no per-triangle or per-edge cell: `Mesh` has no such
+    field, no module reads one, and a perforated mesh is a function of its
+    DomainConfig alone, with no template argument."""
+    fields = {f.name for f in dataclasses.fields(geometry.Mesh)}
+    assert not fields & {"tri_cell", "edge_cell"}
+    assert not hasattr(geometry, "_NO_CELL")
+    src = Path(geometry.__file__).parent
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in ("tri_cell", "edge_cell")]
+    assert offenders == []
+    for fn in (build_perforated_mesh, spectral.build_perforated_bundle,
+               spectral.solve_perforated_evp):
+        params = list(inspect.signature(fn).parameters)
+        assert params[0] == "cfg" and not {"cell", "cell_mesh", "template"} & set(params), fn
+    # the cell size: eps tiled, 1 for the template (one cell), 0 without cells
+    assert build_perforated_mesh(DomainConfig(eps=1 / 4, hole_radius=0.25)).eps == 0.25
+    assert build_cell_mesh(0.25, 32, 1 / 8).eps == build_cell_mesh(0.0, 32, 1 / 8).eps == 1.0
+    assert build_domain_mesh(K_RECT, 0.5 / 8).eps == 0.0
+
+
+def test_perforated_bundle_builds_one_template_and_one_tiling(monkeypatch):
+    """`build_perforated_bundle(cfg)` builds its template, tiles it and
+    wraps both in `build_perforated_mesh`, once each."""
+    calls = []
+    for name in ("build_cell_mesh", "tile_template", "build_perforated_mesh"):
+        def counting(*args, _name=name, _fn=getattr(geometry, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, counting)
+    cfg = DomainConfig(eps=1 / 4, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
+    spectral.build_perforated_bundle(cfg)
+    assert sorted(calls) == ["build_cell_mesh", "build_perforated_mesh", "tile_template"]
+
+
 def _reference_tile_template(cfg, cell):
     """The per-cell, per-node tiling loop the array-built `tile_template`
-    replaced, kept as its reference; returns the Mesh fields it filled."""
+    replaced, kept as its reference; returns the Mesh fields it filled and
+    the cell of each triangle and edge ((-1, -1) for an OUTER edge)."""
     n = cfg.n_cells
     eps = cfg.eps
     face_keys = reference_face_keys(cell)
     m = max(max(k) for k in face_keys.values())
-    _NO_CELL = geometry._NO_CELL
+    _NO_CELL = (-1, -1)
     HOLE_BDRY, OUTER = geometry.HOLE_BDRY, geometry.OUTER
 
     shared = {}  # global lattice key -> node id
@@ -443,20 +481,32 @@ def _assert_bitwise(got, ref, what):
 def test_tiling_matches_reference_loop():
     """Array-built tiling equals the per-cell loop bitwise, node numbering,
     edge order and dtypes included, and its FLUID part equals the per-edge
-    loop's FLUID-only copy."""
+    loop's FLUID-only copy.  The cells `Mesh.cells` derives from centroids
+    and midpoints are the loop's own, and no centroid is near a cell side."""
     cases = [(1 / 4, 0.25, 1 / 8), (1 / 8, 0.25, 1 / 8), (1 / 64, 0.25, 1 / 8),
              (1 / 4, 0.0, 1 / 8),      # hole-free template
              (1 / 6, 0.25, 1 / 16)]
     for eps, r, h_ref in cases:
         cfg = DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref)
         cell = build_cell_mesh(r, 32, h_ref)
-        mesh = build_perforated_mesh(cfg, cell)
+        mesh = build_perforated_mesh(cfg)
         ref_full = _reference_tile_template(cfg, cell)
         ref_perf = _reference_perforate(ref_full)
         where = f"at eps={eps}, r={r}, h_ref={h_ref}"
-        for name in ("nodes", "triangles", "tri_region", "tri_cell",
-                     "boundary_edges", "edge_kind", "edge_cell"):
+        for name in ("nodes", "triangles", "tri_region", "boundary_edges", "edge_kind"):
             _assert_bitwise(getattr(mesh, name), ref_full[name], f"full {name} {where}")
+        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+        tri_cell = mesh.cells(centroids)
+        hole = mesh.edge_kind == geometry.HOLE_BDRY
+        edge_cell = np.full((len(hole), 2), -1, dtype=np.int32)
+        edge_cell[hole] = mesh.cells(mesh.nodes[mesh.boundary_edges[hole]].mean(axis=1))
+        c = np.arange(mesh.n_triangles) // cell.n_triangles   # cells run row by row
+        _assert_bitwise(tri_cell, np.column_stack([c % cfg.n_cells, c // cfg.n_cells])
+                        .astype(np.int32), f"cells of triangle t // T {where}")
+        _assert_bitwise(tri_cell, ref_full["tri_cell"], f"full tri_cell {where}")
+        _assert_bitwise(edge_cell, ref_full["edge_cell"], f"full edge_cell {where}")
+        offset = centroids / eps - tri_cell
+        assert np.minimum(offset, 1.0 - offset).min() >= 0.02, where
         to_full = ref_perf["fluid_to_full"]
         fl = mesh.fluid_triangles()
         _assert_bitwise(np.nonzero(mesh.fluid_nodes())[0], to_full, f"fluid nodes {where}")
@@ -465,11 +515,11 @@ def test_tiling_matches_reference_loop():
                 (mesh.triangles[fl], to_full[ref_perf["triangles"]].astype(np.int32),
                  "triangles"),
                 (mesh.tri_region[fl], ref_perf["tri_region"], "tri_region"),
-                (mesh.tri_cell[fl], ref_perf["tri_cell"], "tri_cell"),
+                (tri_cell[fl], ref_perf["tri_cell"], "tri_cell"),
                 (mesh.boundary_edges, to_full[ref_perf["boundary_edges"]].astype(np.int32),
                  "boundary_edges"),
                 (mesh.edge_kind, ref_perf["edge_kind"], "edge_kind"),
-                (mesh.edge_cell, ref_perf["edge_cell"], "edge_cell")):
+                (edge_cell, ref_perf["edge_cell"], "edge_cell")):
             _assert_bitwise(got, ref, f"perforated {name} {where}")
 
 
@@ -478,7 +528,7 @@ def test_tiled_mesh_conformity(template8):
     declared boundary edges of the tiled and the perforated mesh."""
     cfg = DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT, h_ref=1 / 8)
     n, m = cfg.n_cells, int(geometry.face_keys(template8).max())
-    mesh = build_perforated_mesh(cfg, template8)
+    mesh = build_perforated_mesh(cfg)
 
     def edge_set(kind):
         return {tuple(sorted(map(int, e))) for e in mesh.boundary_edges[mesh.edge_kind == kind]}

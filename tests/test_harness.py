@@ -177,9 +177,9 @@ def test_each_eps_bundle_is_freed_before_the_next(monkeypatch):
     build = spectral.build_perforated_bundle
     refs = []
 
-    def tracking(cfg, cell_mesh=None):
+    def tracking(cfg):
         assert [ref() for ref in refs] == [None] * len(refs), f"at eps={cfg.eps}"
-        bundle = build(cfg, cell_mesh)
+        bundle = build(cfg)
         refs.extend((weakref.ref(bundle), weakref.ref(bundle.mesh)))
         return bundle
 

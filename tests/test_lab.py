@@ -150,16 +150,30 @@ def test_sharp_constants_bound_white_noise(bundle_quarter, cell_sol8):
         assert row.worst_ratio >= noise[name], name
 
 
-def test_volsup_empty_subdomain(template8, cell_sol8):
+def test_volsup_empty_subdomain(cell_sol8):
     # at eps = 1/2 every cell overlaps K, so Omega_eps^K is empty
     cfg = geometry.DomainConfig(eps=0.5, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    bundle = spectral.build_perforated_bundle(cfg, template8)
+    bundle = spectral.build_perforated_bundle(cfg)
     with pytest.raises(ConfigError):
         lab.check_volsup(bundle, cell_sol8, K_RECT)
 
 
-def _volsup_support_per_cell(mesh, n, k_rect):
+def _reference_cells(mesh, template, n):
+    """The cell of every triangle and of every HOLE_BDRY edge, from the
+    tiling order alone: cells run row by row, each adding the template's
+    triangles and its HOLE_BDRY edges in template order."""
+    c = np.arange(mesh.n_triangles) // template.n_triangles
+    tri_cell = np.column_stack([c % n, c // n]).astype(np.int32)
+    hole = mesh.edge_kind == geometry.HOLE_BDRY
+    c = np.arange(np.count_nonzero(hole)) // np.count_nonzero(
+        template.edge_kind == geometry.HOLE_BDRY)
+    edge_cell = np.full((len(hole), 2), -1, dtype=np.int32)
+    edge_cell[hole] = np.column_stack([c % n, c // n])
+    return tri_cell, edge_cell
+
+
+def _volsup_support_per_cell(mesh, tri_cell, edge_cell, n, k_rect):
     """Reference selection: loop over the n x n cells, keep the FLUID
     triangles and HOLE_BDRY edges of those off K."""
     eps = mesh.eps
@@ -172,9 +186,9 @@ def _volsup_support_per_cell(mesh, n, k_rect):
             if x1 <= kx0 or x0 >= kx1 or y1 <= ky0 or y0 >= ky1:
                 ok_cells.add((ix, iy))
     tri_mask = np.array([reg == geometry.FLUID and (int(cx), int(cy)) in ok_cells
-                         for reg, (cx, cy) in zip(mesh.tri_region, mesh.tri_cell)])
+                         for reg, (cx, cy) in zip(mesh.tri_region, tri_cell)])
     edge_mask = np.array([kind == geometry.HOLE_BDRY and (int(cx), int(cy)) in ok_cells
-                          for kind, (cx, cy) in zip(mesh.edge_kind, mesh.edge_cell)])
+                          for kind, (cx, cy) in zip(mesh.edge_kind, edge_cell)])
     return np.nonzero(tri_mask)[0], np.nonzero(edge_mask)[0]
 
 
@@ -182,9 +196,16 @@ def _volsup_support_per_cell(mesh, n, k_rect):
 def test_volsup_support_matches_per_cell_loop(template8, eps):
     cfg = geometry.DomainConfig(eps=eps, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    mesh = geometry.build_perforated_mesh(cfg, template8)
+    mesh = geometry.build_perforated_mesh(cfg)
+    tri_cell, edge_cell = _reference_cells(mesh, template8, cfg.n_cells)
+    # the cells Mesh.cells derives from centroids and midpoints are the same
+    hole = mesh.edge_kind == geometry.HOLE_BDRY
+    assert mesh.cells(mesh.nodes[mesh.triangles].mean(axis=1)).tobytes() == tri_cell.tobytes()
+    assert mesh.cells(mesh.nodes[mesh.boundary_edges[hole]].mean(axis=1)).tobytes() \
+        == edge_cell[hole].tobytes()
     tris, edges = lab._volsup_support(mesh, K_RECT)
-    ref_tris, ref_edges = _volsup_support_per_cell(mesh, cfg.n_cells, K_RECT)
+    ref_tris, ref_edges = _volsup_support_per_cell(mesh, tri_cell, edge_cell,
+                                                   cfg.n_cells, K_RECT)
     assert len(tris) and len(edges)
     assert np.array_equal(tris, ref_tris)
     assert np.array_equal(edges, ref_edges)

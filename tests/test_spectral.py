@@ -92,7 +92,7 @@ def test_apply_Keps(spec_quarter, bundle_quarter):
         spectral.apply_Keps(b_dir, np.zeros(b_dir.red.dim))
 
 
-def test_one_factorization_per_bundle(monkeypatch, template8):
+def test_one_factorization_per_bundle(monkeypatch):
     from homoglab import eigensolve
     original = eigensolve.factorized_solver
     made = []
@@ -105,7 +105,7 @@ def test_one_factorization_per_bundle(monkeypatch, template8):
     monkeypatch.setattr(eigensolve, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    spec, bundle = spectral.solve_perforated_evp(cfg, 4, cell_mesh=template8)
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
     for j in range(2):
         spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
     assert made == [bundle.A.shape]
@@ -143,10 +143,8 @@ def _fluid_only_mesh(cfg, cell):
         nodes=full.nodes[used],
         triangles=new_of_old[tris],
         tri_region=np.zeros(len(tris), dtype=np.int64),
-        tri_cell=full.tri_cell[keep_tri],
         boundary_edges=new_of_old[full.boundary_edges[keep_edge]],
         edge_kind=full.edge_kind[keep_edge],
-        edge_cell=full.edge_cell[keep_edge],
         eps=cfg.eps,
     )
     return geometry._validate(mesh, "perforated mesh"), np.nonzero(used)[0]
@@ -161,9 +159,8 @@ def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
     the nodes off Omega_eps gives the reduced matrices of the FLUID-only
     copy bitwise."""
     cfg = geometry.DomainConfig(eps=eps, hole_radius=r, k_rect=K_RECT, h_ref=h_ref)
-    cell = geometry.build_cell_mesh(r, 32, h_ref)
-    bundle = spectral.build_perforated_bundle(cfg, cell)
-    ref_mesh, fluid_to_full = _fluid_only_mesh(cfg, cell)
+    bundle = spectral.build_perforated_bundle(cfg)
+    ref_mesh, fluid_to_full = _fluid_only_mesh(cfg, geometry.build_cell_mesh(r, 32, h_ref))
     ref = fem.apply_constraints(
         fem.assemble_stiffness(ref_mesh), fem.assemble_mass(ref_mesh),
         fem.assemble_robin_mass(ref_mesh, K_RECT),
@@ -202,7 +199,7 @@ def test_extend_linear_field(bundle_quarter):
     assert np.allclose(out[interior], lin[interior], atol=1e-10)
 
 
-def test_extend_factorizes_once(template8, monkeypatch):
+def test_extend_factorizes_once(monkeypatch):
     # the hole Laplacian S_ii is factorized on the first call and reused
     from homoglab import eigensolve
     made = []
@@ -216,7 +213,7 @@ def test_extend_factorizes_once(template8, monkeypatch):
     monkeypatch.setattr(spectral, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    bundle = spectral.build_perforated_bundle(cfg, template8)
+    bundle = spectral.build_perforated_bundle(cfg)
     u = np.random.default_rng(3).standard_normal(bundle.red.dim)
     first = spectral.extend_Teps(bundle, u)
     second = spectral.extend_Teps(bundle, u)
@@ -224,14 +221,14 @@ def test_extend_factorizes_once(template8, monkeypatch):
     assert first.tobytes() == second.tobytes()
 
 
-def test_extension_energy_uniform(template8, spec_quarter, bundle_quarter):
+def test_extension_energy_uniform(spec_quarter, bundle_quarter):
     ratios = []
     for eps, (spec, bundle) in {
         0.25: (spec_quarter, bundle_quarter),
         0.125: spectral.solve_perforated_evp(
             geometry.DomainConfig(eps=0.125, hole_radius=0.25, hole_poly=32,
                                   k_rect=K_RECT, h_ref=1.0 / 8.0),
-            1, cell_mesh=template8),
+            1),
     }.items():
         # int_Omega |grad T_eps u|^2 / int_Omega_eps |grad u|^2
         mesh = bundle.mesh
