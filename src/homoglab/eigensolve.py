@@ -14,6 +14,10 @@ from .errors import SolverError
 _EIG_TOL = 1e-9           # eigen residual bound, relative to 1 + |lambda|
 _SIGN_THRESH = 1e-8       # sign fixing ignores components below this
 _SOURCE_REL_TOL = 1e-10   # source-solve residual bound, relative to |rhs|
+# shift-free Lanczos: a Ritz value's error is quadratic in its residual, so a
+# residual of sqrt(u) |theta| already gives theta to about u
+_RITZ_TOL = float(np.sqrt(np.finfo(float).eps))
+_MIN_NCV = 9              # Krylov basis floor; fewest solves in a sweep of 4..20
 
 
 @dataclass
@@ -94,13 +98,20 @@ def solve_gevp(A, B, k: int, solve=None) -> Spectrum:
 def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
     """k eigenvalues, ascending, of A u = theta B u (A symmetric, B SPD) at the
     end(s) `which` ("LA", "SA", "BE"): shift-free Lanczos from an all-ones
-    start, applying B^-1 with `solve` (factorized_solver(B) unless given)."""
+    start, applying B^-1 with `solve` (factorized_solver(B) unless given).
+
+    Lanczos stops once each Ritz residual is below sqrt(u) |theta|, with a
+    basis of max(2k + 1, 9) vectors, or n if fewer.
+    """
     n = A.shape[0]
+    if k < 1 or k >= n:
+        raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
     if solve is None:
         solve = factorized_solver(B)
     Minv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     try:
         vals = spla.eigsh(A, k=k, M=B, Minv=Minv, which=which, v0=np.ones(n),
+                          ncv=min(n, max(2 * k + 1, _MIN_NCV)), tol=_RITZ_TOL,
                           return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc

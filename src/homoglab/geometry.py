@@ -469,7 +469,7 @@ def write_mesh_text(mesh: Mesh) -> str:
     out = io.StringIO()
     out.write(f"{mesh.n_nodes} nodes {mesh.n_triangles} triangles "
               f"{len(mesh.boundary_edges)} edges\n")
-    for x, y in mesh.nodes:
+    for x, y in mesh.nodes.tolist():
         out.write(f"{x!r} {y!r}\n")
     region_name = {FLUID: "FLUID", HOLE: "HOLE"}
     tri_cells, edge_cells = (mesh.cells(mesh.nodes[ends].mean(axis=1)) if mesh.eps

@@ -87,8 +87,9 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
                        u_fn, v_fn) -> LabRow:
     """|int chi^1(x/eps) u v| / (eps ||u||_H1 ||v||_H1) by centroid quadrature.
 
-    u_fn and v_fn map points (P, 2) to values (P,); the H1 norms are taken
-    over Omega_eps, the FLUID triangles, from the nodal values on the mesh.
+    u_fn and v_fn map points (P, 2) to values (P,) and vanish on the outer
+    boundary; the H1 norms over Omega_eps come from the bundle's S and M at
+    the nodes of the reduced DoFs.
     """
     mesh = bundle.mesh
     eps = mesh.eps
@@ -99,12 +100,9 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     chi_val = eval_chi(sol, centroids, eps)
     total = float(np.sum(areas * chi_val[:, 0] * u_fn(centroids) * v_fn(centroids)))
 
-    S = fem.assemble_stiffness(mesh)
-    M = fem.assemble_mass(mesh)
-    uu = u_fn(mesh.nodes)
-    vv = v_fn(mesh.nodes)
-    nu = np.sqrt(float(uu @ (S @ uu)) + float(uu @ (M @ uu)))
-    nv = np.sqrt(float(vv @ (S @ vv)) + float(vv @ (M @ vv)))
+    dof_nodes = mesh.nodes[bundle.red.keep]
+    nu, nv = (np.sqrt(float(w @ (bundle.S @ w)) + float(w @ (bundle.M @ w)))
+              for w in (u_fn(dof_nodes), v_fn(dof_nodes)))
     if nu == 0.0 or nv == 0.0:
         ratio = 0.0
     else:

@@ -3,9 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from homoglab import cli
+from homoglab import cli, geometry
 from homoglab.errors import ConfigError
 
 
@@ -71,17 +72,31 @@ def test_preset_blas_threads_checked(var, value, monkeypatch, capsys):
     assert f"error: {var} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, sha256", [
+_K_RECT = (0.25, 0.25, 0.75, 0.75)
+
+
+@pytest.mark.parametrize("argv, build, sha256", [
     (["--kind", "template", "--href", "1/8"],
-     "3d066d619049d4de6d0fc625b196f55452b66108ec42b894ed2202f507391b66"),
+     lambda: geometry.build_cell_mesh(0.25, 32, 1.0 / 8.0),
+     "6ff619e2186bc23d18044d5b6f4431463856b9c537107a70328da286ae7e6cb6"),
     (["--kind", "perforated", "--eps", "1/4", "--href", "1/8"],
-     "992017af49bc20e6b8d28dcf3f911d4fd85ce0ce06d405b0906b68d3ea707af4")],
+     lambda: geometry.build_perforated_mesh(geometry.DomainConfig(
+         eps=0.25, hole_radius=0.25, hole_poly=32, k_rect=_K_RECT, h_ref=1.0 / 8.0)),
+     "93acba40cd18a2d4431a19a7e7ad41f1049957dd5ac1a296daf50c78638ea2c3")],
     ids=["template", "perforated"])
-def test_mesh_dump_bytes(argv, sha256, capsys):
-    # pinned to the dumps of the stored-cell meshes: deriving each cell from
-    # floor(x / eps) changes no byte
+def test_mesh_dump_bytes(argv, build, sha256, capsys):
+    # pinned to the dumps with plain float node coordinates; they differ
+    # from the earlier numpy-scalar dumps only by the np.float64(...) wrappers
     assert cli.main(["mesh", *argv]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    # independent of the pins: every node line reads back bitwise
+    mesh = build()
+    lines = out.splitlines()[1:1 + mesh.n_nodes]
+    assert not any("np." in line for line in lines)
+    nodes = np.array([[float(v) for v in line.split()] for line in lines])
+    assert nodes.shape == mesh.nodes.shape
+    assert nodes.tobytes() == mesh.nodes.tobytes()
 
 
 def test_mesh_command(capsys):

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from homoglab.eigensolve import Spectrum, factorized_solver, solve_gevp, solve_source
+from homoglab import eigensolve
+from homoglab.eigensolve import (Spectrum, extreme_eigenvalues, factorized_solver,
+                                 solve_gevp, solve_source)
 from homoglab.errors import SolverError
 
 
@@ -60,6 +62,36 @@ def test_k_out_of_range():
         solve_gevp(A, A, 0)
     with pytest.raises(SolverError):
         solve_gevp(A, A, 3)
+
+
+def test_extreme_eigenvalues_small_pencils():
+    # theta = a / b is exact on a diagonal pencil; the Krylov basis is
+    # clamped to n, which is below the basis floor of these pencils
+    A2, B2 = sp.diags([2.0, -3.0]).tocsr(), sp.diags([4.0, 1.0]).tocsr()
+    assert extreme_eigenvalues(A2, B2, "LA") == pytest.approx([0.5], rel=1e-12)
+    assert extreme_eigenvalues(A2, B2, "SA") == pytest.approx([-3.0], rel=1e-12)
+    A4 = sp.diags([3.0, -1.0, 2.0, 5.0]).tocsr()
+    B4 = sp.diags([1.0, 2.0, 1.0, 0.5]).tocsr()
+    assert extreme_eigenvalues(A4, B4, "LA") == pytest.approx([10.0], rel=1e-12)
+    assert extreme_eigenvalues(A4, B4, "SA") == pytest.approx([-0.5], rel=1e-12)
+    assert extreme_eigenvalues(A4, B4, "BE", k=2) == pytest.approx([-0.5, 10.0], rel=1e-12)
+    assert extreme_eigenvalues(A4, B4, "LA", k=3) == pytest.approx([2.0, 3.0, 10.0],
+                                                                   rel=1e-12)
+
+
+def test_extreme_eigenvalues_k_out_of_range(monkeypatch):
+    # rejected before B is factorized
+    def no_factorization(B):
+        raise AssertionError("factorized before k was checked")
+
+    monkeypatch.setattr(eigensolve, "factorized_solver", no_factorization)
+    A2, B2 = sp.diags([2.0, -3.0]).tocsr(), sp.diags([4.0, 1.0]).tocsr()
+    with pytest.raises(SolverError, match="k=2, n=2"):
+        extreme_eigenvalues(A2, B2, "BE", k=2)
+    A4 = sp.identity(4, format="csr")
+    for k in (0, 4, 5):
+        with pytest.raises(SolverError):
+            extreme_eigenvalues(A4, A4, "LA", k=k)
 
 
 def test_sparse_path_diagonal():
