@@ -16,7 +16,7 @@ def _configure_threads():
     negative count as every core and the report bytes then vary."""
     default = os.environ.get("HOMOGLAB_THREADS", "1")
     for var in ("HOMOGLAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         n = os.environ.setdefault(var, default)
         if not (n.strip().isdecimal() and int(n) >= 1):
             print(f"error: {var} must be an integer >= 1, got {n!r}", file=sys.stderr)
@@ -163,12 +163,16 @@ def _cmd_spectrum(args) -> int:
     cfg = DomainConfig(eps=args.eps, hole_radius=args.radius,
                        hole_poly=args.npoly, k_rect=args.krect, h_ref=args.href)
     spec, bundle = spectral.solve_perforated_evp(cfg, args.k)
+    sectors = [{"dim": s.dim, "weight": s.weight} for s in bundle.sectors]
     print(f"eps = {cfg.eps}, reduced dim = {bundle.red.dim}")
+    print("sector dims = " + " + ".join(
+        f"{s['weight']} x {s['dim']}" if s["weight"] > 1 else str(s["dim"])
+        for s in sectors))
     for j, (lam, res) in enumerate(zip(spec.eigenvalues, spec.residuals), start=1):
         print(f"lambda_{j} = {lam:.12g}   (residual {res:.2e})")
     if args.out is not None:
         payload = {"eps": cfg.eps, "eigenvalues": spec.eigenvalues.tolist(),
-                   "residuals": spec.residuals.tolist()}
+                   "residuals": spec.residuals.tolist(), "sectors": sectors}
         args.out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0

@@ -150,12 +150,13 @@ def visik_check(bundle: DiscreteOperatorBundle, U: np.ndarray, mu: float,
     U is normalized internally to unit eps-norm (idempotent when already
     normalized).  The certificate is exact for the self-adjoint discrete
     operator: while the supplied spectrum ends below 1/mu, twice as many modes
-    are solved with the bundle's factorization.  Once lambda_k >= 1/mu, every
-    later mode has 1/lambda_j <= mu and is no nearer to mu.
+    are solved in the bundle's sectors, with their factorizations.  Once
+    lambda_k >= 1/mu, every later mode has 1/lambda_j <= mu and is no nearer
+    to mu.
     """
     while spectrum.eigenvalues[-1] < 1.0 / mu:
         spectrum = solve_gevp(bundle.A, bundle.M, 2 * spectrum.k,
-                              solve=bundle.solve)
+                              sectors=bundle.sectors)
     U = np.asarray(U, dtype=float)
     A = bundle.A
     nrm = np.sqrt(float(U @ (A @ U)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,28 +35,63 @@ class Spectrum:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """First component exceeding _SIGN_THRESH in absolute value is made positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
+    """First component exceeding _SIGN_THRESH in absolute value is made
+    positive, in place."""
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
         big = np.nonzero(np.abs(col) > _SIGN_THRESH)[0]
         if len(big) and col[big[0]] < 0.0:
-            out[:, j] = -col
-    return out
+            vecs[:, j] = -col
+    return vecs
 
 
-def solve_gevp(A, B, k: int, solve=None) -> Spectrum:
-    """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
+@dataclass
+class Sector:
+    """An invariant subspace of a real pencil (A, B) with basis P: `B` is
+    P^H B P and `solve` applies (P^H A P)^-1.  `basis` maps coordinates to
+    full vectors (`expand`, P y) and a real full vector to coordinates
+    (`restrict`, P^H f); None for the whole space, whose `solve` may be left
+    to be factorized from A on first need.
 
-    Sparse A: shift-invert Lanczos at 0 from a fixed all-ones start vector,
-    inverting A with `solve` (factorized_solver(A) unless given).  Dense A, or
-    k >= n - 1: LAPACK eigh.
+    A complex sector stands for itself and its conjugate, whose eigenpairs are
+    the conjugates of its own: each of its eigenvalues counts twice, and the
+    real and imaginary parts of an expanded eigenvector are two real ones.
     """
-    n = A.shape[0]
-    if k < 1 or k >= n:
-        raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
 
-    if not sp.issparse(A) or k >= n - 1:
+    B: object
+    solve: object = None
+    basis: object = None
+
+    @property
+    def dim(self) -> int:
+        return self.B.shape[0]
+
+    @property
+    def weight(self) -> int:
+        return 2 if self.B.dtype.kind == "c" else 1
+
+    def expand(self, y):
+        return y if self.basis is None else self.basis.expand(y)
+
+    def restrict(self, f):
+        return f if self.basis is None else self.basis.restrict(f)
+
+
+def sector_solver(sectors):
+    """f -> A^-1 f for real f, with A split into `sectors` that together span
+    the space: the sum of weight * Re(P A_s^-1 P^H f) over the sectors."""
+    def solve(f):
+        return sum(s.weight * s.expand(s.solve(s.restrict(f))).real for s in sectors)
+    return solve
+
+
+def _pairs(A, B, k: int, solve):
+    """k smallest eigenpairs, ascending, of the Hermitian pencil (A, B);
+    vectors unnormalized.  Dense A, or k >= n - 1: LAPACK eigh.  Otherwise
+    shift-invert Lanczos at 0 from a fixed all-ones start vector, inverting A
+    with `solve` (factorized_solver(A) when None); A may then be None."""
+    n = B.shape[0]
+    if A is not None and (not sp.issparse(A) or k >= n - 1):
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
         Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
         try:
@@ -63,19 +99,70 @@ def solve_gevp(A, B, k: int, solve=None) -> Spectrum:
         except la.LinAlgError as exc:
             raise SolverError("B is not positive definite") from exc
         vals, vecs = la.eigh(Ad, Bd)
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        if solve is None:
-            solve = factorized_solver(A)
-        OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-        v0 = np.ones(n) / np.sqrt(n)
-        try:
-            vals, vecs = spla.eigsh(A, k=k, M=B, sigma=0.0, which="LM",
-                                    v0=v0, OPinv=OPinv)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"eigensolver did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        return vals[:k], vecs[:, :k]
+    if k >= n - 1:
+        raise SolverError(f"a sector of dimension {n} cannot give {k} modes")
+    if solve is None:
+        solve = factorized_solver(A)
+    OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=B.dtype)
+    v0 = np.ones(n) / np.sqrt(n)
+    try:
+        # in shift-invert mode eigsh applies A only through OPinv
+        vals, vecs = spla.eigsh(OPinv, k=k, M=B, sigma=0.0, which="LM",
+                                v0=v0, OPinv=OPinv)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    if B.dtype.kind == "c":
+        # scipy's complex ARPACK wrapper leaves its workspace, and through
+        # OPinv the LU, in a reference cycle: free them now, not at the next
+        # full collection
+        gc.collect(1)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
+    """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
+
+    The pencil is solved in `sectors`, by default one sector of all of A.
+    Each sector starts at ceil(k / w) + 1 modes (at most k), w the sectors'
+    total weight; a sector whose largest value lies below the merged k-th
+    value is solved again for twice as many.  The k smallest merged pairs are
+    expanded, made B-orthonormal and checked on the full pencil.
+    """
+    n = A.shape[0]
+    if k < 1 or k >= n:
+        raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
+    if sectors is None:
+        sectors = (Sector(B),)
+    start = min(k, -(-k // sum(s.weight for s in sectors)) + 1)
+    want = [min(start, s.dim) for s in sectors]
+    found = [None] * len(sectors)
+    while True:
+        for i, s in enumerate(sectors):
+            if found[i] is None:  # the whole space's pencil is (A, B) itself
+                found[i] = _pairs(A if s.basis is None else None, s.B, want[i],
+                                  s.solve)
+        merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
+                                         in zip(sectors, found)]))
+        kth = merged[k - 1] if len(merged) >= k else np.inf
+        short = [i for i, (v, _) in enumerate(found)
+                 if v[-1] < kth and want[i] < sectors[i].dim]
+        if not short:
+            break
+        for i in short:
+            want[i], found[i] = min(2 * want[i], sectors[i].dim), None
+
+    # candidates in sector order, a complex pair as (real part, imaginary part)
+    cands = [(val, s, vecs, j, part) for s, (vals, vecs) in zip(sectors, found)
+             for j, val in enumerate(vals) for part in range(s.weight)]
+    order = np.argsort([c[0] for c in cands], kind="stable")[:k]
+    vals = np.array([cands[i][0] for i in order])
+    vecs = np.empty((n, k), order="F")  # the layout of eigsh's vectors
+    for col, i in enumerate(order):
+        _, s, Y, j, part = cands[i]
+        x = s.expand(Y[:, j])
+        vecs[:, col] = x.imag if part else x.real
 
     # enforce B-orthonormality explicitly (harmless when already true)
     G = vecs.T @ (B @ vecs)
@@ -119,15 +206,17 @@ def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
 
 
 def factorized_solver(A):
-    """Sparse LU factorization of the symmetric matrix A, returned as the
-    `SuperLU` object's bound `solve`; raises on singular A.
+    """Sparse LU factorization of the Hermitian matrix A in its CSC form,
+    returned as the `SuperLU` object's bound `solve`; raises on singular A.
 
-    A must be symmetric: a CSR A is factorized through its transpose view,
-    which is A's own CSC form, so no copy of A is made beside the LU.
+    A CSR A is factorized through A^H, its conjugate-transpose view, which
+    is A's own CSC form: no copy of a real A is made beside the LU.  (Its
+    plain transpose would be conj(A) when A is complex.)
     """
+    if sp.issparse(A) and A.format == "csr":
+        A = A.conj(copy=False).T
     try:
-        lu = spla.splu(A.T if sp.issparse(A) and A.format == "csr"
-                       else sp.csc_matrix(A))
+        lu = spla.splu(sp.csc_matrix(A))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     return lu.solve

@@ -7,17 +7,29 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, geometry
-from .eigensolve import factorized_solver, solve_gevp, solve_source
+from .eigensolve import (Sector, factorized_solver, sector_solver, solve_gevp,
+                         solve_source)
 from .errors import SolverError
 from .geometry import DomainConfig, Mesh
+
+_C4_TOL = 1e-12          # relative commutator bound for the rotation sectors
+_NODE_LATTICE = 2.0**24  # node positions are matched on this lattice
+_CHARACTERS = (1.0, -1.0, 1j)  # the A, B and E sectors; E's conjugate is implied
+# below this many DoFs the three quarter-size LUs save little memory and, in
+# a sweep, land in fragmented heap: at 80,385 DoFs (eps 1/32, after 1/16)
+# they raised the peak from 180 to 191-196 MB in most runs; at 322,561 they
+# cut it from 580 to 460 MB
+_MIN_SECTOR_DIM = 100_000
 
 
 @dataclass
 class DiscreteOperatorBundle:
-    """Reduced matrices, constraint bookkeeping and the one LU of A; only a
-    perforated bundle carries the Robin mass R."""
+    """Reduced matrices, constraint bookkeeping and the one factorization of
+    A, split over the sectors of A; only a perforated bundle carries the
+    Robin mass R."""
 
     mesh: Mesh
     red: fem.ReducedSystem
@@ -42,9 +54,25 @@ class DiscreteOperatorBundle:
         return self.red.S
 
     @functools.cached_property
+    def sectors(self):
+        """The pencil (A, M) in the sectors of the quarter turn when it is a
+        symmetry of both (see `_rotation_orbits`) and there are at least
+        _MIN_SECTOR_DIM DoFs, else in one sector of every DoF; each sector
+        with its LU, made on first use."""
+        found = _rotation_orbits(self) if self.red.dim >= _MIN_SECTOR_DIM else None
+        if found is None:
+            return (Sector(self.M, factorized_solver(self.A)),)
+        out = []
+        for chi in _CHARACTERS:
+            basis = _SectorBasis(*found, chi, self.red.dim)
+            solve = factorized_solver(basis.project(self.A).tocsc())
+            out.append(Sector(basis.project(self.M), solve, basis))
+        return tuple(out)
+
+    @functools.cached_property
     def solve(self):
-        """`factorized_solver(A)`, made on first use."""
-        return factorized_solver(self.A)
+        """f -> A^-1 f through the sector LUs."""
+        return sector_solver(self.sectors)
 
     @functools.cached_property
     def hole_extension(self):
@@ -62,6 +90,81 @@ class DiscreteOperatorBundle:
         Sh = fem.assemble_stiffness(mesh, tris=hole_tris)
         S_ii = Sh[interior][:, interior]
         return interior, boundary, S_ii, Sh[interior][:, boundary], factorized_solver(S_ii)
+
+
+def _rotation_orbits(bundle: DiscreteOperatorBundle):
+    """The reduced DoFs' orbits under the quarter turn (x, y) -> (1 - y, x):
+    an (m, 4) array whose column g holds the g-th turn of column 0, and the
+    DoFs the turn fixes (the centre, if it is a DoF).
+
+    None unless the turn maps the DoFs onto themselves and A and M commute
+    with it to _C4_TOL relative to their largest entry.
+    """
+    X = bundle.mesh.nodes[bundle.red.keep]
+
+    def codes(Y):
+        key = np.rint(Y * _NODE_LATTICE).astype(np.int64)
+        return (key[:, 0] << 32) + key[:, 1]
+
+    own = codes(X)
+    order = np.argsort(own)
+    own = own[order]
+    turned = codes(np.column_stack([1.0 - X[:, 1], X[:, 0]]))
+    at = np.minimum(np.searchsorted(own, turned), len(own) - 1)
+    if not np.array_equal(own[at], turned):
+        return None
+    turn = order[at]
+    for A in (bundle.A, bundle.M):
+        D = A[turn][:, turn] - A
+        if np.abs(D.data).max(initial=0.0) > _C4_TOL * np.abs(A.data).max():
+            return None
+    idx = np.arange(len(turn))
+    half = turn[turn]
+    orbits = np.column_stack([idx, turn, half, turn[half]])
+    fixed = turn == idx
+    if not (np.array_equal(turn[orbits[:, 3]], idx) and (half != idx)[~fixed].all()):
+        return None
+    first = ~fixed & (idx == orbits.min(axis=1))
+    return orbits[first], idx[fixed]
+
+
+class _SectorBasis:
+    """The basis P of the quarter-turn sector with character chi, kept as
+    the DoF orbits: column o carries chi^g in row orbits[o, g], and in the A
+    sector (chi = 1) each fixed DoF has a column of its own."""
+
+    def __init__(self, orbits: np.ndarray, fixed: np.ndarray, chi, n: int):
+        self.orbits, self.n = orbits, n
+        self.chi = chi ** np.arange(4)
+        self.fixed = fixed if chi == 1.0 else fixed[:0]
+
+    def expand(self, y):
+        """P y."""
+        m = len(self.orbits)
+        x = np.zeros(self.n, dtype=np.result_type(y, self.chi))
+        x[self.orbits] = np.multiply.outer(y[:m], self.chi)
+        x[self.fixed] = y[m:]
+        return x
+
+    def restrict(self, f):
+        """P^H f."""
+        return np.concatenate([f[self.orbits] @ self.chi.conj(), f[self.fixed]])
+
+    def project(self, A):
+        """P^H A P for an A that commutes with the turn.  Row orbits[o, 0]
+        of P is the unit row e_o, so A P = P W gives W = (A P)[those rows],
+        and P^H A P = P^H P W with P^H P = 4 on an orbit and 1 on a fixed
+        DoF: a quarter of A's rows are used.  Made Hermitian to the last
+        bit."""
+        m, k = len(self.orbits), len(self.fixed)
+        P = sp.csr_matrix(
+            (np.concatenate([np.tile(self.chi, m), np.ones(k)]),
+             (np.concatenate([self.orbits.ravel(), self.fixed]),
+              np.concatenate([np.repeat(np.arange(m), 4), m + np.arange(k)]))),
+            shape=(self.n, m + k))
+        first = np.concatenate([self.orbits[:, 0], self.fixed])
+        Z = sp.diags(P.getnnz(axis=0).astype(float)) @ (A[first] @ P)
+        return ((Z + Z.conj().T) * 0.5).tocsr()
 
 
 def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
@@ -83,7 +186,7 @@ def solve_perforated_evp(cfg: DomainConfig, k: int):
     Eigenfunctions come back L2(Omega_eps)-orthonormal on the reduced DoFs.
     """
     bundle = build_perforated_bundle(cfg)
-    spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
+    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
     return spec, bundle
 
 
@@ -105,7 +208,7 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
     if vals.min() <= 0.0:
         raise SolverError(f"a_hom is not positive definite: eigenvalues {vals}")
     bundle = _dirichlet_bundle(a_mesh, coeff=a_hom)
-    spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
+    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
     spec.eigenvalues = spec.eigenvalues / cell_area
     spec.eigenvectors = spec.eigenvectors / np.sqrt(cell_area)
     return spec, bundle
@@ -114,7 +217,7 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
 def solve_dirichlet_laplacian(a_mesh: Mesh, k: int):
     """Plain Dirichlet Laplacian eigenpairs alpha^j on A."""
     bundle = _dirichlet_bundle(a_mesh)
-    spec = solve_gevp(bundle.A, bundle.M, k, solve=bundle.solve)
+    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
     return spec, bundle
 
 

@@ -6,7 +6,7 @@ import os
 # tests see a single-threaded BLAS
 os.environ.setdefault("HOMOGLAB_THREADS", "1")
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import pytest
@@ -67,7 +67,7 @@ def bundle_quarter():
 @pytest.fixture(scope="session")
 def spec_quarter(bundle_quarter):
     b = bundle_quarter
-    return solve_gevp(b.A, b.M, 4, solve=b.solve)
+    return solve_gevp(b.A, b.M, 4, sectors=b.sectors)
 
 
 @pytest.fixture(scope="session")

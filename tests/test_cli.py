@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ def test_threads_below_one_rejected(value, monkeypatch, capsys):
 
 @pytest.mark.parametrize("var, value", [("OMP_NUM_THREADS", "0"),
                                         ("OPENBLAS_NUM_THREADS", "0"),
-                                        ("OPENBLAS_NUM_THREADS", "x")])
+                                        ("OPENBLAS_NUM_THREADS", "x"),
+                                        ("VECLIB_MAXIMUM_THREADS", "0")])
 def test_preset_blas_threads_checked(var, value, monkeypatch, capsys):
     """A thread variable already in the environment is kept, so it must be
     a valid count too: OpenBLAS reads 0 as "every core"."""
@@ -70,6 +72,17 @@ def test_preset_blas_threads_checked(var, value, monkeypatch, capsys):
         cli._configure_threads()
     assert exc.value.code == 1
     assert f"error: {var} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
+
+def test_unset_thread_variables_take_homoglab_threads(monkeypatch):
+    pinned = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    for var in pinned:
+        monkeypatch.setenv(var, "1")  # so that the value set below is undone
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("HOMOGLAB_THREADS", "2")
+    cli._configure_threads()
+    assert {var: os.environ[var] for var in pinned} == dict.fromkeys(pinned, "2")
 
 
 _K_RECT = (0.25, 0.25, 0.75, 0.75)
@@ -169,6 +182,23 @@ def test_spectrum_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "lambda_1" in out and "lambda_2" in out
+
+
+def test_spectrum_command_reports_sectors(tmp_path, capsys, monkeypatch):
+    from homoglab import spectral
+    monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", 0)  # sectors at eps 1/4 too
+    out_file = tmp_path / "spectrum.json"
+    assert cli.main(["spectrum", "--eps", "1/4", "--k", "2", "--out", str(out_file)]) == 0
+    out = capsys.readouterr().out
+    assert "reduced dim = 1201" in out
+    assert "sector dims = 301 + 300 + 2 x 300" in out
+    assert json.loads(out_file.read_text())["sectors"] == [
+        {"dim": 301, "weight": 1}, {"dim": 300, "weight": 1}, {"dim": 300, "weight": 2}]
+    # a 30-gon hole is no quarter-turn symmetry: one sector of every DoF
+    assert cli.main(["spectrum", "--eps", "1/4", "--npoly", "30", "--k", "2",
+                     "--out", str(out_file)]) == 0
+    assert "sector dims = 1201\n" in capsys.readouterr().out
+    assert json.loads(out_file.read_text())["sectors"] == [{"dim": 1201, "weight": 1}]
 
 
 def test_geometry_error_exit_code(capsys):

@@ -134,14 +134,28 @@ def test_solve_source_round_trip(bundle_quarter):
 
 
 def test_factorized_solver_csr_view_matches_csc_copy(bundle_quarter):
-    # a symmetric CSR matrix is factorized through its transpose view; the
-    # solves equal those of its CSC copy bitwise
+    # a CSR matrix is factorized through its conjugate-transpose view, its
+    # own CSC form; the solves equal those of its CSC copy bitwise
     A = bundle_quarter.A
     assert A.format == "csr"
     view, copy = factorized_solver(A), factorized_solver(sp.csc_matrix(A))
     assert isinstance(view.__self__, spla.SuperLU)
     b = np.sin(np.arange(A.shape[0], dtype=float))
     assert view(b).tobytes() == copy(b).tobytes()
+
+
+def test_factorized_solver_complex_hermitian():
+    # the transpose of a complex Hermitian matrix is its conjugate, so only
+    # its own CSC form gives the right solves
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    H = X @ X.conj().T + 6.0 * np.eye(6)
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    want = np.linalg.solve(H, b)
+    for A in (sp.csr_matrix(H), sp.csc_matrix(H)):
+        solve = factorized_solver(A)
+        assert isinstance(solve.__self__, spla.SuperLU)
+        assert np.allclose(solve(b), want, rtol=1e-12, atol=1e-14)
 
 
 def test_solve_source_singular():

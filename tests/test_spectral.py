@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from homoglab import fem, geometry, spectral
+from homoglab import eigensolve, fem, geometry, spectral
 from homoglab.eigensolve import solve_gevp
 from homoglab.errors import SolverError
 
@@ -105,10 +108,20 @@ def test_one_factorization_per_bundle(monkeypatch):
     monkeypatch.setattr(eigensolve, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
-    for j in range(2):
-        spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
-    assert made == [bundle.A.shape]
+    # the three sectors at any size, then the one LU of a small bundle
+    for min_dim, weights in ((0, [1, 1, 2]), (spectral._MIN_SECTOR_DIM, [1])):
+        monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", min_dim)
+        made.clear()
+        spec, bundle = spectral.solve_perforated_evp(cfg, 4)
+        # one LU per sector, all made by the solve; the complex sector
+        # stands for two, so the sectors cover the reduced DoFs
+        sectors = [(s.dim, s.dim) for s in bundle.sectors]
+        assert made == sectors
+        assert [s.weight for s in bundle.sectors] == weights
+        assert sum(s.weight * s.dim for s in bundle.sectors) == bundle.red.dim
+        for j in range(2):
+            spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
+        assert made == sectors
 
 
 def test_rayleigh_quotient(spec_quarter, bundle_quarter):
@@ -238,3 +251,128 @@ def test_extension_energy_uniform(spec_quarter, bundle_quarter):
         assert r >= 1.0 - 1e-12
         ratios.append(r)
     assert max(ratios) / min(ratios) <= 2.0
+
+
+# the default geometry, with a hole at the centre for odd n (eps 1/5), and the
+# coarser-polygon geometry of the lab tests
+_SYMMETRIC = {"eps4": dict(eps=1 / 4), "eps5": dict(eps=1 / 5), "eps8": dict(eps=1 / 8),
+              "eps16": dict(eps=1 / 16),
+              "r02_24gon": dict(eps=1 / 8, hole_radius=0.2, hole_poly=24, h_ref=1 / 12)}
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    """Sectors for symmetric bundles of every size, not only the large ones."""
+    monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", 0)
+
+
+def _bundle(**kw):
+    return spectral.build_perforated_bundle(geometry.DomainConfig(
+        **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}))
+
+
+def _basis_matrix(sector):
+    """The sector's P, column by column through its expand."""
+    return sp.csr_matrix(np.column_stack([sector.expand(e) for e in np.eye(sector.dim)]))
+
+
+@pytest.mark.parametrize("kw", _SYMMETRIC.values(), ids=_SYMMETRIC.keys())
+def test_rotation_sectors(kw, any_size):
+    """The quarter turn is a symmetry: three sectors A, B and E whose bases
+    span the DoFs orthogonally, and eigenvalues that agree with the full
+    solve."""
+    bundle = _bundle(**kw)
+    sectors = bundle.sectors
+    assert [s.weight for s in sectors] == [1, 1, 2]
+    dims = [s.dim for s in sectors]
+    n = bundle.red.dim
+    # the centre node is a DoF for even n and a hole's centre for odd n
+    centre = 1 if round(1 / kw["eps"]) % 2 == 0 else 0
+    assert dims == [dims[1] + centre, dims[1], dims[1]]
+    assert dims[0] + dims[1] + 2 * dims[2] == n
+    if n < 5000:  # the bases as matrices, built column by column
+        Ps = [_basis_matrix(s) for s in sectors]
+        Q = sp.hstack(Ps, format="csr")
+        G = (Q.conj().T @ Q).tocoo()
+        G.eliminate_zeros()
+        assert np.array_equal(G.row, G.col) and G.nnz == Q.shape[1]
+        assert sorted(set(G.data)) == ([1.0, 4.0] if centre else [4.0])
+        # restrict is the adjoint of expand
+        f = np.sin(np.arange(n, dtype=float))
+        for s, P in zip(sectors, Ps):
+            assert np.allclose(s.restrict(f), P.conj().T @ f, rtol=0.0, atol=1e-14)
+
+    full = solve_gevp(bundle.A, bundle.M, 4)
+    spec = solve_gevp(bundle.A, bundle.M, 4, sectors=sectors)
+    assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-11, atol=0.0)
+    assert spec.eigenvalues[1] == spec.eigenvalues[2]
+
+
+def _one_lu_eigenvalues(A, M, k):
+    """The one-LU solve: shift-invert Lanczos at 0 from the all-ones start,
+    inverting A through the LU of its CSC form."""
+    n = A.shape[0]
+    OPinv = spla.LinearOperator((n, n), matvec=spla.splu(A.tocsc()).solve, dtype=float)
+    vals, _ = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=np.ones(n) / np.sqrt(n),
+                         OPinv=OPinv)
+    return np.sort(vals)
+
+
+@pytest.mark.parametrize("kw, min_dim", [
+    (dict(eps=1 / 4, hole_poly=30), 0),                    # no node map
+    (dict(eps=1 / 8, k_rect=(0.2, 0.25, 0.7, 0.75)), 0),   # S + R off by 5.5e-4
+    (dict(eps=1 / 4, hole_radius=0.0), 0),                 # one-diagonal grid: M off by 17%
+    (dict(eps=1 / 4), None)],                              # symmetric, but small
+    ids=["30gon", "off_centre_K", "no_hole", "small"])
+def test_one_sector_without_symmetry(kw, min_dim, monkeypatch):
+    if min_dim is not None:
+        monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", min_dim)
+    spec, bundle = spectral.solve_perforated_evp(geometry.DomainConfig(
+        **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}), 4)
+    assert len(bundle.sectors) == 1 and bundle.sectors[0].basis is None
+    ref = _one_lu_eigenvalues(bundle.A, bundle.M, 4)
+    assert spec.eigenvalues.tobytes() == ref.tobytes()
+
+
+def test_sectors_from_min_dim(monkeypatch):
+    n = _bundle(eps=1 / 4).red.dim
+    for min_dim, count in ((n, 3), (n + 1, 1)):
+        monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", min_dim)
+        assert len(_bundle(eps=1 / 4).sectors) == count
+
+
+def test_sector_eigenvalues_match_dense(any_size):
+    """Every k from 1 to 8, against LAPACK on the full pencil."""
+    bundle = _bundle(eps=1 / 4)
+    dense = la.eigh(bundle.A.toarray(), bundle.M.toarray(), eigvals_only=True)
+    for k in range(1, 9):
+        spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
+        assert np.allclose(spec.eigenvalues, dense[:k], rtol=1e-10, atol=0.0), k
+
+
+def test_sector_solved_again(any_size, monkeypatch):
+    """At eps 1/8 and k = 16, a sector's first ceil(16/4) + 1 = 5 values end
+    below the merged 16th, so it is solved again for 10; the merged values
+    match the one-sector solve."""
+    bundle = _bundle(eps=1 / 8)
+    calls = []
+    pairs = eigensolve._pairs
+
+    def counting(A, B, k, solve):
+        calls.append(k)
+        return pairs(A, B, k, solve)
+
+    monkeypatch.setattr(eigensolve, "_pairs", counting)
+    spec = solve_gevp(bundle.A, bundle.M, 16, sectors=bundle.sectors)
+    assert calls[:3] == [5, 5, 5] and 10 in calls[3:]
+    full = solve_gevp(bundle.A, bundle.M, 16)
+    assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-10, atol=0.0)
+
+
+def test_bundle_solve_through_sectors(any_size):
+    bundle = _bundle(eps=1 / 4)
+    b = np.sin(np.arange(bundle.red.dim, dtype=float))
+    want = spla.splu(bundle.A.tocsc()).solve(b)
+    got = bundle.solve(b)
+    assert len(bundle.sectors) == 3 and got.dtype == float
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
