@@ -77,14 +77,6 @@ class Sector:
         return f if self.basis is None else self.basis.restrict(f)
 
 
-def sector_solver(sectors):
-    """f -> A^-1 f for real f, with A split into `sectors` that together span
-    the space: the sum of weight * Re(P A_s^-1 P^H f) over the sectors."""
-    def solve(f):
-        return sum(s.weight * s.expand(s.solve(s.restrict(f))).real for s in sectors)
-    return solve
-
-
 def _pairs(A, B, k: int, solve):
     """k smallest eigenpairs, ascending, of the Hermitian pencil (A, B);
     vectors unnormalized.  Dense A, or k >= n - 1: LAPACK eigh.  Otherwise

@@ -47,6 +47,8 @@ class DomainConfig:
             raise ConfigError(f"eps must equal 1/n for integer n >= 2, got {self.eps}")
         if not (0.0 <= self.hole_radius < 0.5):
             raise ConfigError(f"hole_radius must lie in [0, 0.5), got {self.hole_radius}")
+        if isinstance(self.hole_poly, bool) or not isinstance(self.hole_poly, (int, np.integer)):
+            raise ConfigError(f"hole_poly must be an integer, got {self.hole_poly!r}")
         if self.hole_poly < 8:
             raise ConfigError(f"hole_poly must be >= 8, got {self.hole_poly}")
         x0, y0, x1, y1 = self.k_rect

@@ -51,6 +51,8 @@ class StudyConfig:
             raise ConfigError(f"eps_list repeats a value: {list(self.eps_list)}")
         if len(self.eps_list) < 2:
             raise ConfigError("eps_list needs at least two values for rate fits")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.cell_refine < 1:
@@ -85,8 +87,9 @@ class StudyConfig:
 
 def fit_rate(points) -> dict:
     """Least-squares slope of log(error) against log(eps)."""
+    points = list(points)
     kept = [(e, v) for e, v in points if v > 0.0]
-    dropped = len(list(points)) - len(kept)
+    dropped = len(points) - len(kept)
     if dropped:
         warnings.warn(f"fit_rate: dropped {dropped} nonpositive error values")
     if len(kept) < 2:
@@ -133,7 +136,6 @@ def run_study(cfg: StudyConfig) -> dict:
         "cell_area": cell_sol.cell_area,
         "hole_perimeter": cell_sol.hole_perimeter,
         "c_star": cell_sol.c_star,
-        "c_star_full_boundary": (cell_sol.hole_perimeter + 4.0) / cell_sol.cell_area,
         "a_hom": cell_sol.a_hom.tolist(),
     }
 
@@ -225,13 +227,9 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
                 rows[j]["l2_err"] = float(res.l2_errors[pos])
 
     if "EIGENSPACE" in cfg.modes:
-        mesh = bundle.mesh
-        M_omega = fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles))
         cl = clusters[0]
-        ext = np.stack([spectral.extend_Teps(bundle, spec_eps.eigenvectors[:, j])
-                        for j in cl])
-        hom = geometry.interpolate(a_mesh, hom_full[:, cl], mesh.nodes).T
-        rows[cl[0]]["gap"] = corr.eigenspace_gap(ext, hom, M_omega)
+        rows[cl[0]]["gap"] = _eigenspace_gap(bundle, spec_eps.eigenvectors[:, cl],
+                                             a_mesh, hom_full[:, cl])
 
     if "VISIK" in cfg.modes:
         mu = 1.0 / float(lam_hom[0])
@@ -248,6 +246,17 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
                     lab.check_norm_equivalence(bundle).as_dict()]
 
     return spec_eps.eigenvalues, rows, lab_rows
+
+
+def _eigenspace_gap(bundle, U_eps: np.ndarray, a_mesh, u_hom: np.ndarray) -> float:
+    """Largest L2(Omega) principal-angle sine between T_eps U_eps and the macro
+    modes u_hom interpolated onto the tiled mesh.  The full-mesh mass and the
+    fields it builds die on return, before the lab factorizes its pencils."""
+    mesh = bundle.mesh
+    return corr.eigenspace_gap(
+        spectral.extend_Teps(bundle, U_eps).T,
+        geometry.interpolate(a_mesh, u_hom, mesh.nodes).T,
+        fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles)))
 
 
 def _j1_series(rows, col: str) -> list:

@@ -10,8 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, geometry
-from .eigensolve import (Sector, factorized_solver, sector_solver, solve_gevp,
-                         solve_source)
+from .eigensolve import Sector, factorized_solver, solve_gevp, solve_source
 from .errors import SolverError
 from .geometry import DomainConfig, Mesh
 
@@ -69,27 +68,10 @@ class DiscreteOperatorBundle:
             out.append(Sector(basis.project(self.M), solve, basis))
         return tuple(out)
 
-    @functools.cached_property
-    def solve(self):
-        """f -> A^-1 f through the sector LUs."""
-        return sector_solver(self.sectors)
-
-    @functools.cached_property
-    def hole_extension(self):
-        """(interior, boundary, S_ii, S_ib, LU solve of S_ii) for `extend_Teps`:
-        the nodes off Omega_eps, the FLUID nodes of HOLE triangles and the
-        blocks of the stiffness over the HOLE triangles; None without holes."""
-        mesh = self.mesh
-        hole_tris = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
-        if len(hole_tris) == 0:
-            return None
-        hole_nodes = np.unique(mesh.triangles[hole_tris])
-        fluid = mesh.fluid_nodes()
-        interior = np.nonzero(~fluid)[0]
-        boundary = hole_nodes[fluid[hole_nodes]]
-        Sh = fem.assemble_stiffness(mesh, tris=hole_tris)
-        S_ii = Sh[interior][:, interior]
-        return interior, boundary, S_ii, Sh[interior][:, boundary], factorized_solver(S_ii)
+    def solve(self, f):
+        """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f)."""
+        return sum(s.weight * s.expand(s.solve(s.restrict(f))).real
+                   for s in self.sectors)
 
 
 def _rotation_orbits(bundle: DiscreteOperatorBundle):
@@ -190,14 +172,6 @@ def solve_perforated_evp(cfg: DomainConfig, k: int):
     return spec, bundle
 
 
-def _dirichlet_bundle(a_mesh: Mesh, coeff=None):
-    S = fem.assemble_stiffness(a_mesh, coeff=coeff)
-    M = fem.assemble_mass(a_mesh)
-    red = fem.apply_constraints(S, M, None,
-                                fem.dof_map(a_mesh.n_nodes, a_mesh.outer_nodes()))
-    return DiscreteOperatorBundle(mesh=a_mesh, red=red)
-
-
 def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: int):
     """Eigenpairs of -div(a_hom grad u) = |Y| lambda u on A with u = 0 on dA.
 
@@ -207,7 +181,10 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
     vals = np.linalg.eigvalsh(np.asarray(a_hom, dtype=float))
     if vals.min() <= 0.0:
         raise SolverError(f"a_hom is not positive definite: eigenvalues {vals}")
-    bundle = _dirichlet_bundle(a_mesh, coeff=a_hom)
+    red = fem.apply_constraints(fem.assemble_stiffness(a_mesh, coeff=a_hom),
+                                fem.assemble_mass(a_mesh), None,
+                                fem.dof_map(a_mesh.n_nodes, a_mesh.outer_nodes()))
+    bundle = DiscreteOperatorBundle(mesh=a_mesh, red=red)
     spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
     spec.eigenvalues = spec.eigenvalues / cell_area
     spec.eigenvectors = spec.eigenvectors / np.sqrt(cell_area)
@@ -215,10 +192,9 @@ def solve_homogenized_evp(a_mesh: Mesh, a_hom: np.ndarray, cell_area: float, k: 
 
 
 def solve_dirichlet_laplacian(a_mesh: Mesh, k: int):
-    """Plain Dirichlet Laplacian eigenpairs alpha^j on A."""
-    bundle = _dirichlet_bundle(a_mesh)
-    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
-    return spec, bundle
+    """Plain Dirichlet Laplacian eigenpairs alpha^j on A: the homogenized
+    problem with a_hom = I and |Y| = 1."""
+    return solve_homogenized_evp(a_mesh, np.eye(2), 1.0, k)
 
 
 def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray) -> np.ndarray:
@@ -229,19 +205,23 @@ def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray) -> np.ndarray:
                         solve=bundle.solve)
 
 
-def extend_Teps(bundle: DiscreteOperatorBundle, u: np.ndarray) -> np.ndarray:
-    """Discrete harmonic extension of a perforated field into the holes.
+def extend_Teps(bundle: DiscreteOperatorBundle, U: np.ndarray) -> np.ndarray:
+    """Discrete harmonic extension into the holes of one field (n,) or m
+    fields (n, m) on the reduced DoFs, with one factorization for all.
 
-    Returns the field on every node of the tiled mesh: unchanged on the nodes
-    of Omega_eps, the nodes off Omega_eps filled by solving the Laplace
-    equation per hole with the hole-boundary trace as Dirichlet data.
+    Returns them on every node of the tiled mesh: unchanged on the nodes of
+    Omega_eps, the nodes off Omega_eps filled by solving the Laplace equation
+    per hole with the hole-boundary trace as Dirichlet data.
     """
     if bundle.R is None:
         raise SolverError("extend_Teps needs a perforated bundle")
-    out = bundle.red.expand(np.asarray(u, dtype=float))
-    if bundle.hole_extension is None:
+    out = bundle.red.expand(np.asarray(U, dtype=float))
+    mesh = bundle.mesh
+    interior = np.nonzero(~mesh.fluid_nodes())[0]
+    if len(interior) == 0:
         return out
-    interior, boundary, S_ii, S_ib, solve = bundle.hole_extension
-    out[interior] = solve_source(S_ii, -(S_ib @ out[boundary]), solve=solve)
+    # the HOLE stiffness rows of the nodes off Omega_eps, where out is zero
+    Sh = fem.assemble_stiffness(
+        mesh, tris=np.nonzero(mesh.tri_region == geometry.HOLE)[0])[interior]
+    out[interior] = solve_source(Sh[:, interior], -(Sh @ out))
     return out
-

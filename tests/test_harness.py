@@ -2,12 +2,13 @@
 
 import csv
 import json
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from homoglab import corrector, spectral
+from homoglab import corrector, lab, spectral
 from homoglab.errors import ConfigError
 from homoglab.harness import (CSV_COLUMNS, StudyConfig, body_bytes, emit,
                               fit_rate, run_study)
@@ -45,11 +46,30 @@ def test_fit_rate_guards():
         fit_rate([(1 / 2, 1.0)])
 
 
+def test_fit_rate_takes_a_generator():
+    # the points are read once: a generator used to be counted after the
+    # filter had consumed it, warning of -3 dropped values
+    pts = [(e, e**0.5) for e in (1 / 4, 1 / 8, 1 / 16)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_rate(p for p in pts)
+    assert fit == fit_rate(pts)
+    assert fit["slope"] == pytest.approx(0.5, abs=1e-12) and fit["points"] == 3
+
+
 def test_study_config_validation():
     with pytest.raises(ConfigError):
         StudyConfig(eps_list=(0.25,))
     with pytest.raises(ConfigError):
         StudyConfig(k=0)
+    # k and hole_poly must be integers (numpy's too, but not bool): a float k
+    # used to crash inside ARPACK, True a TypeError later, a float hole_poly
+    # the mesher
+    for bad in ({"k": 2.5}, {"k": True}, {"k": np.float64(2.0)},
+                {"hole_poly": 32.0}, {"hole_poly": True}):
+        with pytest.raises(ConfigError, match="integer"):
+            StudyConfig(**bad)
+    assert StudyConfig(k=np.int64(2), hole_poly=np.int32(24)).k == 2
     with pytest.raises(ConfigError):
         StudyConfig(modes=("EIGENVALUES", "BOGUS"))
     # a bad eps fails at construction, before any cell problem is solved
@@ -109,7 +129,6 @@ def test_small_study_structure(small_report):
     keys = [(-r["eps"], r["j"]) for r in body["rows"]]
     assert keys == sorted(keys)
     assert body["cell"]["c_star"] > 0.0
-    assert body["cell"]["c_star_full_boundary"] > body["cell"]["c_star"]
     a = np.array(body["cell"]["a_hom"])
     assert a.shape == (2, 2)
     assert len(body["homogenized"]["lambda"]) == 2
@@ -188,3 +207,23 @@ def test_each_eps_bundle_is_freed_before_the_next(monkeypatch):
                       cell_refine=2)
     run_study(cfg)
     assert len(refs) == 2 * len(cfg.eps_list)
+
+
+def test_eigenspace_temporaries_die_before_the_lab(monkeypatch):
+    # the full-mesh mass, the extended fields and the interpolated macro
+    # modes are freed before the lab's first pencil is factorized
+    gap, trace = corrector.eigenspace_gap, lab.check_trace
+    refs = []
+
+    def tracking_gap(span_a, span_b, M_mass):
+        refs[:] = [weakref.ref(x) for x in (span_a, span_b, M_mass)]
+        return gap(span_a, span_b, M_mass)
+
+    def checking_trace(bundle):
+        assert len(refs) == 3 and [ref() for ref in refs] == [None] * 3
+        return trace(bundle)
+
+    monkeypatch.setattr(corrector, "eigenspace_gap", tracking_gap)
+    monkeypatch.setattr(lab, "check_trace", checking_trace)
+    run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
+                          cell_refine=2, modes=("EIGENSPACE", "LAB")))

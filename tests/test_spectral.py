@@ -213,8 +213,8 @@ def test_extend_linear_field(bundle_quarter):
 
 
 def test_extend_factorizes_once(monkeypatch):
-    # the hole Laplacian S_ii is factorized on the first call and reused
-    from homoglab import eigensolve
+    # one LU of the hole Laplacian per call, whatever the number of fields,
+    # and nothing kept on the bundle between calls
     made = []
 
     def counting(A):
@@ -227,11 +227,27 @@ def test_extend_factorizes_once(monkeypatch):
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
     bundle = spectral.build_perforated_bundle(cfg)
-    u = np.random.default_rng(3).standard_normal(bundle.red.dim)
-    first = spectral.extend_Teps(bundle, u)
-    second = spectral.extend_Teps(bundle, u)
+    U = np.random.default_rng(3).standard_normal((bundle.red.dim, 3))
+    batch = spectral.extend_Teps(bundle, U)
     assert len(made) == 1
-    assert first.tobytes() == second.tobytes()
+    singles = [spectral.extend_Teps(bundle, U[:, j]) for j in range(3)]
+    assert len(made) == 4
+    assert batch.shape == (bundle.mesh.n_nodes, 3)
+    for j, single in enumerate(singles):
+        assert batch[:, j].tobytes() == single.tobytes()
+    assert not hasattr(bundle, "hole_extension")
+
+
+def test_dirichlet_laplacian_is_the_identity_homogenized_problem(a_mesh32):
+    spec, bundle = spectral.solve_dirichlet_laplacian(a_mesh32, 3)
+    S = fem.apply_constraints(
+        fem.assemble_stiffness(a_mesh32), fem.assemble_mass(a_mesh32), None,
+        fem.dof_map(a_mesh32.n_nodes, a_mesh32.outer_nodes())).S
+    for part in ("data", "indices", "indptr"):
+        assert getattr(bundle.S, part).tobytes() == getattr(S, part).tobytes()
+    want = solve_gevp(S, bundle.M, 3)
+    assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert spec.eigenvectors.tobytes() == want.eigenvectors.tobytes()
 
 
 def test_extension_energy_uniform(spec_quarter, bundle_quarter):
