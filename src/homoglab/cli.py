@@ -160,6 +160,7 @@ def _cmd_cell(args) -> int:
 def _cmd_spectrum(args) -> int:
     from . import spectral
     from .geometry import DomainConfig
+    from .harness import peak_rss_mb
     cfg = DomainConfig(eps=args.eps, hole_radius=args.radius,
                        hole_poly=args.npoly, k_rect=args.krect, h_ref=args.href)
     spec, bundle = spectral.solve_perforated_evp(cfg, args.k)
@@ -172,7 +173,8 @@ def _cmd_spectrum(args) -> int:
         print(f"lambda_{j} = {lam:.12g}   (residual {res:.2e})")
     if args.out is not None:
         payload = {"eps": cfg.eps, "eigenvalues": spec.eigenvalues.tolist(),
-                   "residuals": spec.residuals.tolist(), "sectors": sectors}
+                   "residuals": spec.residuals.tolist(), "sectors": sectors,
+                   "peak_rss_mb": peak_rss_mb()}
         args.out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import gc
 from dataclasses import dataclass
 
@@ -19,6 +20,17 @@ _SOURCE_REL_TOL = 1e-10   # source-solve residual bound, relative to |rhs|
 # residual of sqrt(u) |theta| already gives theta to about u
 _RITZ_TOL = float(np.sqrt(np.finfo(float).eps))
 _MIN_NCV = 9              # Krylov basis floor; fewest solves in a sweep of 4..20
+
+
+# SuperLU reserves far more factor storage than it fills; the unfilled tail
+# stays out of the resident set unless it lands on heap pages that earlier
+# temporaries left resident, so glibc's malloc_trim hands the free pages back
+# before each LU (None where the C library has no malloc_trim)
+try:
+    _trim_heap = ctypes.CDLL(None).malloc_trim
+    _trim_heap.argtypes, _trim_heap.restype = [ctypes.c_size_t], ctypes.c_int
+except (OSError, AttributeError, TypeError):
+    _trim_heap = None
 
 
 @dataclass
@@ -92,8 +104,6 @@ def _pairs(A, B, k: int, solve):
             raise SolverError("B is not positive definite") from exc
         vals, vecs = la.eigh(Ad, Bd)
         return vals[:k], vecs[:, :k]
-    if k >= n - 1:
-        raise SolverError(f"a sector of dimension {n} cannot give {k} modes")
     if solve is None:
         solve = factorized_solver(A)
     OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=B.dtype)
@@ -132,9 +142,15 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
     found = [None] * len(sectors)
     while True:
         for i, s in enumerate(sectors):
-            if found[i] is None:  # the whole space's pencil is (A, B) itself
-                found[i] = _pairs(A if s.basis is None else None, s.B, want[i],
-                                  s.solve)
+            if found[i] is not None:
+                continue
+            # the whole space's pencil is (A, B) itself; a sector's A is
+            # projected only when nearly all of the sector is asked for,
+            # which Lanczos cannot give and LAPACK solves densely
+            As = A
+            if s.basis is not None:
+                As = s.basis.project(A) if want[i] >= s.dim - 1 else None
+            found[i] = _pairs(As, s.B, want[i], s.solve)
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
                                          in zip(sectors, found)]))
         kth = merged[k - 1] if len(merged) >= k else np.inf
@@ -203,12 +219,16 @@ def factorized_solver(A):
 
     A CSR A is factorized through A^H, its conjugate-transpose view, which
     is A's own CSC form: no copy of a real A is made beside the LU.  (Its
-    plain transpose would be conj(A) when A is complex.)
+    plain transpose would be conj(A) when A is complex.)  The free heap
+    pages go back to the system first, where the C library can do that.
     """
     if sp.issparse(A) and A.format == "csr":
         A = A.conj(copy=False).T
+    A = sp.csc_matrix(A)
+    if _trim_heap is not None:
+        _trim_heap(0)
     try:
-        lu = spla.splu(sp.csc_matrix(A))
+        lu = spla.splu(A)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     return lu.solve

@@ -54,6 +54,8 @@ class DomainConfig:
         x0, y0, x1, y1 = self.k_rect
         if not (0.0 < x0 < x1 < 1.0 and 0.0 < y0 < y1 < 1.0):
             raise ConfigError(f"K rectangle must satisfy 0<x0<x1<1, 0<y0<y1<1, got {self.k_rect}")
+        if not self.h_ref > 0.0:
+            raise ConfigError(f"h_ref must be > 0, got {self.h_ref}")
         if self.hole_radius + self.h_ref >= 0.5:
             raise GeometryError(
                 f"hole_radius + h_ref = {self.hole_radius + self.h_ref} >= 0.5: "

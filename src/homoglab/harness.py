@@ -6,12 +6,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows has no getrusage
+    resource = None
 
 from . import corrector as corr
 from . import fem, geometry, lab, spectral
@@ -182,9 +188,19 @@ def run_study(cfg: StudyConfig) -> dict:
     body["flags"] = _study_flags(body, cfg)
     body["complete"] = True
     report = {"header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                         "runtime_s": round(time.time() - t_start, 3)},
+                         "runtime_s": round(time.time() - t_start, 3),
+                         "peak_rss_mb": peak_rss_mb()},
               "body": body}
     return report
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MB (2^20 bytes):
+    ru_maxrss counts KB on Linux and bytes on macOS.  None on Windows."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 # smooth H1_0(Omega) fields for the periodic-oscillation check; v is

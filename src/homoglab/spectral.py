@@ -17,11 +17,6 @@ from .geometry import DomainConfig, Mesh
 _C4_TOL = 1e-12          # relative commutator bound for the rotation sectors
 _NODE_LATTICE = 2.0**24  # node positions are matched on this lattice
 _CHARACTERS = (1.0, -1.0, 1j)  # the A, B and E sectors; E's conjugate is implied
-# below this many DoFs the three quarter-size LUs save little memory and, in
-# a sweep, land in fragmented heap: at 80,385 DoFs (eps 1/32, after 1/16)
-# they raised the peak from 180 to 191-196 MB in most runs; at 322,561 they
-# cut it from 580 to 460 MB
-_MIN_SECTOR_DIM = 100_000
 
 
 @dataclass
@@ -55,10 +50,9 @@ class DiscreteOperatorBundle:
     @functools.cached_property
     def sectors(self):
         """The pencil (A, M) in the sectors of the quarter turn when it is a
-        symmetry of both (see `_rotation_orbits`) and there are at least
-        _MIN_SECTOR_DIM DoFs, else in one sector of every DoF; each sector
-        with its LU, made on first use."""
-        found = _rotation_orbits(self) if self.red.dim >= _MIN_SECTOR_DIM else None
+        symmetry of both (see `_rotation_orbits`), else in one sector of
+        every DoF; each sector with its LU, made on first use."""
+        found = _rotation_orbits(self)
         if found is None:
             return (Sector(self.M, factorized_solver(self.A)),)
         out = []
@@ -80,7 +74,9 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     DoFs the turn fixes (the centre, if it is a DoF).
 
     None unless the turn maps the DoFs onto themselves and A and M commute
-    with it to _C4_TOL relative to their largest entry.
+    with it: each turned matrix has the sparsity pattern of the original,
+    and no entry differs from the original's by more than _C4_TOL times
+    the original's largest.
     """
     X = bundle.mesh.nodes[bundle.red.keep]
 
@@ -97,8 +93,14 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
         return None
     turn = order[at]
     for A in (bundle.A, bundle.M):
-        D = A[turn][:, turn] - A
-        if np.abs(D.data).max(initial=0.0) > _C4_TOL * np.abs(A.data).max():
+        T = A[turn][:, turn]
+        T.sort_indices()
+        if not A.has_sorted_indices:
+            A = A.sorted_indices()
+        if not (np.array_equal(T.indptr, A.indptr)
+                and np.array_equal(T.indices, A.indices)):
+            return None
+        if np.abs(T.data - A.data).max(initial=0.0) > _C4_TOL * np.abs(A.data).max():
             return None
     idx = np.arange(len(turn))
     half = turn[turn]

@@ -184,16 +184,16 @@ def test_spectrum_command(capsys):
     assert "lambda_1" in out and "lambda_2" in out
 
 
-def test_spectrum_command_reports_sectors(tmp_path, capsys, monkeypatch):
-    from homoglab import spectral
-    monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", 0)  # sectors at eps 1/4 too
+def test_spectrum_command_reports_sectors(tmp_path, capsys):
     out_file = tmp_path / "spectrum.json"
     assert cli.main(["spectrum", "--eps", "1/4", "--k", "2", "--out", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "reduced dim = 1201" in out
     assert "sector dims = 301 + 300 + 2 x 300" in out
-    assert json.loads(out_file.read_text())["sectors"] == [
+    payload = json.loads(out_file.read_text())
+    assert payload["sectors"] == [
         {"dim": 301, "weight": 1}, {"dim": 300, "weight": 1}, {"dim": 300, "weight": 2}]
+    assert payload["peak_rss_mb"] > 0.0
     # a 30-gon hole is no quarter-turn symmetry: one sector of every DoF
     assert cli.main(["spectrum", "--eps", "1/4", "--npoly", "30", "--k", "2",
                      "--out", str(out_file)]) == 0

@@ -1,5 +1,7 @@
 """Generalized eigensolver and direct source solves."""
 
+import platform
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -168,3 +170,32 @@ def test_spectrum_k_property():
     spec = Spectrum(eigenvalues=np.array([1.0, 2.0]),
                     eigenvectors=np.eye(2), residuals=np.zeros(2))
     assert spec.k == 2
+
+
+def test_heap_trimmed_before_every_factorization(monkeypatch):
+    # the free heap pages go back to the system right before each splu
+    events = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        events.append("splu")
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(eigensolve, "_trim_heap", lambda pad: events.append(("trim", pad)))
+    A = sp.diags([2.0, 3.0, 4.0]).tocsr()
+    for M in (A, sp.csc_matrix(A), A.toarray()):
+        factorized_solver(M)
+    assert events == [("trim", 0), "splu"] * 3
+    # without the C library's malloc_trim nothing is trimmed, and the LU works
+    monkeypatch.setattr(eigensolve, "_trim_heap", None)
+    events.clear()
+    assert np.allclose(factorized_solver(A)(np.array([2.0, 3.0, 4.0])), 1.0)
+    assert events == ["splu"]
+
+
+def test_trim_hook_is_glibc_malloc_trim_or_none():
+    trim = eigensolve._trim_heap
+    if platform.libc_ver()[0] == "glibc":
+        assert trim is not None
+    assert trim is None or trim(0) in (0, 1)

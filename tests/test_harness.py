@@ -69,6 +69,11 @@ def test_study_config_validation():
                 {"hole_poly": 32.0}, {"hole_poly": True}):
         with pytest.raises(ConfigError, match="integer"):
             StudyConfig(**bad)
+    # a mesh size that is not positive (or NaN) used to pass construction
+    # and fail in the mesher
+    for h in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ConfigError, match="h_ref"):
+            StudyConfig(h_ref=h, eps_list=(1 / 4, 1 / 8), k=2)
     assert StudyConfig(k=np.int64(2), hole_poly=np.int32(24)).k == 2
     with pytest.raises(ConfigError):
         StudyConfig(modes=("EIGENVALUES", "BOGUS"))
@@ -143,6 +148,13 @@ def test_small_study_structure(small_report):
     assert "gap_lambda12_min" in body["flags"]
     # the whole body survives canonical serialization
     assert isinstance(body_bytes(small_report), bytes)
+
+
+def test_header_reports_peak_memory(small_report):
+    # the process's peak RSS goes in the header, outside the body bytes
+    header = small_report["header"]
+    assert header["peak_rss_mb"] > 0.0
+    assert b"peak_rss_mb" not in body_bytes(small_report)
 
 
 def test_emit_formats(small_report, tmp_path):

@@ -108,20 +108,16 @@ def test_one_factorization_per_bundle(monkeypatch):
     monkeypatch.setattr(eigensolve, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    # the three sectors at any size, then the one LU of a small bundle
-    for min_dim, weights in ((0, [1, 1, 2]), (spectral._MIN_SECTOR_DIM, [1])):
-        monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", min_dim)
-        made.clear()
-        spec, bundle = spectral.solve_perforated_evp(cfg, 4)
-        # one LU per sector, all made by the solve; the complex sector
-        # stands for two, so the sectors cover the reduced DoFs
-        sectors = [(s.dim, s.dim) for s in bundle.sectors]
-        assert made == sectors
-        assert [s.weight for s in bundle.sectors] == weights
-        assert sum(s.weight * s.dim for s in bundle.sectors) == bundle.red.dim
-        for j in range(2):
-            spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
-        assert made == sectors
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
+    # one LU per sector, all made by the solve; the complex sector stands
+    # for two, so the sectors cover the reduced DoFs
+    sectors = [(s.dim, s.dim) for s in bundle.sectors]
+    assert made == sectors
+    assert [s.weight for s in bundle.sectors] == [1, 1, 2]
+    assert sum(s.weight * s.dim for s in bundle.sectors) == bundle.red.dim
+    for j in range(2):
+        spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
+    assert made == sectors
 
 
 def test_rayleigh_quotient(spec_quarter, bundle_quarter):
@@ -276,12 +272,6 @@ _SYMMETRIC = {"eps4": dict(eps=1 / 4), "eps5": dict(eps=1 / 5), "eps8": dict(eps
               "r02_24gon": dict(eps=1 / 8, hole_radius=0.2, hole_poly=24, h_ref=1 / 12)}
 
 
-@pytest.fixture
-def any_size(monkeypatch):
-    """Sectors for symmetric bundles of every size, not only the large ones."""
-    monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", 0)
-
-
 def _bundle(**kw):
     return spectral.build_perforated_bundle(geometry.DomainConfig(
         **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}))
@@ -293,7 +283,7 @@ def _basis_matrix(sector):
 
 
 @pytest.mark.parametrize("kw", _SYMMETRIC.values(), ids=_SYMMETRIC.keys())
-def test_rotation_sectors(kw, any_size):
+def test_rotation_sectors(kw):
     """The quarter turn is a symmetry: three sectors A, B and E whose bases
     span the DoFs orthogonally, and eigenvalues that agree with the full
     solve."""
@@ -334,15 +324,12 @@ def _one_lu_eigenvalues(A, M, k):
     return np.sort(vals)
 
 
-@pytest.mark.parametrize("kw, min_dim", [
-    (dict(eps=1 / 4, hole_poly=30), 0),                    # no node map
-    (dict(eps=1 / 8, k_rect=(0.2, 0.25, 0.7, 0.75)), 0),   # S + R off by 5.5e-4
-    (dict(eps=1 / 4, hole_radius=0.0), 0),                 # one-diagonal grid: M off by 17%
-    (dict(eps=1 / 4), None)],                              # symmetric, but small
-    ids=["30gon", "off_centre_K", "no_hole", "small"])
-def test_one_sector_without_symmetry(kw, min_dim, monkeypatch):
-    if min_dim is not None:
-        monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", min_dim)
+@pytest.mark.parametrize("kw", [
+    dict(eps=1 / 4, hole_poly=30),                    # no node map
+    dict(eps=1 / 8, k_rect=(0.2, 0.25, 0.7, 0.75)),   # S + R off by 5.5e-4
+    dict(eps=1 / 4, hole_radius=0.0)],                # one-diagonal grid: M off by 17%
+    ids=["30gon", "off_centre_K", "no_hole"])
+def test_one_sector_without_symmetry(kw):
     spec, bundle = spectral.solve_perforated_evp(geometry.DomainConfig(
         **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}), 4)
     assert len(bundle.sectors) == 1 and bundle.sectors[0].basis is None
@@ -350,14 +337,7 @@ def test_one_sector_without_symmetry(kw, min_dim, monkeypatch):
     assert spec.eigenvalues.tobytes() == ref.tobytes()
 
 
-def test_sectors_from_min_dim(monkeypatch):
-    n = _bundle(eps=1 / 4).red.dim
-    for min_dim, count in ((n, 3), (n + 1, 1)):
-        monkeypatch.setattr(spectral, "_MIN_SECTOR_DIM", min_dim)
-        assert len(_bundle(eps=1 / 4).sectors) == count
-
-
-def test_sector_eigenvalues_match_dense(any_size):
+def test_sector_eigenvalues_match_dense():
     """Every k from 1 to 8, against LAPACK on the full pencil."""
     bundle = _bundle(eps=1 / 4)
     dense = la.eigh(bundle.A.toarray(), bundle.M.toarray(), eigvals_only=True)
@@ -366,7 +346,22 @@ def test_sector_eigenvalues_match_dense(any_size):
         assert np.allclose(spec.eigenvalues, dense[:k], rtol=1e-10, atol=0.0), k
 
 
-def test_sector_solved_again(any_size, monkeypatch):
+def test_sector_request_near_dimension():
+    """At eps 1/2 (285 DoFs, sectors 72/71/71): k = n // 2 is solved by
+    Lanczos in every sector; at k = 140 the A sector's 36 values end below
+    the merged 140th, and doubling asks for all 72 of them; k = n - 2 asks
+    every sector for all of its modes.  A sector asked for dim - 1 modes
+    or more is solved densely from its projected pencil."""
+    bundle = _bundle(eps=1 / 2)
+    n = bundle.red.dim
+    assert [s.dim for s in bundle.sectors] == [72, 71, 71] and n == 285
+    dense = la.eigh(bundle.A.toarray(), bundle.M.toarray(), eigvals_only=True)
+    for k in (n // 2, 140, n - 2):
+        spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
+        assert np.allclose(spec.eigenvalues, dense[:k], rtol=1e-10, atol=0.0), k
+
+
+def test_sector_solved_again(monkeypatch):
     """At eps 1/8 and k = 16, a sector's first ceil(16/4) + 1 = 5 values end
     below the merged 16th, so it is solved again for 10; the merged values
     match the one-sector solve."""
@@ -385,7 +380,7 @@ def test_sector_solved_again(any_size, monkeypatch):
     assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-10, atol=0.0)
 
 
-def test_bundle_solve_through_sectors(any_size):
+def test_bundle_solve_through_sectors():
     bundle = _bundle(eps=1 / 4)
     b = np.sin(np.arange(bundle.red.dim, dtype=float))
     want = spla.splu(bundle.A.tocsc()).solve(b)
