@@ -169,12 +169,13 @@ def _cmd_spectrum(args) -> int:
     print("sector dims = " + " + ".join(
         f"{s['weight']} x {s['dim']}" if s["weight"] > 1 else str(s["dim"])
         for s in sectors))
+    print(f"operator solves = {spec.solves}")
     for j, (lam, res) in enumerate(zip(spec.eigenvalues, spec.residuals), start=1):
         print(f"lambda_{j} = {lam:.12g}   (residual {res:.2e})")
     if args.out is not None:
         payload = {"eps": cfg.eps, "eigenvalues": spec.eigenvalues.tolist(),
                    "residuals": spec.residuals.tolist(), "sectors": sectors,
-                   "peak_rss_mb": peak_rss_mb()}
+                   "solves": spec.solves, "peak_rss_mb": peak_rss_mb()}
         args.out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0

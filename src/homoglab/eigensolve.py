@@ -40,6 +40,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray      # (n, k), column j pairs with eigenvalues[j]
     residuals: np.ndarray
+    solves: int = 0               # operator solves over all Lanczos runs
 
     @property
     def k(self) -> int:
@@ -91,9 +92,17 @@ class Sector:
 
 def _pairs(A, B, k: int, solve):
     """k smallest eigenpairs, ascending, of the Hermitian pencil (A, B);
-    vectors unnormalized.  Dense A, or k >= n - 1: LAPACK eigh.  Otherwise
-    shift-invert Lanczos at 0 from a fixed all-ones start vector, inverting A
-    with `solve` (factorized_solver(A) when None); A may then be None."""
+    vectors unnormalized, and the number of operator solves made.  Dense A,
+    or k >= n - 1: LAPACK eigh, no solves.  Otherwise shift-invert Lanczos
+    at 0 from a fixed all-ones start vector, inverting A with `solve`
+    (factorized_solver(A) when None); A may then be None.
+
+    ARPACK stops once every Ritz residual is below _EIG_TOL |theta|, theta
+    the inverted eigenvalue: the order of solve_gevp's gate on the full
+    pencil, which alone decides what is accepted.  Asking for machine
+    epsilon instead costs restarts of the max(2k + 1, 20)-vector basis for
+    accuracy nothing reads.
+    """
     n = B.shape[0]
     if A is not None and (not sp.issparse(A) or k >= n - 1):
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
@@ -103,15 +112,22 @@ def _pairs(A, B, k: int, solve):
         except la.LinAlgError as exc:
             raise SolverError("B is not positive definite") from exc
         vals, vecs = la.eigh(Ad, Bd)
-        return vals[:k], vecs[:, :k]
+        return vals[:k], vecs[:, :k], 0
     if solve is None:
         solve = factorized_solver(A)
-    OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=B.dtype)
+    solves = 0
+
+    def apply(x):
+        nonlocal solves
+        solves += 1
+        return solve(x)
+
+    OPinv = spla.LinearOperator((n, n), matvec=apply, dtype=B.dtype)
     v0 = np.ones(n) / np.sqrt(n)
     try:
         # in shift-invert mode eigsh applies A only through OPinv
         vals, vecs = spla.eigsh(OPinv, k=k, M=B, sigma=0.0, which="LM",
-                                v0=v0, OPinv=OPinv)
+                                v0=v0, OPinv=OPinv, tol=_EIG_TOL)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
     if B.dtype.kind == "c":
@@ -120,7 +136,7 @@ def _pairs(A, B, k: int, solve):
         # full collection
         gc.collect(1)
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], solves
 
 
 def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
@@ -130,7 +146,9 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
     Each sector starts at ceil(k / w) + 1 modes (at most k), w the sectors'
     total weight; a sector whose largest value lies below the merged k-th
     value is solved again for twice as many.  The k smallest merged pairs are
-    expanded, made B-orthonormal and checked on the full pencil.
+    expanded, made B-orthonormal and checked on the full pencil.  The
+    operator solves of every run, re-solves included, add up to
+    `Spectrum.solves`.
     """
     n = A.shape[0]
     if k < 1 or k >= n:
@@ -140,6 +158,7 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
     start = min(k, -(-k // sum(s.weight for s in sectors)) + 1)
     want = [min(start, s.dim) for s in sectors]
     found = [None] * len(sectors)
+    solves = 0
     while True:
         for i, s in enumerate(sectors):
             if found[i] is not None:
@@ -150,7 +169,9 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
             As = A
             if s.basis is not None:
                 As = s.basis.project(A) if want[i] >= s.dim - 1 else None
-            found[i] = _pairs(As, s.B, want[i], s.solve)
+            vals, vecs, made = _pairs(As, s.B, want[i], s.solve)
+            found[i] = vals, vecs
+            solves += made
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
                                          in zip(sectors, found)]))
         kth = merged[k - 1] if len(merged) >= k else np.inf
@@ -187,7 +208,8 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
     if bad.any():
         raise SolverError(
             f"eigen residuals exceed tolerance: {res[bad]} vs tol*{scale[bad]}")
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=res,
+                    solves=solves)
 
 
 def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:

@@ -42,6 +42,8 @@ class DomainConfig:
     h_ref: float = 1.0 / 8.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         n = 1.0 / self.eps
         if abs(n - round(n)) > 1e-9 or round(n) < 2:
             raise ConfigError(f"eps must equal 1/n for integer n >= 2, got {self.eps}")

@@ -61,6 +61,9 @@ class StudyConfig:
             raise ConfigError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if (isinstance(self.cell_refine, bool)
+                or not isinstance(self.cell_refine, (int, np.integer))):
+            raise ConfigError(f"cell_refine must be an integer, got {self.cell_refine!r}")
         if self.cell_refine < 1:
             raise ConfigError(f"cell_refine must be >= 1, got {self.cell_refine}")
         if self.h_domain is not None and not self.h_domain > 0.0:

@@ -16,7 +16,9 @@ from .geometry import DomainConfig, Mesh
 
 _C4_TOL = 1e-12          # relative commutator bound for the rotation sectors
 _NODE_LATTICE = 2.0**24  # node positions are matched on this lattice
-_CHARACTERS = (1.0, -1.0, 1j)  # the A, B and E sectors; E's conjugate is implied
+# the E, A and B sectors (E's conjugate is implied); the complex E, the
+# largest LU, is factorized first
+_CHARACTERS = (1j, 1.0, -1.0)
 
 
 @dataclass

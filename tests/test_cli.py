@@ -36,6 +36,16 @@ def test_nonpositive_href_is_an_error(argv, capsys):
     assert "error:" in err and "must be > 0" in err
 
 
+@pytest.mark.parametrize("eps", ["0", "nan", "-1/4"])
+def test_nonpositive_eps_is_an_error(eps, tmp_path, capsys):
+    assert cli.main(["spectrum", f"--eps={eps}"]) == 1
+    assert "error: eps must be finite and > 0" in capsys.readouterr().err
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"eps_list = 1/4, {eps}\n")
+    assert cli.main(["study", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "error: eps must be finite and > 0" in capsys.readouterr().err
+
+
 def test_parse_krect():
     assert cli._parse_krect("0.25,0.25,0.75,0.75") == (0.25, 0.25, 0.75, 0.75)
     import argparse
@@ -189,10 +199,13 @@ def test_spectrum_command_reports_sectors(tmp_path, capsys):
     assert cli.main(["spectrum", "--eps", "1/4", "--k", "2", "--out", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "reduced dim = 1201" in out
-    assert "sector dims = 301 + 300 + 2 x 300" in out
+    assert "sector dims = 2 x 300 + 301 + 300" in out
+    # one 21-solve Lanczos pass in each of the three sectors
+    assert "operator solves = 63\n" in out
     payload = json.loads(out_file.read_text())
     assert payload["sectors"] == [
-        {"dim": 301, "weight": 1}, {"dim": 300, "weight": 1}, {"dim": 300, "weight": 2}]
+        {"dim": 300, "weight": 2}, {"dim": 301, "weight": 1}, {"dim": 300, "weight": 1}]
+    assert payload["solves"] == 63
     assert payload["peak_rss_mb"] > 0.0
     # a 30-gon hole is no quarter-turn symmetry: one sector of every DoF
     assert cli.main(["spectrum", "--eps", "1/4", "--npoly", "30", "--k", "2",

@@ -57,6 +57,10 @@ def interior_edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
 def test_domain_config_validation():
     with pytest.raises(ConfigError):
         DomainConfig(eps=0.3, hole_radius=0.25)
+    # a zero or NaN eps used to escape as ZeroDivisionError or ValueError
+    for eps in (0.0, -0.25, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="eps"):
+            DomainConfig(eps=eps, hole_radius=0.25)
     with pytest.raises(ConfigError):
         DomainConfig(eps=0.25, hole_radius=0.6)
     with pytest.raises(ConfigError):

@@ -66,7 +66,8 @@ def test_study_config_validation():
     # used to crash inside ARPACK, True a TypeError later, a float hole_poly
     # the mesher
     for bad in ({"k": 2.5}, {"k": True}, {"k": np.float64(2.0)},
-                {"hole_poly": 32.0}, {"hole_poly": True}):
+                {"hole_poly": 32.0}, {"hole_poly": True},
+                {"cell_refine": True}, {"cell_refine": 2.5}):
         with pytest.raises(ConfigError, match="integer"):
             StudyConfig(**bad)
     # a mesh size that is not positive (or NaN) used to pass construction
@@ -74,12 +75,16 @@ def test_study_config_validation():
     for h in (-0.1, 0.0, float("nan")):
         with pytest.raises(ConfigError, match="h_ref"):
             StudyConfig(h_ref=h, eps_list=(1 / 4, 1 / 8), k=2)
-    assert StudyConfig(k=np.int64(2), hole_poly=np.int32(24)).k == 2
+    assert StudyConfig(k=np.int64(2), hole_poly=np.int32(24),
+                       cell_refine=np.int64(2)).k == 2
     with pytest.raises(ConfigError):
         StudyConfig(modes=("EIGENVALUES", "BOGUS"))
     # a bad eps fails at construction, before any cell problem is solved
     with pytest.raises(ConfigError):
         StudyConfig(eps_list=(1 / 4, 0.3))
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ConfigError, match="eps"):
+            StudyConfig(eps_list=(1 / 4, eps))
     # so does a repeated one, which would leave one eps for the rate fits
     with pytest.raises(ConfigError, match="repeats"):
         StudyConfig(eps_list=(1 / 4, 1 / 4))

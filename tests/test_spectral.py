@@ -113,7 +113,7 @@ def test_one_factorization_per_bundle(monkeypatch):
     # for two, so the sectors cover the reduced DoFs
     sectors = [(s.dim, s.dim) for s in bundle.sectors]
     assert made == sectors
-    assert [s.weight for s in bundle.sectors] == [1, 1, 2]
+    assert [s.weight for s in bundle.sectors] == [2, 1, 1]
     assert sum(s.weight * s.dim for s in bundle.sectors) == bundle.red.dim
     for j in range(2):
         spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
@@ -284,18 +284,18 @@ def _basis_matrix(sector):
 
 @pytest.mark.parametrize("kw", _SYMMETRIC.values(), ids=_SYMMETRIC.keys())
 def test_rotation_sectors(kw):
-    """The quarter turn is a symmetry: three sectors A, B and E whose bases
+    """The quarter turn is a symmetry: three sectors E, A and B whose bases
     span the DoFs orthogonally, and eigenvalues that agree with the full
     solve."""
     bundle = _bundle(**kw)
     sectors = bundle.sectors
-    assert [s.weight for s in sectors] == [1, 1, 2]
+    assert [s.weight for s in sectors] == [2, 1, 1]
     dims = [s.dim for s in sectors]
     n = bundle.red.dim
     # the centre node is a DoF for even n and a hole's centre for odd n
     centre = 1 if round(1 / kw["eps"]) % 2 == 0 else 0
-    assert dims == [dims[1] + centre, dims[1], dims[1]]
-    assert dims[0] + dims[1] + 2 * dims[2] == n
+    assert dims == [dims[2], dims[2] + centre, dims[2]]
+    assert 2 * dims[0] + dims[1] + dims[2] == n
     if n < 5000:  # the bases as matrices, built column by column
         Ps = [_basis_matrix(s) for s in sectors]
         Q = sp.hstack(Ps, format="csr")
@@ -320,7 +320,7 @@ def _one_lu_eigenvalues(A, M, k):
     n = A.shape[0]
     OPinv = spla.LinearOperator((n, n), matvec=spla.splu(A.tocsc()).solve, dtype=float)
     vals, _ = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=np.ones(n) / np.sqrt(n),
-                         OPinv=OPinv)
+                         OPinv=OPinv, tol=eigensolve._EIG_TOL)
     return np.sort(vals)
 
 
@@ -347,14 +347,14 @@ def test_sector_eigenvalues_match_dense():
 
 
 def test_sector_request_near_dimension():
-    """At eps 1/2 (285 DoFs, sectors 72/71/71): k = n // 2 is solved by
+    """At eps 1/2 (285 DoFs, sectors E/A/B 71/72/71): k = n // 2 is solved by
     Lanczos in every sector; at k = 140 the A sector's 36 values end below
     the merged 140th, and doubling asks for all 72 of them; k = n - 2 asks
     every sector for all of its modes.  A sector asked for dim - 1 modes
     or more is solved densely from its projected pencil."""
     bundle = _bundle(eps=1 / 2)
     n = bundle.red.dim
-    assert [s.dim for s in bundle.sectors] == [72, 71, 71] and n == 285
+    assert [s.dim for s in bundle.sectors] == [71, 72, 71] and n == 285
     dense = la.eigh(bundle.A.toarray(), bundle.M.toarray(), eigvals_only=True)
     for k in (n // 2, 140, n - 2):
         spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
@@ -378,6 +378,27 @@ def test_sector_solved_again(monkeypatch):
     assert calls[:3] == [5, 5, 5] and 10 in calls[3:]
     full = solve_gevp(bundle.A, bundle.M, 16)
     assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_sector_runs_stop_after_one_pass(monkeypatch, n):
+    """At k = 4 each sector's Lanczos run converges within one pass of the
+    20-vector basis (21 operator solves, with the start vector's), and the
+    merged pairs stay far inside the 1e-9 (1 + |lambda|) residual gate."""
+    runs = []
+    pairs = eigensolve._pairs
+
+    def counting(A, B, k, solve):
+        out = pairs(A, B, k, solve)
+        runs.append(out[2])
+        return out
+
+    monkeypatch.setattr(eigensolve, "_pairs", counting)
+    bundle = _bundle(eps=1 / n)
+    spec = solve_gevp(bundle.A, bundle.M, 4, sectors=bundle.sectors)
+    assert len(runs) == 3 and max(runs) <= 21
+    assert spec.solves == sum(runs)
+    assert (spec.residuals < 1e-11 * (1.0 + np.abs(spec.eigenvalues))).all()
 
 
 def test_bundle_solve_through_sectors():
