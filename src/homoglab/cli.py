@@ -172,10 +172,12 @@ def _cmd_spectrum(args) -> int:
     print(f"operator solves = {spec.solves}")
     for j, (lam, res) in enumerate(zip(spec.eigenvalues, spec.residuals), start=1):
         print(f"lambda_{j} = {lam:.12g}   (residual {res:.2e})")
+    peak = peak_rss_mb()
+    print(f"peak RSS = {peak:.1f} MB")
     if args.out is not None:
         payload = {"eps": cfg.eps, "eigenvalues": spec.eigenvalues.tolist(),
                    "residuals": spec.residuals.tolist(), "sectors": sectors,
-                   "solves": spec.solves, "peak_rss_mb": peak_rss_mb()}
+                   "solves": spec.solves, "peak_rss_mb": peak}
         args.out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0

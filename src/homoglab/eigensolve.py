@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import gc
 from dataclasses import dataclass
 
@@ -58,30 +59,38 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-@dataclass
 class Sector:
-    """An invariant subspace of a real pencil (A, B) with basis P: `B` is
-    P^H B P and `solve` applies (P^H A P)^-1.  `basis` maps coordinates to
-    full vectors (`expand`, P y) and a real full vector to coordinates
-    (`restrict`, P^H f); None for the whole space, whose `solve` may be left
-    to be factorized from A on first need.
+    """An invariant subspace of a real pencil (A, B), kept as A and a basis
+    P: `solve` applies (P^H A P)^-1 through an LU made on first access and
+    then kept.  `basis` maps coordinates to full vectors (`expand`, P y), a
+    real full vector to coordinates (`restrict`, P^H f) and a full matrix
+    that commutes with the sector to the sector's (`project`, P^H X P), and
+    gives its `dim` and `weight`; None for the whole space.
 
     A complex sector stands for itself and its conjugate, whose eigenpairs are
-    the conjugates of its own: each of its eigenvalues counts twice, and the
-    real and imaginary parts of an expanded eigenvector are two real ones.
+    the conjugates of its own: each of its eigenvalues counts twice (weight
+    2), and the real and imaginary parts of an expanded eigenvector are two
+    real ones.
     """
 
-    B: object
-    solve: object = None
-    basis: object = None
+    def __init__(self, A, basis=None):
+        self.A, self.basis = A, basis
 
     @property
     def dim(self) -> int:
-        return self.B.shape[0]
+        return self.A.shape[0] if self.basis is None else self.basis.dim
 
     @property
     def weight(self) -> int:
-        return 2 if self.B.dtype.kind == "c" else 1
+        return 1 if self.basis is None else self.basis.weight
+
+    @functools.cached_property
+    def solve(self):
+        return factorized_solver(self.A if self.basis is None
+                                 else self.project(self.A).tocsc())
+
+    def project(self, X):
+        return X if self.basis is None else self.basis.project(X)
 
     def expand(self, y):
         return y if self.basis is None else self.basis.expand(y)
@@ -92,10 +101,10 @@ class Sector:
 
 def _pairs(A, B, k: int, solve):
     """k smallest eigenpairs, ascending, of the Hermitian pencil (A, B);
-    vectors unnormalized, and the number of operator solves made.  Dense A,
-    or k >= n - 1: LAPACK eigh, no solves.  Otherwise shift-invert Lanczos
-    at 0 from a fixed all-ones start vector, inverting A with `solve`
-    (factorized_solver(A) when None); A may then be None.
+    vectors unnormalized, and the number of operator solves made.  With
+    `solve` None: LAPACK eigh on the dense pencil, no solves.  Otherwise
+    shift-invert Lanczos at 0 from a fixed all-ones start vector, inverting
+    A with `solve`; A is not read and may be None.
 
     ARPACK stops once every Ritz residual is below _EIG_TOL |theta|, theta
     the inverted eigenvalue: the order of solve_gevp's gate on the full
@@ -104,7 +113,7 @@ def _pairs(A, B, k: int, solve):
     accuracy nothing reads.
     """
     n = B.shape[0]
-    if A is not None and (not sp.issparse(A) or k >= n - 1):
+    if solve is None:
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
         Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
         try:
@@ -113,8 +122,6 @@ def _pairs(A, B, k: int, solve):
             raise SolverError("B is not positive definite") from exc
         vals, vecs = la.eigh(Ad, Bd)
         return vals[:k], vecs[:, :k], 0
-    if solve is None:
-        solve = factorized_solver(A)
     solves = 0
 
     def apply(x):
@@ -131,19 +138,31 @@ def _pairs(A, B, k: int, solve):
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
     if B.dtype.kind == "c":
-        # scipy's complex ARPACK wrapper leaves its workspace, and through
-        # OPinv the LU, in a reference cycle: free them now, not at the next
-        # full collection
+        # scipy's complex ARPACK wrapper leaves its workspace, and with it
+        # B, in a reference cycle: free them now, not at the next full
+        # collection
         gc.collect(1)
     order = np.argsort(vals)
     return vals[order], vecs[:, order], solves
 
 
+def _sector_pairs(A, B, s: Sector, k: int):
+    """`_pairs` in sector s.  Dense A, or k >= dim - 1, which Lanczos cannot
+    give: LAPACK on the sector's projected pencil.  Otherwise the sector's
+    LU, made first so that no projected B is alive at its peak, and B
+    projected for this run alone."""
+    if not sp.issparse(A) or k >= s.dim - 1:
+        return _pairs(s.project(A), s.project(B), k, None)
+    solve = s.solve
+    return _pairs(None, s.project(B), k, solve)
+
+
 def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
-    The pencil is solved in `sectors`, by default one sector of all of A.
-    Each sector starts at ceil(k / w) + 1 modes (at most k), w the sectors'
+    The pencil is solved in `sectors`, by default one sector of all of A,
+    one after another, so at most one sector's projected B is alive.  Each
+    sector starts at ceil(k / w) + 1 modes (at most k), w the sectors'
     total weight; a sector whose largest value lies below the merged k-th
     value is solved again for twice as many.  The k smallest merged pairs are
     expanded, made B-orthonormal and checked on the full pencil.  The
@@ -154,7 +173,7 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
     if sectors is None:
-        sectors = (Sector(B),)
+        sectors = (Sector(A),)
     start = min(k, -(-k // sum(s.weight for s in sectors)) + 1)
     want = [min(start, s.dim) for s in sectors]
     found = [None] * len(sectors)
@@ -163,13 +182,7 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
         for i, s in enumerate(sectors):
             if found[i] is not None:
                 continue
-            # the whole space's pencil is (A, B) itself; a sector's A is
-            # projected only when nearly all of the sector is asked for,
-            # which Lanczos cannot give and LAPACK solves densely
-            As = A
-            if s.basis is not None:
-                As = s.basis.project(A) if want[i] >= s.dim - 1 else None
-            vals, vecs, made = _pairs(As, s.B, want[i], s.solve)
+            vals, vecs, made = _sector_pairs(A, B, s, want[i])
             found[i] = vals, vecs
             solves += made
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)

@@ -113,20 +113,35 @@ def assemble_robin_mass(mesh: Mesh, k_rect=None,
 
 @dataclass
 class ReducedSystem:
-    """Constraint-eliminated matrices plus the expansion back to full DoFs."""
+    """Constraint-eliminated matrices and the node -> DoF map that expands
+    reduced vectors back to full ones."""
 
-    S: sp.csr_matrix
+    A: sp.csr_matrix
     M: sp.csr_matrix
     R: sp.csr_matrix | None
-    P: sp.csr_matrix          # full = P @ reduced
-    keep: np.ndarray          # first full node of each reduced DoF
+    dof: np.ndarray           # int32 reduced DoF of each node, -1 where fixed
+    keep: np.ndarray          # int32 first full node of each reduced DoF
 
     @property
     def dim(self) -> int:
-        return self.P.shape[1]
+        return len(self.keep)
+
+    @property
+    def P(self) -> sp.csr_matrix:
+        """The expansion matrix, full = P @ reduced: a one in row i, column
+        dof[i]; built on each access, never stored."""
+        nodes = np.nonzero(self.dof >= 0)[0]
+        return sp.csr_matrix((np.ones(len(nodes)), (nodes, self.dof[nodes])),
+                             shape=(len(self.dof), self.dim))
 
     def expand(self, u_red: np.ndarray) -> np.ndarray:
-        return self.P @ u_red
+        """P @ u_red, gathered through the node -> DoF map."""
+        u_red = np.asarray(u_red)
+        full = np.zeros((len(self.dof),) + u_red.shape[1:],
+                        dtype=np.result_type(u_red, float))
+        nodes = self.dof >= 0
+        full[nodes] = u_red[self.dof[nodes]]
+        return full
 
     def project(self, A) -> sp.csr_matrix:
         """Reduce a full-node matrix to the reduced DoFs: P' A P.
@@ -135,11 +150,12 @@ class ReducedSystem:
         less its explicit zeros, which the sparse products drop: the same
         matrix, bitwise, without the two products.
         """
-        if self.P.nnz == self.dim:
+        if np.count_nonzero(self.dof >= 0) == self.dim:
             sub = A[self.keep][:, self.keep]
             sub.eliminate_zeros()
             return sub
-        return (self.P.T @ A @ self.P).tocsr()
+        P = self.P
+        return (P.T @ A @ P).tocsr()
 
 
 def dof_map(n: int, fixed, fold: np.ndarray | None = None) -> np.ndarray:
@@ -171,15 +187,16 @@ def periodic_fold(template: Mesh) -> np.ndarray:
     return fold
 
 
-def apply_constraints(S, M, R, dof: np.ndarray) -> ReducedSystem:
+def apply_constraints(A, M, R, dof: np.ndarray) -> ReducedSystem:
     """Eliminate constraints by projection: reduced A = P' A P (see
-    `ReducedSystem.project`).
+    `ReducedSystem.project`), for the operator A, the mass M and the Robin
+    mass R (None where there is none).
 
     dof[i] is the reduced DoF of node i, or -1 where the node is fixed to
     zero; P has a one in row i, column dof[i].  Nodes sharing a DoF are
     folded together (periodic faces).
     """
-    n = S.shape[0]
+    n = A.shape[0]
     dof = np.asarray(dof)
     if dof.shape != (n,):
         raise ConstraintError(f"dof map of shape {dof.shape} for {n} nodes")
@@ -189,8 +206,7 @@ def apply_constraints(S, M, R, dof: np.ndarray) -> ReducedSystem:
     dofs, first = np.unique(dof[nodes], return_index=True)
     if dofs[-1] != len(dofs) - 1:
         raise ConstraintError("dof map skips a reduced DoF")
-    P = sp.csr_matrix((np.ones(len(nodes)), (nodes, dof[nodes])),
-                      shape=(n, len(dofs)))
-    red = ReducedSystem(S=None, M=None, R=None, P=P, keep=nodes[first])
-    red.S, red.M, red.R = (None if A is None else red.project(A) for A in (S, M, R))
+    red = ReducedSystem(A=None, M=None, R=None, dof=dof.astype(np.int32),
+                        keep=nodes[first].astype(np.int32))
+    red.A, red.M, red.R = (None if X is None else red.project(X) for X in (A, M, R))
     return red

@@ -222,6 +222,8 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     boundary nodes sit at uniform spacing so opposite faces carry identical
     node distributions.
     """
+    if not (np.isfinite(r) and r >= 0.0):
+        raise GeometryError(f"hole radius must be finite and >= 0, got {r}")
     if not h_ref > 0.0:
         raise GeometryError(f"mesh size h_ref must be > 0, got {h_ref}")
     if r + h_ref >= 0.5:

@@ -10,8 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, geometry
-from .eigensolve import Sector, factorized_solver, solve_gevp, solve_source
-from .errors import SolverError
+from .eigensolve import Sector, factorized_solver, solve_gevp, solve_source  # noqa: F401
+from .errors import ConfigError, SolverError
 from .geometry import DomainConfig, Mesh
 
 _C4_TOL = 1e-12          # relative commutator bound for the rotation sectors
@@ -31,8 +31,14 @@ class DiscreteOperatorBundle:
     red: fem.ReducedSystem
 
     @property
+    def A(self):
+        """The bilinear-form matrix of the problem (S + R when perforated)."""
+        return self.red.A
+
+    @property
     def S(self):
-        return self.red.S
+        """The stiffness, A - R, made on each access."""
+        return self.red.A if self.R is None else self.red.A - self.red.R
 
     @property
     def M(self):
@@ -43,26 +49,15 @@ class DiscreteOperatorBundle:
         return self.red.R
 
     @functools.cached_property
-    def A(self):
-        """The bilinear-form matrix of the problem (S + R when perforated)."""
-        if self.R is not None:
-            return (self.red.S + self.red.R).tocsr()
-        return self.red.S
-
-    @functools.cached_property
     def sectors(self):
         """The pencil (A, M) in the sectors of the quarter turn when it is a
         symmetry of both (see `_rotation_orbits`), else in one sector of
-        every DoF; each sector with its LU, made on first use."""
+        every DoF; each sector's LU is made on its first solve."""
         found = _rotation_orbits(self)
         if found is None:
-            return (Sector(self.M, factorized_solver(self.A)),)
-        out = []
-        for chi in _CHARACTERS:
-            basis = _SectorBasis(*found, chi, self.red.dim)
-            solve = factorized_solver(basis.project(self.A).tocsc())
-            out.append(Sector(basis.project(self.M), solve, basis))
-        return tuple(out)
+            return (Sector(self.A),)
+        return tuple(Sector(self.A, _SectorBasis(*found, chi, self.red.dim))
+                     for chi in _CHARACTERS)
 
     def solve(self, f):
         """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f)."""
@@ -123,6 +118,8 @@ class _SectorBasis:
         self.orbits, self.n = orbits, n
         self.chi = chi ** np.arange(4)
         self.fixed = fixed if chi == 1.0 else fixed[:0]
+        self.dim = len(orbits) + len(self.fixed)
+        self.weight = 2 if self.chi.dtype.kind == "c" else 1
 
     def expand(self, y):
         """P y."""
@@ -154,15 +151,16 @@ class _SectorBasis:
 
 
 def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
-    """Tile Omega, assemble S, M, R over its FLUID triangles (Omega_eps) and
-    eliminate the outer Dirichlet nodes and the nodes off Omega_eps."""
+    """Tile Omega, assemble A = S + R and M over its FLUID triangles
+    (Omega_eps) and eliminate the outer Dirichlet nodes and the nodes off
+    Omega_eps from A, M and R."""
     mesh = geometry.build_perforated_mesh(cfg)
-    S = fem.assemble_stiffness(mesh)
-    M = fem.assemble_mass(mesh)
     R = fem.assemble_robin_mass(mesh, cfg.k_rect)
+    A = fem.assemble_stiffness(mesh) + R
+    M = fem.assemble_mass(mesh)
     fixed = ~mesh.fluid_nodes()
     fixed[mesh.outer_nodes()] = True
-    red = fem.apply_constraints(S, M, R, fem.dof_map(mesh.n_nodes, fixed))
+    red = fem.apply_constraints(A, M, R, fem.dof_map(mesh.n_nodes, fixed))
     return DiscreteOperatorBundle(mesh=mesh, red=red)
 
 
@@ -170,7 +168,10 @@ def solve_perforated_evp(cfg: DomainConfig, k: int):
     """k smallest eigenpairs of (S+R) u = lambda M u on Omega_eps.
 
     Eigenfunctions come back L2(Omega_eps)-orthonormal on the reduced DoFs.
+    A k that is not an integer >= 1 is refused before the mesh is built.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
     bundle = build_perforated_bundle(cfg)
     spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
     return spec, bundle

@@ -166,7 +166,7 @@ def _reference_two_stage_chi(cell_mesh):
     active = np.nonzero(cell_mesh.fluid_nodes()[red.keep])[0]
     free = active[1:]
     sol_red = np.zeros((red.dim, 2))
-    sol_red[free] = solve_source(red.S[free][:, free], loads_red[free])
+    sol_red[free] = solve_source(red.A[free][:, free], loads_red[free])
     full = red.expand(sol_red)
     return full - np.ones(cell_mesh.n_nodes) @ (M @ full) / cell_mesh.fluid_area()
 

@@ -207,6 +207,7 @@ def test_spectrum_command_reports_sectors(tmp_path, capsys):
         {"dim": 300, "weight": 2}, {"dim": 301, "weight": 1}, {"dim": 300, "weight": 1}]
     assert payload["solves"] == 63
     assert payload["peak_rss_mb"] > 0.0
+    assert f"peak RSS = {payload['peak_rss_mb']:.1f} MB\n" in out
     # a 30-gon hole is no quarter-turn symmetry: one sector of every DoF
     assert cli.main(["spectrum", "--eps", "1/4", "--npoly", "30", "--k", "2",
                      "--out", str(out_file)]) == 0
@@ -218,6 +219,24 @@ def test_geometry_error_exit_code(capsys):
     rc = cli.main(["cell", "--radius", "0.45", "--href", "1/8"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-0.1"])
+@pytest.mark.parametrize("command", [["cell"], ["mesh", "--kind", "template"]])
+def test_bad_hole_radius_is_an_error(command, radius, capsys):
+    assert cli.main(command + ["--radius", radius, "--href", "1/8"]) == 1
+    captured = capsys.readouterr()
+    assert "error: hole radius must be finite and >= 0" in captured.err
+    assert captured.out == ""
+
+
+def test_spectrum_rejects_k_before_meshing(monkeypatch, capsys):
+    def no_mesh(cfg):
+        raise AssertionError("mesh built for an invalid k")
+
+    monkeypatch.setattr(geometry, "build_perforated_mesh", no_mesh)
+    assert cli.main(["spectrum", "--eps", "1/4", "--k", "0"]) == 1
+    assert "error: k must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_study_and_check_commands(tmp_path, capsys):

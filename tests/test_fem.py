@@ -224,7 +224,7 @@ def test_apply_constraints_periodic(template8):
     red = fem.apply_constraints(S, M, None, dof)
     # constants stay in the stiffness kernel after periodic folding
     ones = np.ones(red.dim)
-    assert np.max(np.abs(red.S @ ones)) <= 1e-10
+    assert np.max(np.abs(red.A @ ones)) <= 1e-10
 
 
 def _reference_periodic_P(template, h_ref):
@@ -272,7 +272,7 @@ def test_periodic_fold_matches_pair_list(r, h_ref):
     dof = fem.dof_map(template.n_nodes, [], fold=fem.periodic_fold(template))
     red = fem.apply_constraints(S, fem.assemble_mass(template), None, dof)
     S_ref = (P_ref.T @ S @ P_ref).tocsr()
-    for name, got, want in (("P", red.P, P_ref), ("S", red.S, S_ref)):
+    for name, got, want in (("P", red.P, P_ref), ("S", red.A, S_ref)):
         for part in ("data", "indices", "indptr"):
             g, w = getattr(got, part), getattr(want, part)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"

@@ -297,6 +297,12 @@ def test_nonpositive_mesh_size_rejected(h):
         build_domain_mesh((0.25, 0.25, 0.75, 0.75), h)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -0.1])
+def test_bad_hole_radius_rejected(r):
+    with pytest.raises(GeometryError, match="hole radius must be finite and >= 0"):
+        build_cell_mesh(r, 32, 1.0 / 8.0)
+
+
 def test_cell_mesh_resolution_guards():
     with pytest.raises(GeometryError):
         build_cell_mesh(0.45, 32, 1.0 / 8.0)   # hole touches the boundary

@@ -1,5 +1,9 @@
 """The three eigenproblems, the source operator and the extension operator."""
 
+import gc
+import types
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -8,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from homoglab import eigensolve, fem, geometry, spectral
 from homoglab.eigensolve import solve_gevp
-from homoglab.errors import SolverError
+from homoglab.errors import ConfigError, SolverError
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 PI2 = np.pi * np.pi
@@ -120,6 +124,80 @@ def test_one_factorization_per_bundle(monkeypatch):
     assert made == sectors
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.0, True, "4"])
+def test_bad_k_refused_before_meshing(monkeypatch, k):
+    def no_mesh(cfg):
+        raise AssertionError("mesh built for an invalid k")
+
+    monkeypatch.setattr(geometry, "build_perforated_mesh", no_mesh)
+    cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, k_rect=K_RECT)
+    with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+        spectral.solve_perforated_evp(cfg, k)
+
+
+def test_k_at_dimension_refused_before_factorizing(monkeypatch):
+    def no_lu(A):
+        raise AssertionError("LU made for k >= dimension")
+
+    monkeypatch.setattr(eigensolve, "factorized_solver", no_lu)
+    monkeypatch.setattr(spectral, "factorized_solver", no_lu)
+    cfg = geometry.DomainConfig(eps=0.5, hole_radius=0.25, k_rect=K_RECT)
+    with pytest.raises(SolverError, match="need 1 <= k < dimension, got k=285, n=285"):
+        spectral.solve_perforated_evp(cfg, 285)
+
+
+def _sparse_reachable(root):
+    """The sparse matrices reachable from root through attributes,
+    containers, bound methods and closures; classes, modules and the
+    globals of functions are not followed."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if sp.issparse(obj):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_one_copy_per_operator(monkeypatch):
+    """After the solve, the bundle holds A, M and R and no other matrix: S is
+    derived, P is built on request and no sector keeps a projected mass.
+    Each sector's mass is projected for its own run and freed before the
+    next sector's is projected."""
+    built, masses = [], []
+    build, project = spectral.build_perforated_bundle, spectral._SectorBasis.project
+
+    def keeping(cfg):
+        built.append(build(cfg))
+        return built[-1]
+
+    def tracking(basis, X):
+        out = project(basis, X)
+        if X is built[0].M:
+            assert all(ref() is None for ref in masses), "an earlier sector mass is alive"
+            masses.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(spectral, "build_perforated_bundle", keeping)
+    monkeypatch.setattr(spectral._SectorBasis, "project", tracking)
+    cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
+    _, bundle = spectral.solve_perforated_evp(cfg, 4)
+    assert len(masses) == 3 and all(ref() is None for ref in masses)
+    assert len(bundle.sectors) == 3
+    operators = {id(bundle.A), id(bundle.M), id(bundle.R)}
+    assert len(operators) == 3
+    for root in (bundle, bundle.red):
+        assert sorted(map(id, _sparse_reachable(root))) == sorted(operators)
+    for s in bundle.sectors:
+        assert [id(X) for X in _sparse_reachable(s)] == [id(bundle.A)]
+
+
 def test_rayleigh_quotient(spec_quarter, bundle_quarter):
     def rq(u):  # (u'(S+R)u) / (u'Mu)
         return float(u @ (bundle_quarter.A @ u)) / float(u @ (bundle_quarter.M @ u))
@@ -176,9 +254,9 @@ def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
         fem.dof_map(ref_mesh.n_nodes, ref_mesh.outer_nodes()))
     assert bundle.red.dim == ref.dim
     assert np.array_equal(bundle.red.keep, fluid_to_full[ref.keep])
-    for name, got, want in (("S", bundle.S, ref.S), ("M", bundle.M, ref.M),
+    for name, got, want in (("S", bundle.S, ref.A), ("M", bundle.M, ref.M),
                             ("R", bundle.R, ref.R),
-                            ("A", bundle.A, (ref.S + ref.R).tocsr())):
+                            ("A", bundle.A, (ref.A + ref.R).tocsr())):
         for part in ("data", "indices", "indptr"):
             g, w = getattr(got, part), getattr(want, part)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
@@ -238,7 +316,7 @@ def test_dirichlet_laplacian_is_the_identity_homogenized_problem(a_mesh32):
     spec, bundle = spectral.solve_dirichlet_laplacian(a_mesh32, 3)
     S = fem.apply_constraints(
         fem.assemble_stiffness(a_mesh32), fem.assemble_mass(a_mesh32), None,
-        fem.dof_map(a_mesh32.n_nodes, a_mesh32.outer_nodes())).S
+        fem.dof_map(a_mesh32.n_nodes, a_mesh32.outer_nodes())).A
     for part in ("data", "indices", "indptr"):
         assert getattr(bundle.S, part).tobytes() == getattr(S, part).tobytes()
     want = solve_gevp(S, bundle.M, 3)
