@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ctypes
-import functools
 import gc
 from dataclasses import dataclass
 
@@ -59,13 +58,34 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+class WholeSpace:
+    """The identity basis of an n-dimensional space, for a pencil solved in
+    one sector: the interface of `spectral._SectorBasis` with P = I."""
+
+    weight = 1
+
+    def __init__(self, n: int):
+        self.dim = n
+
+    def expand(self, y):
+        return y
+
+    def restrict(self, f):
+        return f
+
+    def project(self, X):
+        return X
+
+
 class Sector:
     """An invariant subspace of a real pencil (A, B), kept as A and a basis
-    P: `solve` applies (P^H A P)^-1 through an LU made on first access and
-    then kept.  `basis` maps coordinates to full vectors (`expand`, P y), a
-    real full vector to coordinates (`restrict`, P^H f) and a full matrix
-    that commutes with the sector to the sector's (`project`, P^H X P), and
-    gives its `dim` and `weight`; None for the whole space.
+    P: `solve` applies (P^H A P)^-1 through the sector's LU, made by `lu`
+    when no LU is alive.  The LU lives until `drop`; a solve after that
+    makes it again, and `lus_made` counts every LU made.  `basis` maps
+    coordinates to full vectors (`expand`, P y), a real full vector to
+    coordinates (`restrict`, P^H f) and a full matrix that commutes with the
+    sector to the sector's (`project`, P^H X P), and gives its `dim` and
+    `weight`; `WholeSpace` for all of the pencil.
 
     A complex sector stands for itself and its conjugate, whose eigenpairs are
     the conjugates of its own: each of its eigenvalues counts twice (weight
@@ -73,30 +93,34 @@ class Sector:
     real ones.
     """
 
-    def __init__(self, A, basis=None):
+    def __init__(self, A, basis):
         self.A, self.basis = A, basis
+        self.dim, self.weight = basis.dim, basis.weight
+        self.lus_made = 0
+        self._lu = None
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0] if self.basis is None else self.basis.dim
+    def lu(self):
+        """The solve of the sector's LU, made now unless one is alive."""
+        if self._lu is None:
+            self._lu = factorized_solver(self.project(self.A))
+            self.lus_made += 1
+        return self._lu
 
-    @property
-    def weight(self) -> int:
-        return 1 if self.basis is None else self.basis.weight
+    def solve(self, f):
+        return self.lu()(f)
 
-    @functools.cached_property
-    def solve(self):
-        return factorized_solver(self.A if self.basis is None
-                                 else self.project(self.A).tocsc())
+    def drop(self):
+        """Free the LU; the next solve makes it again."""
+        self._lu = None
 
     def project(self, X):
-        return X if self.basis is None else self.basis.project(X)
+        return self.basis.project(X)
 
     def expand(self, y):
-        return y if self.basis is None else self.basis.expand(y)
+        return self.basis.expand(y)
 
     def restrict(self, f):
-        return f if self.basis is None else self.basis.restrict(f)
+        return self.basis.restrict(f)
 
 
 def _pairs(A, B, k: int, solve):
@@ -146,34 +170,40 @@ def _pairs(A, B, k: int, solve):
     return vals[order], vecs[:, order], solves
 
 
-def _sector_pairs(A, B, s: Sector, k: int):
+def _sector_pairs(A, B, s: Sector, k: int, keep_lu: bool):
     """`_pairs` in sector s.  Dense A, or k >= dim - 1, which Lanczos cannot
     give: LAPACK on the sector's projected pencil.  Otherwise the sector's
     LU, made first so that no projected B is alive at its peak, and B
-    projected for this run alone."""
+    projected for this run alone.  Unless `keep_lu`, the LU is dropped when
+    the run ends, before the next sector's is made."""
     if not sp.issparse(A) or k >= s.dim - 1:
         return _pairs(s.project(A), s.project(B), k, None)
-    solve = s.solve
-    return _pairs(None, s.project(B), k, solve)
+    solve = s.lu()
+    out = _pairs(None, s.project(B), k, solve)
+    if not keep_lu:
+        s.drop()
+    return out
 
 
-def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
+def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
     The pencil is solved in `sectors`, by default one sector of all of A,
     one after another, so at most one sector's projected B is alive.  Each
-    sector starts at ceil(k / w) + 1 modes (at most k), w the sectors'
-    total weight; a sector whose largest value lies below the merged k-th
-    value is solved again for twice as many.  The k smallest merged pairs are
-    expanded, made B-orthonormal and checked on the full pencil.  The
-    operator solves of every run, re-solves included, add up to
-    `Spectrum.solves`.
+    sector's LU is kept for later solves; with `keep_lu` False it is dropped
+    as the sector's run ends, so at most one LU is alive, and a re-solve
+    makes it again.  Each sector starts at ceil(k / w) + 1 modes (at most
+    k), w the sectors' total weight; a sector whose largest value lies below
+    the merged k-th value is solved again for twice as many.  The k smallest
+    merged pairs are expanded, made B-orthonormal and checked on the full
+    pencil.  The operator solves of every run, re-solves included, add up
+    to `Spectrum.solves`.
     """
     n = A.shape[0]
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
     if sectors is None:
-        sectors = (Sector(A),)
+        sectors = (Sector(A, WholeSpace(n)),)
     start = min(k, -(-k // sum(s.weight for s in sectors)) + 1)
     want = [min(start, s.dim) for s in sectors]
     found = [None] * len(sectors)
@@ -182,7 +212,7 @@ def solve_gevp(A, B, k: int, sectors=None) -> Spectrum:
         for i, s in enumerate(sectors):
             if found[i] is not None:
                 continue
-            vals, vecs, made = _sector_pairs(A, B, s, want[i])
+            vals, vecs, made = _sector_pairs(A, B, s, want[i], keep_lu)
             found[i] = vals, vecs
             solves += made
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
@@ -252,12 +282,14 @@ def factorized_solver(A):
     """Sparse LU factorization of the Hermitian matrix A in its CSC form,
     returned as the `SuperLU` object's bound `solve`; raises on singular A.
 
-    A CSR A is factorized through A^H, its conjugate-transpose view, which
-    is A's own CSC form: no copy of a real A is made beside the LU.  (Its
-    plain transpose would be conj(A) when A is complex.)  The free heap
-    pages go back to the system first, where the C library can do that.
+    A canonical CSR A is factorized through A^H, its conjugate-transpose
+    view, which is A's own CSC form: no copy of a real A is made beside the
+    LU.  (Its plain transpose would be conj(A) when A is complex.)  Any
+    other A is converted: `splu` sorts an unsorted input in place, and a
+    view would share A's indices.  The free heap pages go back to the
+    system first, where the C library can do that.
     """
-    if sp.issparse(A) and A.format == "csr":
+    if sp.issparse(A) and A.format == "csr" and A.has_canonical_format:
         A = A.conj(copy=False).T
     A = sp.csc_matrix(A)
     if _trim_heap is not None:

@@ -224,7 +224,11 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
     Returns the eigenvalues, the k report rows and the lab rows; nothing
     returned refers to the eps's bundle.
     """
-    spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k)
+    # VISIK (its doubling and apply_Keps) and LAB (check_norm_equivalence)
+    # solve with the bundle again, so its sector LUs are kept for them
+    keep_lu = bool({"VISIK", "LAB"} & set(cfg.modes))
+    spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k,
+                                                     keep_lu=keep_lu)
     rows = [{"eps": eps, "j": j + 1,
              "lambda_eps": float(spec_eps.eigenvalues[j]),
              "lambda_hom": float(lam_hom[j]),

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, geometry
-from .eigensolve import Sector, factorized_solver, solve_gevp, solve_source  # noqa: F401
+from .eigensolve import Sector, WholeSpace, solve_gevp, solve_source
 from .errors import ConfigError, SolverError
 from .geometry import DomainConfig, Mesh
 
@@ -52,15 +52,17 @@ class DiscreteOperatorBundle:
     def sectors(self):
         """The pencil (A, M) in the sectors of the quarter turn when it is a
         symmetry of both (see `_rotation_orbits`), else in one sector of
-        every DoF; each sector's LU is made on its first solve."""
+        every DoF; each sector's LU is made on its first solve and lives
+        until the sector drops it."""
         found = _rotation_orbits(self)
         if found is None:
-            return (Sector(self.A),)
+            return (Sector(self.A, WholeSpace(self.red.dim)),)
         return tuple(Sector(self.A, _SectorBasis(*found, chi, self.red.dim))
                      for chi in _CHARACTERS)
 
     def solve(self, f):
-        """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f)."""
+        """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f),
+        through each sector's LU, made again if it was dropped."""
         return sum(s.weight * s.expand(s.solve(s.restrict(f))).real
                    for s in self.sectors)
 
@@ -164,16 +166,20 @@ def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
     return DiscreteOperatorBundle(mesh=mesh, red=red)
 
 
-def solve_perforated_evp(cfg: DomainConfig, k: int):
+def solve_perforated_evp(cfg: DomainConfig, k: int, keep_lu: bool = False):
     """k smallest eigenpairs of (S+R) u = lambda M u on Omega_eps.
 
     Eigenfunctions come back L2(Omega_eps)-orthonormal on the reduced DoFs.
     A k that is not an integer >= 1 is refused before the mesh is built.
+    Each sector's LU is dropped when its Lanczos run ends, so one is alive
+    at a time, unless `keep_lu` keeps them for a caller that solves with the
+    bundle again; a solve on a dropped sector makes its LU again.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigError(f"k must be an integer >= 1, got {k!r}")
     bundle = build_perforated_bundle(cfg)
-    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors)
+    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors,
+                      keep_lu=keep_lu)
     return spec, bundle
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: meshes and solves reused across the test modules."""
 
 import os
+import weakref
 
 # pin thread counts before numpy is imported anywhere so the determinism
 # tests see a single-threaded BLAS
@@ -11,7 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import pytest
 
-from homoglab import geometry, spectral
+from homoglab import eigensolve, geometry, spectral
 from homoglab.cell import solve_cell_problem
 from homoglab.eigensolve import solve_gevp
 from homoglab.harness import StudyConfig, run_study
@@ -21,6 +22,34 @@ K_RECT = (0.25, 0.25, 0.75, 0.75)
 # verdict lines collected by the acceptance tests, replayed after the run so
 # they are visible regardless of output capture
 _ACCEPTANCE_LINES = []
+
+
+class _LU:
+    """A weakly referenceable stand-in for the solve of one LU."""
+
+    def __init__(self, solve):
+        self.solve = solve
+
+    def __call__(self, x):
+        return self.solve(x)
+
+
+@pytest.fixture
+def lus(monkeypatch):
+    """Every LU made while the test runs, in order: its dimension, its dtype
+    kind, how many earlier LUs were alive when it was made, and a weak
+    reference that dies with it."""
+    made = []
+    real = eigensolve.factorized_solver
+
+    def tracked(A):
+        alive = sum(ref() is not None for *_, ref in made)
+        lu = _LU(real(A))
+        made.append((A.shape[0], A.dtype.kind, alive, weakref.ref(lu)))
+        return lu
+
+    monkeypatch.setattr(eigensolve, "factorized_solver", tracked)
+    return made
 
 
 @pytest.fixture(scope="session")

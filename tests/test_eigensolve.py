@@ -154,10 +154,20 @@ def test_factorized_solver_complex_hermitian():
     H = X @ X.conj().T + 6.0 * np.eye(6)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     want = np.linalg.solve(H, b)
-    for A in (sp.csr_matrix(H), sp.csc_matrix(H)):
+    # CSR with each row's entries in reverse order, as a product of sparse
+    # matrices may leave them: converted, never sorted in place
+    rev = sp.csr_matrix(H)
+    for i in range(6):
+        row = slice(rev.indptr[i], rev.indptr[i + 1])
+        rev.indices[row], rev.data[row] = rev.indices[row][::-1], rev.data[row][::-1]
+    rev.has_sorted_indices = False
+    before = rev.indices.copy(), rev.data.copy()
+    for A in (sp.csr_matrix(H), sp.csc_matrix(H), rev):
         solve = factorized_solver(A)
         assert isinstance(solve.__self__, spla.SuperLU)
         assert np.allclose(solve(b), want, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(rev.indices, before[0]) and np.array_equal(rev.data, before[1])
+    assert np.array_equal(rev.toarray(), H)
 
 
 def test_solve_source_singular():

@@ -244,3 +244,46 @@ def test_eigenspace_temporaries_die_before_the_lab(monkeypatch):
     monkeypatch.setattr(lab, "check_trace", checking_trace)
     run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
                           cell_refine=2, modes=("EIGENSPACE", "LAB")))
+
+
+def _sectors(*dims):
+    # one eps's E, A and B sector LUs, in the order they are made
+    return [(dims[0], "c"), (dims[1], "f"), (dims[2], "f")]
+
+
+# the cell problem and the two macro solves come first
+_MACRO = [(1086, "f"), (3969, "f"), (3969, "f")]
+
+
+@pytest.mark.parametrize("kw,made", [
+    ({}, _MACRO + _sectors(300, 301, 300) + [(16, "f"), (1201, "f"), (916, "f")]
+     + _sectors(1232, 1233, 1232) + [(64, "f"), (4929, "f"), (3728, "f")]
+     + _sectors(4992, 4993, 4992) + [(256, "f"), (19969, "f"), (15040, "f")]),
+    (dict(eps_list=(1 / 16, 1 / 32), modes=("EIGENVALUES", "VISIK")),
+     _MACRO + _sectors(4992, 4993, 4992) + _sectors(20096, 20097, 20096))],
+    ids=["default", "certify"])
+def test_study_keeps_the_sector_lus_for_visik_and_lab(lus, kw, made):
+    """VISIK (its doubling and apply_Keps) and LAB (norm equivalence) solve
+    with the bundle again, so each eps's sector LUs are made once and kept:
+    21 LUs in the default study (per eps the hole extension, the trace and
+    volsup pencils after the sectors) and 9 when only VISIK runs."""
+    run_study(StudyConfig(**kw))
+    assert [(n, kind) for n, kind, *_ in lus] == made
+
+
+def test_eigenvalue_and_corrector_study_keeps_no_lu(monkeypatch, lus):
+    # neither mode solves with the bundle again: each sector's LU dies with
+    # its Lanczos run, and none is left on the bundles
+    solve, bundles = spectral.solve_perforated_evp, []
+
+    def keeping(cfg, k, **kw):
+        spec, bundle = solve(cfg, k, **kw)
+        bundles.append(bundle)
+        return spec, bundle
+
+    monkeypatch.setattr(spectral, "solve_perforated_evp", keeping)
+    run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
+                          cell_refine=2, modes=("EIGENVALUES", "CORRECTOR")))
+    assert len(bundles) == 2 and len(lus) == 3 + 3 * 2
+    assert all(ref() is None for *_, ref in lus)
+    assert [[s.lus_made for s in b.sectors] for b in bundles] == [[1, 1, 1]] * 2

@@ -100,7 +100,8 @@ def test_apply_Keps(spec_quarter, bundle_quarter):
 
 
 def test_one_factorization_per_bundle(monkeypatch):
-    from homoglab import eigensolve
+    # with keep_lu, as a study that runs VISIK or LAB asks: one LU per
+    # sector, all made by the solve and kept for later solves
     original = eigensolve.factorized_solver
     made = []
 
@@ -108,13 +109,11 @@ def test_one_factorization_per_bundle(monkeypatch):
         made.append(A.shape)
         return original(A)
 
-    monkeypatch.setattr(spectral, "factorized_solver", counting)
     monkeypatch.setattr(eigensolve, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
-    # one LU per sector, all made by the solve; the complex sector stands
-    # for two, so the sectors cover the reduced DoFs
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4, keep_lu=True)
+    # the complex sector stands for two, so the sectors cover the reduced DoFs
     sectors = [(s.dim, s.dim) for s in bundle.sectors]
     assert made == sectors
     assert [s.weight for s in bundle.sectors] == [2, 1, 1]
@@ -122,6 +121,27 @@ def test_one_factorization_per_bundle(monkeypatch):
     for j in range(2):
         spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
     assert made == sectors
+    assert [s.lus_made for s in bundle.sectors] == [1, 1, 1]
+
+
+def test_one_lu_alive_on_the_eigenvalue_path(lus):
+    """Without keep_lu each sector's LU dies when its Lanczos run ends,
+    before the next sector's is made: three LUs in all, and eigenpairs
+    bitwise equal to the keeping path's.  A later solve on the bundle makes
+    each LU again, and the sector counts it."""
+    cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
+    kept, kept_bundle = spectral.solve_perforated_evp(cfg, 4, keep_lu=True)
+    del lus[:]
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
+    assert [alive for *_, alive, _ in lus] == [0, 0, 0]
+    assert all(ref() is None for *_, ref in lus)
+    assert [s.lus_made for s in bundle.sectors] == [1, 1, 1]
+    assert spec.eigenvalues.tobytes() == kept.eigenvalues.tobytes()
+    assert spec.eigenvectors.tobytes() == kept.eigenvectors.tobytes()
+    f = spec.eigenvectors[:, 0]
+    again = spectral.apply_Keps(bundle, f)
+    assert len(lus) == 6 and [s.lus_made for s in bundle.sectors] == [2, 2, 2]
+    assert again.tobytes() == spectral.apply_Keps(kept_bundle, f).tobytes()
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, True, "4"])
@@ -140,7 +160,6 @@ def test_k_at_dimension_refused_before_factorizing(monkeypatch):
         raise AssertionError("LU made for k >= dimension")
 
     monkeypatch.setattr(eigensolve, "factorized_solver", no_lu)
-    monkeypatch.setattr(spectral, "factorized_solver", no_lu)
     cfg = geometry.DomainConfig(eps=0.5, hole_radius=0.25, k_rect=K_RECT)
     with pytest.raises(SolverError, match="need 1 <= k < dimension, got k=285, n=285"):
         spectral.solve_perforated_evp(cfg, 285)
@@ -297,7 +316,6 @@ def test_extend_factorizes_once(monkeypatch):
 
     real = eigensolve.factorized_solver
     monkeypatch.setattr(eigensolve, "factorized_solver", counting)
-    monkeypatch.setattr(spectral, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
     bundle = spectral.build_perforated_bundle(cfg)
@@ -410,7 +428,8 @@ def _one_lu_eigenvalues(A, M, k):
 def test_one_sector_without_symmetry(kw):
     spec, bundle = spectral.solve_perforated_evp(geometry.DomainConfig(
         **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}), 4)
-    assert len(bundle.sectors) == 1 and bundle.sectors[0].basis is None
+    assert len(bundle.sectors) == 1
+    assert isinstance(bundle.sectors[0].basis, eigensolve.WholeSpace)
     ref = _one_lu_eigenvalues(bundle.A, bundle.M, 4)
     assert spec.eigenvalues.tobytes() == ref.tobytes()
 
