@@ -49,7 +49,7 @@ def solve_cell_problem(cell_mesh: Mesh) -> CellSolution:
     for i in range(2):
         contrib = -areas[:, None] * grads[:, :, i]
         np.add.at(loads[:, i], tris.ravel(), contrib.ravel())
-    full = red.expand(solve_source(red.A, red.P.T @ loads))
+    full = red.expand(solve_source(red.A, red.restrict(loads)))
     area_y = cell_mesh.fluid_area()
     chi = full - np.ones(cell_mesh.n_nodes) @ (M @ full) / area_y
     ends = cell_mesh.boundary_edges[cell_mesh.edge_kind == geometry.HOLE_BDRY]

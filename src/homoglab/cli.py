@@ -173,7 +173,8 @@ def _cmd_spectrum(args) -> int:
     for j, (lam, res) in enumerate(zip(spec.eigenvalues, spec.residuals), start=1):
         print(f"lambda_{j} = {lam:.12g}   (residual {res:.2e})")
     peak = peak_rss_mb()
-    print(f"peak RSS = {peak:.1f} MB")
+    if peak is not None:
+        print(f"peak RSS = {peak:.1f} MB")
     if args.out is not None:
         payload = {"eps": cfg.eps, "eigenvalues": spec.eigenvalues.tolist(),
                    "residuals": spec.residuals.tolist(), "sectors": sectors,

@@ -60,7 +60,8 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 class WholeSpace:
     """The identity basis of an n-dimensional space, for a pencil solved in
-    one sector: the interface of `spectral._SectorBasis` with P = I."""
+    one sector: `spectral._SectorBasis`'s `expand`, `restrict` and `project`
+    with P = I, each returning its argument itself."""
 
     weight = 1
 
@@ -81,11 +82,11 @@ class Sector:
     """An invariant subspace of a real pencil (A, B), kept as A and a basis
     P: `solve` applies (P^H A P)^-1 through the sector's LU, made by `lu`
     when no LU is alive.  The LU lives until `drop`; a solve after that
-    makes it again, and `lus_made` counts every LU made.  `basis` maps
-    coordinates to full vectors (`expand`, P y), a real full vector to
-    coordinates (`restrict`, P^H f) and a full matrix that commutes with the
-    sector to the sector's (`project`, P^H X P), and gives its `dim` and
-    `weight`; `WholeSpace` for all of the pencil.
+    makes it again.  `basis` maps coordinates to full vectors (`expand`,
+    P y), a real full vector to coordinates (`restrict`, P^H f) and a full
+    matrix that commutes with the sector to the sector's (`project`,
+    P^H X P), and gives its `dim` and `weight`; `WholeSpace` for all of the
+    pencil.
 
     A complex sector stands for itself and its conjugate, whose eigenpairs are
     the conjugates of its own: each of its eigenvalues counts twice (weight
@@ -96,14 +97,12 @@ class Sector:
     def __init__(self, A, basis):
         self.A, self.basis = A, basis
         self.dim, self.weight = basis.dim, basis.weight
-        self.lus_made = 0
         self._lu = None
 
     def lu(self):
         """The solve of the sector's LU, made now unless one is alive."""
         if self._lu is None:
-            self._lu = factorized_solver(self.project(self.A))
-            self.lus_made += 1
+            self._lu = factorized_solver(self.basis.project(self.A))
         return self._lu
 
     def solve(self, f):
@@ -112,15 +111,6 @@ class Sector:
     def drop(self):
         """Free the LU; the next solve makes it again."""
         self._lu = None
-
-    def project(self, X):
-        return self.basis.project(X)
-
-    def expand(self, y):
-        return self.basis.expand(y)
-
-    def restrict(self, f):
-        return self.basis.restrict(f)
 
 
 def _pairs(A, B, k: int, solve):
@@ -177,9 +167,9 @@ def _sector_pairs(A, B, s: Sector, k: int, keep_lu: bool):
     projected for this run alone.  Unless `keep_lu`, the LU is dropped when
     the run ends, before the next sector's is made."""
     if not sp.issparse(A) or k >= s.dim - 1:
-        return _pairs(s.project(A), s.project(B), k, None)
+        return _pairs(s.basis.project(A), s.basis.project(B), k, None)
     solve = s.lu()
-    out = _pairs(None, s.project(B), k, solve)
+    out = _pairs(None, s.basis.project(B), k, solve)
     if not keep_lu:
         s.drop()
     return out
@@ -233,7 +223,7 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     vecs = np.empty((n, k), order="F")  # the layout of eigsh's vectors
     for col, i in enumerate(order):
         _, s, Y, j, part = cands[i]
-        x = s.expand(Y[:, j])
+        x = s.basis.expand(Y[:, j])
         vecs[:, col] = x.imag if part else x.real
 
     # enforce B-orthonormality explicitly (harmless when already true)

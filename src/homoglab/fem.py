@@ -20,6 +20,22 @@ def _accumulate(n: int, rows, cols, vals) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def fold_matrix(A, rows: np.ndarray, cols: np.ndarray, n: int,
+                phase: np.ndarray | None = None) -> sp.csr_matrix:
+    """The n x n canonical CSR matrix that sums each entry (i, j) of the CSR
+    matrix A, times phase[j] if given, into (rows[i], cols[j]).  An entry
+    whose row or column maps to -1 is dropped, and so is every explicit
+    zero of the result.  With P the matrix with a one in row i, column
+    map[i], P' A P is fold_matrix(A, map, map, P.shape[1])."""
+    i = np.repeat(rows, np.diff(A.indptr))
+    j = cols[A.indices]
+    vals = A.data if phase is None else A.data * phase[A.indices]
+    kept = (i >= 0) & (j >= 0)
+    out = _accumulate(n, i[kept], j[kept], vals[kept])
+    out.eliminate_zeros()
+    return out
+
+
 def _block_indices(tri_nodes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """(9, T) int32 row and column indices: block b couples local node
     blocks[b][0] (row) with blocks[b][1] (column) in every triangle."""
@@ -114,7 +130,9 @@ def assemble_robin_mass(mesh: Mesh, k_rect=None,
 @dataclass
 class ReducedSystem:
     """Constraint-eliminated matrices and the node -> DoF map that expands
-    reduced vectors back to full ones."""
+    reduced vectors back to full ones.  P, the n x dim matrix with a one in
+    row i, column dof[i], is never built: `expand`, `restrict` and `project`
+    apply P u, P' f and P' A P through the map."""
 
     A: sp.csr_matrix
     M: sp.csr_matrix
@@ -126,14 +144,6 @@ class ReducedSystem:
     def dim(self) -> int:
         return len(self.keep)
 
-    @property
-    def P(self) -> sp.csr_matrix:
-        """The expansion matrix, full = P @ reduced: a one in row i, column
-        dof[i]; built on each access, never stored."""
-        nodes = np.nonzero(self.dof >= 0)[0]
-        return sp.csr_matrix((np.ones(len(nodes)), (nodes, self.dof[nodes])),
-                             shape=(len(self.dof), self.dim))
-
     def expand(self, u_red: np.ndarray) -> np.ndarray:
         """P @ u_red, gathered through the node -> DoF map."""
         u_red = np.asarray(u_red)
@@ -143,19 +153,17 @@ class ReducedSystem:
         full[nodes] = u_red[self.dof[nodes]]
         return full
 
-    def project(self, A) -> sp.csr_matrix:
-        """Reduce a full-node matrix to the reduced DoFs: P' A P.
+    def restrict(self, f: np.ndarray) -> np.ndarray:
+        """P' f, summed through the node -> DoF map."""
+        f = np.asarray(f)
+        out = np.zeros((self.dim,) + f.shape[1:], dtype=np.result_type(f, float))
+        nodes = self.dof >= 0
+        np.add.at(out, self.dof[nodes], f[nodes])
+        return out
 
-        When no two nodes share a DoF this is the submatrix A[keep][:, keep]
-        less its explicit zeros, which the sparse products drop: the same
-        matrix, bitwise, without the two products.
-        """
-        if np.count_nonzero(self.dof >= 0) == self.dim:
-            sub = A[self.keep][:, self.keep]
-            sub.eliminate_zeros()
-            return sub
-        P = self.P
-        return (P.T @ A @ P).tocsr()
+    def project(self, A) -> sp.csr_matrix:
+        """Reduce a full-node CSR matrix to the reduced DoFs: P' A P."""
+        return fold_matrix(A, self.dof, self.dof, self.dim)
 
 
 def dof_map(n: int, fixed, fold: np.ndarray | None = None) -> np.ndarray:
@@ -193,8 +201,7 @@ def apply_constraints(A, M, R, dof: np.ndarray) -> ReducedSystem:
     mass R (None where there is none).
 
     dof[i] is the reduced DoF of node i, or -1 where the node is fixed to
-    zero; P has a one in row i, column dof[i].  Nodes sharing a DoF are
-    folded together (periodic faces).
+    zero.  Nodes sharing a DoF are folded together (periodic faces).
     """
     n = A.shape[0]
     dof = np.asarray(dof)

@@ -249,7 +249,7 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
                 rows[j]["heps_err"] = float(res.heps_errors[pos])
                 rows[j]["l2_err"] = float(res.l2_errors[pos])
 
-    if "EIGENSPACE" in cfg.modes:
+    if "EIGENSPACE" in cfg.modes and clusters[0][-1] < cfg.k:
         cl = clusters[0]
         rows[cl[0]]["gap"] = _eigenspace_gap(bundle, spec_eps.eigenvectors[:, cl],
                                              a_mesh, hom_full[:, cl])

@@ -7,7 +7,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, geometry
 from .eigensolve import Sector, WholeSpace, solve_gevp, solve_source
@@ -63,7 +62,7 @@ class DiscreteOperatorBundle:
     def solve(self, f):
         """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f),
         through each sector's LU, made again if it was dropped."""
-        return sum(s.weight * s.expand(s.solve(s.restrict(f))).real
+        return sum(s.weight * s.basis.expand(s.solve(s.basis.restrict(f))).real
                    for s in self.sectors)
 
 
@@ -137,19 +136,20 @@ class _SectorBasis:
 
     def project(self, A):
         """P^H A P for an A that commutes with the turn.  Row orbits[o, 0]
-        of P is the unit row e_o, so A P = P W gives W = (A P)[those rows],
-        and P^H A P = P^H P W with P^H P = 4 on an orbit and 1 on a fixed
-        DoF: a quarter of A's rows are used.  Made Hermitian to the last
-        bit."""
+        of P is the unit row e_o, so A P = P W gives W = (A P)[those rows]:
+        those rows of A folded onto the orbits with phase chi^g.  P^H A P =
+        P^H P W with P^H P = 4 on an orbit and 1 on a fixed DoF, so a
+        quarter of A's rows are used.  Made Hermitian to the last bit."""
         m, k = len(self.orbits), len(self.fixed)
-        P = sp.csr_matrix(
-            (np.concatenate([np.tile(self.chi, m), np.ones(k)]),
-             (np.concatenate([self.orbits.ravel(), self.fixed]),
-              np.concatenate([np.repeat(np.arange(m), 4), m + np.arange(k)]))),
-            shape=(self.n, m + k))
+        col = np.full(self.n, -1)
+        col[self.orbits] = np.arange(m)[:, None]
+        col[self.fixed] = m + np.arange(k)
+        phase = np.ones(self.n, dtype=self.chi.dtype)
+        phase[self.orbits] = self.chi
         first = np.concatenate([self.orbits[:, 0], self.fixed])
-        Z = sp.diags(P.getnnz(axis=0).astype(float)) @ (A[first] @ P)
-        return ((Z + Z.conj().T) * 0.5).tocsr()
+        Z = fem.fold_matrix(A[first], np.arange(m + k), col, m + k, phase)
+        Z.data[:Z.indptr[m]] *= 4.0
+        return (Z + Z.conj().T) * 0.5
 
 
 def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:

@@ -10,7 +10,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from homoglab import eigensolve, geometry, spectral
 from homoglab.cell import solve_cell_problem
@@ -22,6 +24,15 @@ K_RECT = (0.25, 0.25, 0.75, 0.75)
 # verdict lines collected by the acceptance tests, replayed after the run so
 # they are visible regardless of output capture
 _ACCEPTANCE_LINES = []
+
+
+def expansion_matrix(dof):
+    """The expansion matrix P of a node -> DoF map, built by hand for the
+    tests: a one in row i, column dof[i], wherever dof[i] >= 0."""
+    dof = np.asarray(dof)
+    nodes = np.nonzero(dof >= 0)[0]
+    return sp.csr_matrix((np.ones(len(nodes)), (nodes, dof[nodes])),
+                         shape=(len(dof), dof.max() + 1))
 
 
 class _LU:

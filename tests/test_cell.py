@@ -7,6 +7,8 @@ from homoglab import geometry
 from homoglab.cell import CellSolution, compute_ahom, eval_chi, fhom, solve_cell_problem
 from homoglab.errors import GeometryError, OutsideDomainError
 
+from conftest import expansion_matrix
+
 # frozen fine-mesh regression value for the isotropic effective coefficient
 # at template resolution 1/32 (self-convergence sequence 0.68867, 0.67790,
 # 0.67458, 0.67368 for h in {1/8, 1/16, 1/32, 1/64}; Richardson limit 0.6733)
@@ -162,7 +164,7 @@ def _reference_two_stage_chi(cell_mesh):
     for i in range(2):
         contrib = -areas[:, None] * grads[:, :, i]
         np.add.at(loads[:, i], tris.ravel(), contrib.ravel())
-    loads_red = red.P.T @ loads
+    loads_red = expansion_matrix(red.dof).T @ loads
     active = np.nonzero(cell_mesh.fluid_nodes()[red.keep])[0]
     free = active[1:]
     sol_red = np.zeros((red.dim, 2))

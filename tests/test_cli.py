@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from homoglab import cli, geometry
+from homoglab import cli, geometry, harness
 from homoglab.errors import ConfigError
 
 
@@ -213,6 +213,17 @@ def test_spectrum_command_reports_sectors(tmp_path, capsys):
                      "--out", str(out_file)]) == 0
     assert "sector dims = 1201\n" in capsys.readouterr().out
     assert json.loads(out_file.read_text())["sectors"] == [{"dim": 1201, "weight": 1}]
+
+
+def test_spectrum_without_peak_rss(monkeypatch, tmp_path, capsys):
+    # where `resource` is missing there is no peak to print: the line is
+    # left out and the JSON carries null
+    monkeypatch.setattr(harness, "peak_rss_mb", lambda: None)
+    out_file = tmp_path / "spectrum.json"
+    assert cli.main(["spectrum", "--eps", "1/4", "--k", "2", "--out", str(out_file)]) == 0
+    out = capsys.readouterr().out
+    assert "lambda_2 = " in out and "peak RSS" not in out
+    assert json.loads(out_file.read_text())["peak_rss_mb"] is None
 
 
 def test_geometry_error_exit_code(capsys):

@@ -10,6 +10,8 @@ from homoglab import fem, geometry
 from homoglab.errors import AssemblyError, ConstraintError
 from homoglab.geometry import DomainConfig, build_domain_mesh, build_perforated_mesh
 
+from conftest import expansion_matrix
+
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 
 
@@ -198,7 +200,7 @@ def test_apply_constraints_dirichlet():
     # empty constraint set: identity transformation
     red = fem.apply_constraints(S, M, None, fem.dof_map(mesh.n_nodes, []))
     assert red.dim == mesh.n_nodes
-    assert (red.P - sp.eye(mesh.n_nodes)).nnz == 0
+    assert (expansion_matrix(red.dof) - sp.eye(mesh.n_nodes)).nnz == 0
     # all nodes constrained: degenerate space
     with pytest.raises(ConstraintError):
         fem.apply_constraints(S, M, None, np.full(mesh.n_nodes, -1))
@@ -225,6 +227,12 @@ def test_apply_constraints_periodic(template8):
     # constants stay in the stiffness kernel after periodic folding
     ones = np.ones(red.dim)
     assert np.max(np.abs(red.A @ ones)) <= 1e-10
+
+
+def _assert_same_bytes(got, want, name):
+    for part in ("data", "indices", "indptr"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
 
 
 def _reference_periodic_P(template, h_ref):
@@ -272,32 +280,71 @@ def test_periodic_fold_matches_pair_list(r, h_ref):
     dof = fem.dof_map(template.n_nodes, [], fold=fem.periodic_fold(template))
     red = fem.apply_constraints(S, fem.assemble_mass(template), None, dof)
     S_ref = (P_ref.T @ S @ P_ref).tocsr()
-    for name, got, want in (("P", red.P, P_ref), ("S", red.A, S_ref)):
-        for part in ("data", "indices", "indptr"):
-            g, w = getattr(got, part), getattr(want, part)
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
+    _assert_same_bytes(expansion_matrix(red.dof), P_ref, "P")
+    _assert_same_bytes(red.A, S_ref, "S")
 
 
-def test_project_submatrix_matches_triple_product(bundle_quarter, a_mesh32):
-    """With no folded nodes, project takes A[keep][:, keep] less its explicit
-    zeros: P' A P bitwise, on the perforated map and on the Dirichlet map of
-    the structured macro mesh, whose stiffness stores exact zeros."""
+def _cell_map(template, pin: bool):
+    """The cell problem's map: periodic faces folded, hole nodes fixed and,
+    with `pin`, DoF 0 pinned as `solve_cell_problem` pins it."""
+    dof = fem.dof_map(template.n_nodes, ~template.fluid_nodes(),
+                      fold=fem.periodic_fold(template))
+    return np.maximum(dof - 1, -1) if pin else dof
+
+
+def test_project_matches_triple_product(bundle_quarter, a_mesh32, template8):
+    """project folds A through the node -> DoF map into P' A P bitwise: on
+    the perforated map, on the Dirichlet map of the structured macro mesh,
+    whose stiffness stores exact zeros, and on the cell's maps, where up to
+    four nodes share a DoF.  Canonical CSR in every case."""
     mesh, red = bundle_quarter.mesh, bundle_quarter.red
     S_a = fem.assemble_stiffness(a_mesh32)
     red_a = fem.apply_constraints(S_a, fem.assemble_mass(a_mesh32), None,
                                   fem.dof_map(a_mesh32.n_nodes, a_mesh32.outer_nodes()))
     assert (S_a.data == 0.0).any()
+    S_c, M_c = fem.assemble_stiffness(template8), fem.assemble_mass(template8)
+    cell, pinned = (fem.apply_constraints(S_c, M_c, None, _cell_map(template8, pin))
+                    for pin in (False, True))
+    assert np.bincount(cell.dof[cell.dof >= 0]).max() == 4  # the corners
     cases = {"S": (red, fem.assemble_stiffness(mesh)),
              "M": (red, fem.assemble_mass(mesh)),
              "R": (red, fem.assemble_robin_mass(mesh, K_RECT)),
              "R_all": (red, fem.assemble_robin_mass(mesh, None)),
-             "S on A": (red_a, S_a)}
+             "S on A": (red_a, S_a),
+             "S on the cell": (cell, S_c), "M on the cell": (cell, M_c),
+             "S pinned": (pinned, S_c), "M pinned": (pinned, M_c)}
     for name, (r, A) in cases.items():
-        assert r.P.nnz == r.dim, name     # no two nodes share a DoF
-        got, want = r.project(A), (r.P.T @ A @ r.P).tocsr()
-        for part in ("data", "indices", "indptr"):
-            g, w = getattr(got, part), getattr(want, part)
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
+        P = expansion_matrix(r.dof)
+        got, want = r.project(A), (P.T @ A @ P).tocsr()
+        assert got.has_canonical_format, name
+        _assert_same_bytes(got, want, name)
+
+
+def test_restrict_matches_transpose(template8):
+    """restrict sums through the map into P' f bitwise, for one vector and
+    for a block of them, with folded, fixed and pinned nodes."""
+    red = fem.apply_constraints(fem.assemble_stiffness(template8),
+                                fem.assemble_mass(template8), None,
+                                _cell_map(template8, pin=True))
+    P = expansion_matrix(red.dof)
+    f = np.sin(np.arange(2 * template8.n_nodes, dtype=float)).reshape(-1, 2)
+    for x in (f, f[:, 0]):
+        got = red.restrict(x)
+        assert got.shape == (red.dim,) + x.shape[1:]
+        assert got.tobytes() == (P.T @ x).tobytes()
+
+
+def test_fold_matrix_drops_and_phases():
+    """Entries mapped to -1 and sums that cancel are dropped, duplicates
+    are summed and the phase scales each column."""
+    A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0],
+                                [3.0, 4.0, 5.0],
+                                [0.0, -1.0, 6.0]]))
+    rows, cols = np.array([0, 1, 0]), np.array([0, 0, -1])
+    out = fem.fold_matrix(A, rows, cols, 2, phase=np.array([1.0, -1.0, 7.0]))
+    assert out.has_canonical_format and out.format == "csr"
+    # (0, 0): 1 - 2 + 1, which cancels; (1, 0): 3 - 4
+    assert out.nnz == 1 and out[1, 0] == -1.0
 
 
 def test_norms():

@@ -155,6 +155,17 @@ def test_small_study_structure(small_report):
     assert isinstance(body_bytes(small_report), bytes)
 
 
+def test_eigenspace_skips_a_cut_first_cluster():
+    # the thin A puts lambda_hom^1 and lambda_hom^2 in one cluster, which
+    # k = 1 cuts: no gap is reported, as CORRECTOR aligns no cut cluster
+    report = run_study(StudyConfig(k_rect=(0.02, 0.45, 0.98, 0.5), k=1,
+                                   eps_list=(1 / 4, 1 / 8), modes=("EIGENSPACE",)))
+    rows = report["body"]["rows"]
+    assert [r["j"] for r in rows] == [1, 1]
+    assert all(r["gap"] is None for r in rows)
+    assert "gap_j1" not in report["body"]["rates"]
+
+
 def test_header_reports_peak_memory(small_report):
     # the process's peak RSS goes in the header, outside the body bytes
     header = small_report["header"]
@@ -284,6 +295,7 @@ def test_eigenvalue_and_corrector_study_keeps_no_lu(monkeypatch, lus):
     monkeypatch.setattr(spectral, "solve_perforated_evp", keeping)
     run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
                           cell_refine=2, modes=("EIGENVALUES", "CORRECTOR")))
-    assert len(bundles) == 2 and len(lus) == 3 + 3 * 2
+    # the three macro LUs, then one LU per sector of each bundle
+    assert len(bundles) == 2
+    assert [n for n, *_ in lus[3:]] == [s.dim for b in bundles for s in b.sectors]
     assert all(ref() is None for *_, ref in lus)
-    assert [[s.lus_made for s in b.sectors] for b in bundles] == [[1, 1, 1]] * 2

@@ -10,6 +10,8 @@ from homoglab import eigensolve, fem, geometry, lab, spectral
 from homoglab.cell import eval_chi
 from homoglab.errors import ConfigError
 
+from conftest import expansion_matrix
+
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 
 
@@ -53,7 +55,7 @@ def _pencils(bundle, sol):
     """The three lemma pencils (A, B, which, k) as sparse matrices, reduced
     by hand so they share no code with lab: trace, volsup on the DoFs
     Omega_eps^K touches, R against S."""
-    mesh, P, eps = bundle.mesh, bundle.red.P, bundle.mesh.eps
+    mesh, P, eps = bundle.mesh, expansion_matrix(bundle.red.dof), bundle.mesh.eps
     R_all = P.T @ fem.assemble_robin_mass(mesh, k_rect=None) @ P
     tris, edges = lab._volsup_support(mesh, K_RECT)
     M_sub = P.T @ fem.assemble_mass(mesh, tris=tris) @ P
@@ -128,6 +130,10 @@ def test_sharp_constants_solve_counts(bundle_eighth, cell_sol8, monkeypatch):
             return solve(x)
         return apply
 
+    # the session bundle makes its sector LUs on first solve; make them
+    # now, whatever ran before, so that only the pencils' own LUs are counted
+    for s in bundle_eighth.sectors:
+        s.lu()
     factorized = eigensolve.factorized_solver
     monkeypatch.setattr(eigensolve, "factorized_solver",
                         lambda B: counted(factorized(B)))

@@ -99,48 +99,41 @@ def test_apply_Keps(spec_quarter, bundle_quarter):
         spectral.apply_Keps(b_dir, np.zeros(b_dir.red.dim))
 
 
-def test_one_factorization_per_bundle(monkeypatch):
+def test_one_factorization_per_bundle(lus):
     # with keep_lu, as a study that runs VISIK or LAB asks: one LU per
     # sector, all made by the solve and kept for later solves
-    original = eigensolve.factorized_solver
-    made = []
-
-    def counting(A):
-        made.append(A.shape)
-        return original(A)
-
-    monkeypatch.setattr(eigensolve, "factorized_solver", counting)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
     spec, bundle = spectral.solve_perforated_evp(cfg, 4, keep_lu=True)
     # the complex sector stands for two, so the sectors cover the reduced DoFs
-    sectors = [(s.dim, s.dim) for s in bundle.sectors]
-    assert made == sectors
+    sectors = [s.dim for s in bundle.sectors]
+    assert [n for n, *_ in lus] == sectors
     assert [s.weight for s in bundle.sectors] == [2, 1, 1]
     assert sum(s.weight * s.dim for s in bundle.sectors) == bundle.red.dim
     for j in range(2):
         spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
-    assert made == sectors
-    assert [s.lus_made for s in bundle.sectors] == [1, 1, 1]
+    assert [n for n, *_ in lus] == sectors
+    assert all(ref() is not None for *_, ref in lus)
 
 
 def test_one_lu_alive_on_the_eigenvalue_path(lus):
     """Without keep_lu each sector's LU dies when its Lanczos run ends,
     before the next sector's is made: three LUs in all, and eigenpairs
     bitwise equal to the keeping path's.  A later solve on the bundle makes
-    each LU again, and the sector counts it."""
+    each LU again."""
     cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
     kept, kept_bundle = spectral.solve_perforated_evp(cfg, 4, keep_lu=True)
     del lus[:]
     spec, bundle = spectral.solve_perforated_evp(cfg, 4)
+    dims = [s.dim for s in bundle.sectors]
+    assert [n for n, *_ in lus] == dims
     assert [alive for *_, alive, _ in lus] == [0, 0, 0]
     assert all(ref() is None for *_, ref in lus)
-    assert [s.lus_made for s in bundle.sectors] == [1, 1, 1]
     assert spec.eigenvalues.tobytes() == kept.eigenvalues.tobytes()
     assert spec.eigenvectors.tobytes() == kept.eigenvectors.tobytes()
     f = spec.eigenvectors[:, 0]
     again = spectral.apply_Keps(bundle, f)
-    assert len(lus) == 6 and [s.lus_made for s in bundle.sectors] == [2, 2, 2]
+    assert [n for n, *_ in lus] == dims + dims
     assert again.tobytes() == spectral.apply_Keps(kept_bundle, f).tobytes()
 
 
@@ -186,7 +179,7 @@ def _sparse_reachable(root):
 
 def test_one_copy_per_operator(monkeypatch):
     """After the solve, the bundle holds A, M and R and no other matrix: S is
-    derived, P is built on request and no sector keeps a projected mass.
+    derived, no P is built and no sector keeps a projected mass.
     Each sector's mass is projected for its own run and freed before the
     next sector's is projected."""
     built, masses = [], []
@@ -374,8 +367,9 @@ def _bundle(**kw):
 
 
 def _basis_matrix(sector):
-    """The sector's P, column by column through its expand."""
-    return sp.csr_matrix(np.column_stack([sector.expand(e) for e in np.eye(sector.dim)]))
+    """The sector's P, column by column through its basis's expand."""
+    return sp.csr_matrix(np.column_stack([sector.basis.expand(e)
+                                          for e in np.eye(sector.dim)]))
 
 
 @pytest.mark.parametrize("kw", _SYMMETRIC.values(), ids=_SYMMETRIC.keys())
@@ -402,12 +396,53 @@ def test_rotation_sectors(kw):
         # restrict is the adjoint of expand
         f = np.sin(np.arange(n, dtype=float))
         for s, P in zip(sectors, Ps):
-            assert np.allclose(s.restrict(f), P.conj().T @ f, rtol=0.0, atol=1e-14)
+            assert np.allclose(s.basis.restrict(f), P.conj().T @ f, rtol=0.0, atol=1e-14)
 
     full = solve_gevp(bundle.A, bundle.M, 4)
     spec = solve_gevp(bundle.A, bundle.M, 4, sectors=sectors)
     assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-11, atol=0.0)
     assert spec.eigenvalues[1] == spec.eigenvalues[2]
+
+
+def _sector_P(basis):
+    """The sector's P built from its orbits, as the basis defines it: column
+    o carries chi^g in row orbits[o, g], and column m + f a one in row
+    fixed[f]."""
+    m, k = len(basis.orbits), len(basis.fixed)
+    return sp.csr_matrix(
+        (np.concatenate([np.tile(basis.chi, m), np.ones(k)]),
+         (np.concatenate([basis.orbits.ravel(), basis.fixed]),
+          np.concatenate([np.repeat(np.arange(m), 4), m + np.arange(k)]))),
+        shape=(basis.n, m + k))
+
+
+@pytest.mark.parametrize("kw", _SYMMETRIC.values(), ids=_SYMMETRIC.keys())
+def test_sector_project_matches_triple_product(kw):
+    """Each sector's project of A and M, as canonical CSR: bitwise the
+    quarter-row form of P^H A P, (D W + (D W)^H) / 2 with W = (A P)[first
+    rows] and D = P^H P, made here with sparse products; and the full triple
+    product entry for entry, to the roundoff by which A commutes with the
+    turn."""
+    bundle = _bundle(**kw)
+    for s in bundle.sectors:
+        basis, P = s.basis, _sector_P(s.basis)
+        y = np.cos(np.arange(s.dim, dtype=float))
+        assert np.array_equal(P @ y, basis.expand(y))
+        first = np.concatenate([basis.orbits[:, 0], basis.fixed])
+        D = sp.diags(P.getnnz(axis=0).astype(float))
+        for X in (bundle.A, bundle.M):
+            got = basis.project(X)
+            assert got.format == "csr" and got.has_canonical_format
+            Z = D @ (X[first] @ P)
+            quarter = ((Z + Z.conj().T) * 0.5).tocsr().sorted_indices()
+            full = (P.conj().T @ X @ P).tocsr().sorted_indices()
+            full.eliminate_zeros()
+            for part in ("data", "indices", "indptr"):
+                g, w = getattr(got, part), getattr(quarter, part)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), part
+                if part != "data":
+                    assert np.array_equal(g, getattr(full, part)), part
+            assert np.abs(got.data - full.data).max() <= 1e-13 * np.abs(full.data).max()
 
 
 def _one_lu_eigenvalues(A, M, k):
