@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -161,6 +162,10 @@ def _cmd_spectrum(args) -> int:
     from . import spectral
     from .geometry import DomainConfig
     from .harness import peak_rss_mb
+    if args.out is not None:  # a bad location fails now, not after the solve
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        if args.out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
     cfg = DomainConfig(eps=args.eps, hole_radius=args.radius,
                        hole_poly=args.npoly, k_rect=args.krect, h_ref=args.href)
     spec, bundle = spectral.solve_perforated_evp(cfg, args.k)
@@ -187,6 +192,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_study(args, grade: bool) -> int:
     from .harness import emit, run_study
     cfg = _load_study_config(args.config)
+    args.out.mkdir(parents=True, exist_ok=True)  # fails now, not after the sweep
     report = run_study(cfg)
     formats = ["json"] + (["csv"] if args.csv else []) + (["svg"] if args.svg else [])
     written = emit(report, args.out, formats=formats)
@@ -232,7 +238,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_study(args, grade=True)
         raise AssertionError(f"unhandled command {args.command}")
-    except HomoglabError as exc:
+    except (HomoglabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,15 +58,27 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-class WholeSpace:
-    """The identity basis of an n-dimensional space, for a pencil solved in
-    one sector: `spectral._SectorBasis`'s `expand`, `restrict` and `project`
-    with P = I, each returning its argument itself."""
+class Sector:
+    """An invariant subspace of a real pencil (A, B), kept as A and a basis
+    P: `solve` applies (P^H A P)^-1 through the sector's LU, made by `lu`
+    when no LU is alive.  The LU lives until `drop`; a solve after that
+    makes it again.  `expand` maps coordinates to full vectors (P y),
+    `restrict` a real full vector to coordinates (P^H f) and `project` a
+    full matrix that commutes with the sector to the sector's (P^H X P).
+    This class is all of the pencil: P = I, and each of the three returns
+    its argument itself; `spectral` subclasses it for the quarter turn.
+
+    A complex sector stands for itself and its conjugate, whose eigenpairs are
+    the conjugates of its own: each of its eigenvalues counts twice (weight
+    2), and the real and imaginary parts of an expanded eigenvector are two
+    real ones.
+    """
 
     weight = 1
 
-    def __init__(self, n: int):
-        self.dim = n
+    def __init__(self, A):
+        self.A, self.dim = A, A.shape[0]
+        self._lu = None
 
     def expand(self, y):
         return y
@@ -77,32 +89,10 @@ class WholeSpace:
     def project(self, X):
         return X
 
-
-class Sector:
-    """An invariant subspace of a real pencil (A, B), kept as A and a basis
-    P: `solve` applies (P^H A P)^-1 through the sector's LU, made by `lu`
-    when no LU is alive.  The LU lives until `drop`; a solve after that
-    makes it again.  `basis` maps coordinates to full vectors (`expand`,
-    P y), a real full vector to coordinates (`restrict`, P^H f) and a full
-    matrix that commutes with the sector to the sector's (`project`,
-    P^H X P), and gives its `dim` and `weight`; `WholeSpace` for all of the
-    pencil.
-
-    A complex sector stands for itself and its conjugate, whose eigenpairs are
-    the conjugates of its own: each of its eigenvalues counts twice (weight
-    2), and the real and imaginary parts of an expanded eigenvector are two
-    real ones.
-    """
-
-    def __init__(self, A, basis):
-        self.A, self.basis = A, basis
-        self.dim, self.weight = basis.dim, basis.weight
-        self._lu = None
-
     def lu(self):
         """The solve of the sector's LU, made now unless one is alive."""
         if self._lu is None:
-            self._lu = factorized_solver(self.basis.project(self.A))
+            self._lu = factorized_solver(self.project(self.A))
         return self._lu
 
     def solve(self, f):
@@ -111,6 +101,21 @@ class Sector:
     def drop(self):
         """Free the LU; the next solve makes it again."""
         self._lu = None
+
+    def pairs(self, B, k: int, keep_lu: bool):
+        """`_pairs` of (A, B) in this sector.  Dense A, or k >= dim - 1,
+        which Lanczos cannot give: LAPACK on the sector's projected pencil.
+        Otherwise the sector's LU, made first so that no projected B is
+        alive at its peak, and B projected for this run alone.  Unless
+        `keep_lu`, the LU is dropped when the run ends, before the next
+        sector's is made."""
+        if not sp.issparse(self.A) or k >= self.dim - 1:
+            return _pairs(self.project(self.A), self.project(B), k, None)
+        solve = self.lu()
+        out = _pairs(None, self.project(B), k, solve)
+        if not keep_lu:
+            self.drop()
+        return out
 
 
 def _pairs(A, B, k: int, solve):
@@ -160,25 +165,10 @@ def _pairs(A, B, k: int, solve):
     return vals[order], vecs[:, order], solves
 
 
-def _sector_pairs(A, B, s: Sector, k: int, keep_lu: bool):
-    """`_pairs` in sector s.  Dense A, or k >= dim - 1, which Lanczos cannot
-    give: LAPACK on the sector's projected pencil.  Otherwise the sector's
-    LU, made first so that no projected B is alive at its peak, and B
-    projected for this run alone.  Unless `keep_lu`, the LU is dropped when
-    the run ends, before the next sector's is made."""
-    if not sp.issparse(A) or k >= s.dim - 1:
-        return _pairs(s.basis.project(A), s.basis.project(B), k, None)
-    solve = s.lu()
-    out = _pairs(None, s.basis.project(B), k, solve)
-    if not keep_lu:
-        s.drop()
-    return out
-
-
 def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
-    The pencil is solved in `sectors`, by default one sector of all of A,
+    The pencil is solved in `sectors` of A, by default the one `Sector(A)`,
     one after another, so at most one sector's projected B is alive.  Each
     sector's LU is kept for later solves; with `keep_lu` False it is dropped
     as the sector's run ends, so at most one LU is alive, and a re-solve
@@ -193,7 +183,7 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
     if sectors is None:
-        sectors = (Sector(A, WholeSpace(n)),)
+        sectors = (Sector(A),)
     start = min(k, -(-k // sum(s.weight for s in sectors)) + 1)
     want = [min(start, s.dim) for s in sectors]
     found = [None] * len(sectors)
@@ -202,7 +192,7 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
         for i, s in enumerate(sectors):
             if found[i] is not None:
                 continue
-            vals, vecs, made = _sector_pairs(A, B, s, want[i], keep_lu)
+            vals, vecs, made = s.pairs(B, want[i], keep_lu)
             found[i] = vals, vecs
             solves += made
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
@@ -223,7 +213,7 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     vecs = np.empty((n, k), order="F")  # the layout of eigsh's vectors
     for col, i in enumerate(order):
         _, s, Y, j, part = cands[i]
-        x = s.basis.expand(Y[:, j])
+        x = s.expand(Y[:, j])
         vecs[:, col] = x.imag if part else x.real
 
     # enforce B-orthonormality explicitly (harmless when already true)

@@ -331,8 +331,7 @@ def body_bytes(report: dict) -> bytes:
     return json.dumps(report["body"], sort_keys=True).encode()
 
 
-CSV_COLUMNS = ["eps", "j", "lambda_eps", "lambda_hom", "abs_err",
-               "heps_err", "l2_err", "gap", "visik_alpha"]
+CSV_COLUMNS = ["eps", "j", "lambda_eps", "lambda_hom", *_ERROR_COLUMNS]
 
 
 def emit(report: dict, out_dir, formats=("json", "csv")) -> list[Path]:

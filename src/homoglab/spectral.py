@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, geometry
-from .eigensolve import Sector, WholeSpace, solve_gevp, solve_source
+from .eigensolve import Sector, solve_gevp, solve_source
 from .errors import ConfigError, SolverError
 from .geometry import DomainConfig, Mesh
 
@@ -55,14 +55,13 @@ class DiscreteOperatorBundle:
         until the sector drops it."""
         found = _rotation_orbits(self)
         if found is None:
-            return (Sector(self.A, WholeSpace(self.red.dim)),)
-        return tuple(Sector(self.A, _SectorBasis(*found, chi, self.red.dim))
-                     for chi in _CHARACTERS)
+            return (Sector(self.A),)
+        return tuple(_TurnSector(self.A, *found, chi) for chi in _CHARACTERS)
 
     def solve(self, f):
         """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f),
         through each sector's LU, made again if it was dropped."""
-        return sum(s.weight * s.basis.expand(s.solve(s.basis.restrict(f))).real
+        return sum(s.weight * s.expand(s.solve(s.restrict(f))).real
                    for s in self.sectors)
 
 
@@ -110,13 +109,14 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     return orbits[first], idx[fixed]
 
 
-class _SectorBasis:
-    """The basis P of the quarter-turn sector with character chi, kept as
-    the DoF orbits: column o carries chi^g in row orbits[o, g], and in the A
-    sector (chi = 1) each fixed DoF has a column of its own."""
+class _TurnSector(Sector):
+    """The quarter-turn sector of A with character chi.  Its basis P is kept
+    as the DoF orbits: column o carries chi^g in row orbits[o, g], and in
+    the A sector (chi = 1) each fixed DoF has a column of its own."""
 
-    def __init__(self, orbits: np.ndarray, fixed: np.ndarray, chi, n: int):
-        self.orbits, self.n = orbits, n
+    def __init__(self, A, orbits: np.ndarray, fixed: np.ndarray, chi):
+        super().__init__(A)
+        self.orbits, self.n = orbits, A.shape[0]
         self.chi = chi ** np.arange(4)
         self.fixed = fixed if chi == 1.0 else fixed[:0]
         self.dim = len(orbits) + len(self.fixed)
@@ -134,12 +134,12 @@ class _SectorBasis:
         """P^H f."""
         return np.concatenate([f[self.orbits] @ self.chi.conj(), f[self.fixed]])
 
-    def project(self, A):
-        """P^H A P for an A that commutes with the turn.  Row orbits[o, 0]
-        of P is the unit row e_o, so A P = P W gives W = (A P)[those rows]:
-        those rows of A folded onto the orbits with phase chi^g.  P^H A P =
+    def project(self, X):
+        """P^H X P for an X that commutes with the turn.  Row orbits[o, 0]
+        of P is the unit row e_o, so X P = P W gives W = (X P)[those rows]:
+        those rows of X folded onto the orbits with phase chi^g.  P^H X P =
         P^H P W with P^H P = 4 on an orbit and 1 on a fixed DoF, so a
-        quarter of A's rows are used.  Made Hermitian to the last bit."""
+        quarter of X's rows are used.  Made Hermitian to the last bit."""
         m, k = len(self.orbits), len(self.fixed)
         col = np.full(self.n, -1)
         col[self.orbits] = np.arange(m)[:, None]
@@ -147,7 +147,7 @@ class _SectorBasis:
         phase = np.ones(self.n, dtype=self.chi.dtype)
         phase[self.orbits] = self.chi
         first = np.concatenate([self.orbits[:, 0], self.fixed])
-        Z = fem.fold_matrix(A[first], np.arange(m + k), col, m + k, phase)
+        Z = fem.fold_matrix(X[first], np.arange(m + k), col, m + k, phase)
         Z.data[:Z.indptr[m]] *= 4.0
         return (Z + Z.conj().T) * 0.5
 

@@ -217,9 +217,10 @@ def test_spectrum_command_reports_sectors(tmp_path, capsys):
 
 def test_spectrum_without_peak_rss(monkeypatch, tmp_path, capsys):
     # where `resource` is missing there is no peak to print: the line is
-    # left out and the JSON carries null
+    # left out and the JSON carries null; the missing directories of --out
+    # are made
     monkeypatch.setattr(harness, "peak_rss_mb", lambda: None)
-    out_file = tmp_path / "spectrum.json"
+    out_file = tmp_path / "missing" / "dir" / "spectrum.json"
     assert cli.main(["spectrum", "--eps", "1/4", "--k", "2", "--out", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "lambda_2 = " in out and "peak RSS" not in out
@@ -248,6 +249,38 @@ def test_spectrum_rejects_k_before_meshing(monkeypatch, capsys):
     monkeypatch.setattr(geometry, "build_perforated_mesh", no_mesh)
     assert cli.main(["spectrum", "--eps", "1/4", "--k", "0"]) == 1
     assert "error: k must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["file/x.json", "dir"])
+def test_spectrum_bad_out_fails_before_meshing(where, monkeypatch, tmp_path, capsys):
+    # --out under a regular file, or naming a directory: refused at once
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+
+    def no_mesh(cfg):
+        raise AssertionError("mesh built for an unwritable --out")
+
+    monkeypatch.setattr(geometry, "build_perforated_mesh", no_mesh)
+    assert cli.main(["spectrum", "--eps", "1/4", "--out", str(tmp_path / where)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and where.split("/")[0] in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["study", "check"])
+def test_study_out_on_a_file_fails_before_the_sweep(command, monkeypatch, tmp_path, capsys):
+    out = tmp_path / "report"
+    out.write_text("")
+
+    def no_sweep(cfg):
+        raise AssertionError("sweep run for an unwritable --out")
+
+    monkeypatch.setattr(harness, "run_study", no_sweep)
+    assert cli.main([command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "report" in captured.err
+    assert captured.out == ""
+    assert out.read_text() == ""
 
 
 def test_study_and_check_commands(tmp_path, capsys):

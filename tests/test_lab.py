@@ -51,6 +51,46 @@ def test_volsup_check(bundle_quarter, cell_sol8):
                                              K_RECT).as_dict()
 
 
+def _chained_volsup_pencil(bundle, sol, k_rect):
+    """The volsup pencil (L, S) as the DoF selection makes it: each matrix
+    reduced to every DoF, then rows and columns cut to the DoFs where the
+    subdomain stiffness has a positive diagonal."""
+    mesh, red = bundle.mesh, bundle.red
+    tris, edges = lab._volsup_support(mesh, k_rect)
+    M_sub = red.project(fem.assemble_mass(mesh, tris=tris))
+    S_sub = red.project(fem.assemble_stiffness(mesh, tris=tris))
+    R_sub = red.project(fem.assemble_robin_mass(mesh, k_rect=None, edges=edges))
+    dofs = np.nonzero(S_sub.diagonal() > 0.0)[0]
+    L = (sol.c_star / mesh.eps * M_sub - R_sub)[dofs][:, dofs]
+    return L, S_sub[dofs][:, dofs]
+
+
+@pytest.mark.parametrize("eps, k_rect", [(1 / 8, K_RECT), (1 / 16, K_RECT),
+                                         (1 / 8, (0.2, 0.25, 0.7, 0.75))],
+                         ids=["eps8", "eps16", "off_centre_K"])
+def test_volsup_pencil_matches_chained_selection(eps, k_rect, cell_sol8, monkeypatch):
+    """check_volsup's one elimination gives, bitwise, the pencil of the
+    reduce-then-select chain."""
+    bundle = spectral.build_perforated_bundle(geometry.DomainConfig(
+        eps=eps, hole_radius=0.25, k_rect=k_rect))
+    if k_rect != K_RECT:
+        assert len(bundle.sectors) == 1
+    seen = []
+    real = lab.extreme_eigenvalues
+
+    def keeping(A, B, *args, **kw):
+        seen.append((A, B))
+        return real(A, B, *args, **kw)
+
+    monkeypatch.setattr(lab, "extreme_eigenvalues", keeping)
+    lab.check_volsup(bundle, cell_sol8, k_rect)
+    assert len(seen) == 1
+    for got, want in zip(seen[0], _chained_volsup_pencil(bundle, cell_sol8, k_rect)):
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
 def _pencils(bundle, sol):
     """The three lemma pencils (A, B, which, k) as sparse matrices, reduced
     by hand so they share no code with lab: trace, volsup on the DoFs

@@ -183,21 +183,21 @@ def test_one_copy_per_operator(monkeypatch):
     Each sector's mass is projected for its own run and freed before the
     next sector's is projected."""
     built, masses = [], []
-    build, project = spectral.build_perforated_bundle, spectral._SectorBasis.project
+    build, project = spectral.build_perforated_bundle, spectral._TurnSector.project
 
     def keeping(cfg):
         built.append(build(cfg))
         return built[-1]
 
-    def tracking(basis, X):
-        out = project(basis, X)
+    def tracking(sector, X):
+        out = project(sector, X)
         if X is built[0].M:
             assert all(ref() is None for ref in masses), "an earlier sector mass is alive"
             masses.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(spectral, "build_perforated_bundle", keeping)
-    monkeypatch.setattr(spectral._SectorBasis, "project", tracking)
+    monkeypatch.setattr(spectral._TurnSector, "project", tracking)
     cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
     _, bundle = spectral.solve_perforated_evp(cfg, 4)
     assert len(masses) == 3 and all(ref() is None for ref in masses)
@@ -367,8 +367,8 @@ def _bundle(**kw):
 
 
 def _basis_matrix(sector):
-    """The sector's P, column by column through its basis's expand."""
-    return sp.csr_matrix(np.column_stack([sector.basis.expand(e)
+    """The sector's P, column by column through its expand."""
+    return sp.csr_matrix(np.column_stack([sector.expand(e)
                                           for e in np.eye(sector.dim)]))
 
 
@@ -396,7 +396,7 @@ def test_rotation_sectors(kw):
         # restrict is the adjoint of expand
         f = np.sin(np.arange(n, dtype=float))
         for s, P in zip(sectors, Ps):
-            assert np.allclose(s.basis.restrict(f), P.conj().T @ f, rtol=0.0, atol=1e-14)
+            assert np.allclose(s.restrict(f), P.conj().T @ f, rtol=0.0, atol=1e-14)
 
     full = solve_gevp(bundle.A, bundle.M, 4)
     spec = solve_gevp(bundle.A, bundle.M, 4, sectors=sectors)
@@ -404,16 +404,16 @@ def test_rotation_sectors(kw):
     assert spec.eigenvalues[1] == spec.eigenvalues[2]
 
 
-def _sector_P(basis):
-    """The sector's P built from its orbits, as the basis defines it: column
-    o carries chi^g in row orbits[o, g], and column m + f a one in row
-    fixed[f]."""
-    m, k = len(basis.orbits), len(basis.fixed)
+def _sector_P(sector):
+    """The sector's P built from its orbits, as the sector defines it:
+    column o carries chi^g in row orbits[o, g], and column m + f a one in
+    row fixed[f]."""
+    m, k = len(sector.orbits), len(sector.fixed)
     return sp.csr_matrix(
-        (np.concatenate([np.tile(basis.chi, m), np.ones(k)]),
-         (np.concatenate([basis.orbits.ravel(), basis.fixed]),
+        (np.concatenate([np.tile(sector.chi, m), np.ones(k)]),
+         (np.concatenate([sector.orbits.ravel(), sector.fixed]),
           np.concatenate([np.repeat(np.arange(m), 4), m + np.arange(k)]))),
-        shape=(basis.n, m + k))
+        shape=(sector.n, m + k))
 
 
 @pytest.mark.parametrize("kw", _SYMMETRIC.values(), ids=_SYMMETRIC.keys())
@@ -425,13 +425,13 @@ def test_sector_project_matches_triple_product(kw):
     turn."""
     bundle = _bundle(**kw)
     for s in bundle.sectors:
-        basis, P = s.basis, _sector_P(s.basis)
+        P = _sector_P(s)
         y = np.cos(np.arange(s.dim, dtype=float))
-        assert np.array_equal(P @ y, basis.expand(y))
-        first = np.concatenate([basis.orbits[:, 0], basis.fixed])
+        assert np.array_equal(P @ y, s.expand(y))
+        first = np.concatenate([s.orbits[:, 0], s.fixed])
         D = sp.diags(P.getnnz(axis=0).astype(float))
         for X in (bundle.A, bundle.M):
-            got = basis.project(X)
+            got = s.project(X)
             assert got.format == "csr" and got.has_canonical_format
             Z = D @ (X[first] @ P)
             quarter = ((Z + Z.conj().T) * 0.5).tocsr().sorted_indices()
@@ -464,9 +464,23 @@ def test_one_sector_without_symmetry(kw):
     spec, bundle = spectral.solve_perforated_evp(geometry.DomainConfig(
         **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}), 4)
     assert len(bundle.sectors) == 1
-    assert isinstance(bundle.sectors[0].basis, eigensolve.WholeSpace)
+    assert type(bundle.sectors[0]) is eigensolve.Sector
     ref = _one_lu_eigenvalues(bundle.A, bundle.M, 4)
     assert spec.eigenvalues.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kw, count", [(dict(eps=1 / 4), 3),
+                                       (dict(eps=1 / 4, hole_poly=30), 1)],
+                         ids=["c4", "one_sector"])
+def test_one_sector_type(kw, count):
+    """Every sector, the whole space included, is a `Sector` that holds the
+    bundle's own A and no separate basis object."""
+    bundle = _bundle(**kw)
+    assert not hasattr(eigensolve, "WholeSpace")
+    assert len(bundle.sectors) == count
+    for s in bundle.sectors:
+        assert isinstance(s, eigensolve.Sector) and not hasattr(s, "basis")
+        assert s.A is bundle.A
 
 
 def test_sector_eigenvalues_match_dense():
