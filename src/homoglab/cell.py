@@ -11,6 +11,8 @@ from .eigensolve import solve_source
 from .errors import OutsideDomainError
 from .geometry import Mesh
 
+_FACE_SNAP = 1e-12  # a wrapped coordinate this near 0 or 1 is put on the face at 0
+
 
 @dataclass
 class CellSolution:
@@ -98,17 +100,16 @@ def eval_chi(sol: CellSolution, x, eps: float) -> np.ndarray:
     """chi(x/eps), the P1 interpolant of chi on the sol.mesh triangle holding
     x/eps, at the P points x, (P, 2); returns (P, 2).
 
-    Points are wrapped into the unit cell; any point landing inside the hole
-    raises OutsideDomainError (callers must query fluid points only).
+    Points are wrapped into the unit cell; the first point landing inside
+    the hole raises OutsideDomainError (callers must query fluid points only).
     """
     x = np.asarray(x, dtype=float)
     y = x / eps
     y -= np.floor(y)
-    y[(y < 1e-12) | (y > 1.0 - 1e-12)] = 0.0
-    tri, lam = geometry.locate_point(sol.mesh, y)
-    if (tri < 0).any():
-        p = int(np.argmax(tri < 0))
+    y[(y < _FACE_SNAP) | (y > 1.0 - _FACE_SNAP)] = 0.0
+    chi, hit = geometry.interpolate(sol.mesh, sol.chi, y)
+    if not hit.all():
+        p = int(np.argmin(hit))
         raise OutsideDomainError(f"point {x[p].tolist()} maps into "
                                  f"the hole at y={y[p].tolist()}")
-    chi = sol.chi[sol.mesh.triangles[tri]]                      # (P, 3, 2)
-    return (lam[:, None, :] @ chi)[:, 0]
+    return chi

@@ -15,6 +15,9 @@ from .errors import AlignmentError, GeometryError, SolverError
 from .geometry import Mesh
 from .spectral import DiscreteOperatorBundle, apply_Keps
 
+_RANK_FLOOR = 1e-12  # cross-Gram singular value of a lost direction (unit M-norms)
+_CERT_SLACK = 1e-8   # relative rounding of alpha and of 1/lambda_j the certificate forgives
+
 
 @dataclass
 class AlignmentResult:
@@ -57,18 +60,15 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     d = geometry.rect_distance(a_mesh.bounds(), nodes)
     inside = np.nonzero(d > 0.0)[0]
     x = nodes[inside]
-    # the modes, their recovered gradients and the constant 1, which
-    # interpolates to 0 exactly where point location failed
     grad = recovered_gradient(a_mesh, u_hom)
-    fields = np.column_stack([u_hom, grad[:, :, 0], grad[:, :, 1],
-                              np.ones(a_mesh.n_nodes)])
-    vals = geometry.interpolate(a_mesh, fields, x)
-    failures = keep[inside[vals[:, -1] == 0.0]]
+    vals, hit = geometry.interpolate(
+        a_mesh, np.column_stack([u_hom, grad[:, :, 0], grad[:, :, 1]]), x)
+    failures = keep[inside[~hit]]
     if len(failures):
         raise GeometryError(
             f"point location failed for {len(failures)} nodes inside A, "
             f"first offenders {failures[:5].tolist()}")
-    uval, gx, gy = np.split(vals[:, :-1], 3, axis=1)
+    uval, gx, gy = np.split(vals, 3, axis=1)
     chi_val = eval_chi(sol, x, eps)
     psi = np.minimum(1.0, d[inside] / (2.0 * eps))[:, None] if cutoff else 1.0
     U = np.zeros((u_hom.shape[1], len(keep)))
@@ -92,7 +92,7 @@ def align_eigenspaces(u_eps: np.ndarray, U: np.ndarray, M_mass,
     m = U.shape[0]
     G = U @ (M_mass @ u_eps.T)
     W, s, Vt = la.svd(G)
-    if s.min() < 1e-12:
+    if s.min() < _RANK_FLOOR:
         raise AlignmentError(f"rank-deficient cross Gram, singular values {s}")
     M_eps = W @ Vt
 
@@ -170,4 +170,4 @@ def visik_check(bundle: DiscreteOperatorBundle, U: np.ndarray, mu: float,
     j = int(np.argmin(np.abs(mus - mu)))
     dist = float(np.abs(mus[j] - mu))
     return VisikResult(residual=alpha, nearest_distance=dist, nearest_index=j,
-                       certificate=dist <= alpha * (1.0 + 1e-8))
+                       certificate=dist <= alpha * (1.0 + _CERT_SLACK))

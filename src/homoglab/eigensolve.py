@@ -102,67 +102,49 @@ class Sector:
         """Free the LU; the next solve makes it again."""
         self._lu = None
 
-    def pairs(self, B, k: int, keep_lu: bool):
-        """`_pairs` of (A, B) in this sector.  Dense A, or k >= dim - 1,
-        which Lanczos cannot give: LAPACK on the sector's projected pencil.
-        Otherwise the sector's LU, made first so that no projected B is
-        alive at its peak, and B projected for this run alone.  Unless
-        `keep_lu`, the LU is dropped when the run ends, before the next
-        sector's is made."""
+    def pairs(self, B, k: int):
+        """k smallest eigenpairs, ascending, of (A, B) in this sector, vectors
+        unnormalized, and the operator solves made.  Dense A, or k >= dim - 1,
+        which Lanczos cannot give: LAPACK on the projected pencil.  Otherwise
+        shift-invert Lanczos at 0 from an all-ones start through the sector's
+        LU, made before B is projected (for this run alone), so that no
+        projected B is alive at the LU's peak.  ARPACK stops once every Ritz
+        residual is below _EIG_TOL |theta|, theta the inverted eigenvalue: the
+        order of solve_gevp's gate on the full pencil, which alone decides
+        what is accepted; machine epsilon would cost restarts of the
+        max(2k + 1, 20)-vector basis for accuracy nothing reads."""
         if not sp.issparse(self.A) or k >= self.dim - 1:
-            return _pairs(self.project(self.A), self.project(B), k, None)
+            Ad, Bd = (X.toarray() if sp.issparse(X) else np.asarray(X, dtype=float)
+                      for X in (self.project(self.A), self.project(B)))
+            try:  # LAPACK refuses a B that is not positive definite
+                vals, vecs = la.eigh(Ad, Bd)
+            except la.LinAlgError as exc:
+                raise SolverError(f"dense eigensolve failed: {exc}") from exc
+            return vals[:k], vecs[:, :k], 0
         solve = self.lu()
-        out = _pairs(None, self.project(B), k, solve)
-        if not keep_lu:
-            self.drop()
-        return out
+        B = self.project(B)
+        n = self.dim
+        solves = 0
 
+        def apply(x):
+            nonlocal solves
+            solves += 1
+            return solve(x)
 
-def _pairs(A, B, k: int, solve):
-    """k smallest eigenpairs, ascending, of the Hermitian pencil (A, B);
-    vectors unnormalized, and the number of operator solves made.  With
-    `solve` None: LAPACK eigh on the dense pencil, no solves.  Otherwise
-    shift-invert Lanczos at 0 from a fixed all-ones start vector, inverting
-    A with `solve`; A is not read and may be None.
-
-    ARPACK stops once every Ritz residual is below _EIG_TOL |theta|, theta
-    the inverted eigenvalue: the order of solve_gevp's gate on the full
-    pencil, which alone decides what is accepted.  Asking for machine
-    epsilon instead costs restarts of the max(2k + 1, 20)-vector basis for
-    accuracy nothing reads.
-    """
-    n = B.shape[0]
-    if solve is None:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
+        OPinv = spla.LinearOperator((n, n), matvec=apply, dtype=B.dtype)
+        v0 = np.ones(n) / np.sqrt(n)
         try:
-            la.cholesky(Bd)
-        except la.LinAlgError as exc:
-            raise SolverError("B is not positive definite") from exc
-        vals, vecs = la.eigh(Ad, Bd)
-        return vals[:k], vecs[:, :k], 0
-    solves = 0
-
-    def apply(x):
-        nonlocal solves
-        solves += 1
-        return solve(x)
-
-    OPinv = spla.LinearOperator((n, n), matvec=apply, dtype=B.dtype)
-    v0 = np.ones(n) / np.sqrt(n)
-    try:
-        # in shift-invert mode eigsh applies A only through OPinv
-        vals, vecs = spla.eigsh(OPinv, k=k, M=B, sigma=0.0, which="LM",
-                                v0=v0, OPinv=OPinv, tol=_EIG_TOL)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"eigensolver did not converge: {exc}") from exc
-    if B.dtype.kind == "c":
-        # scipy's complex ARPACK wrapper leaves its workspace, and with it
-        # B, in a reference cycle: free them now, not at the next full
-        # collection
-        gc.collect(1)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order], solves
+            # in shift-invert mode eigsh applies A only through OPinv
+            vals, vecs = spla.eigsh(OPinv, k=k, M=B, sigma=0.0, which="LM",
+                                    v0=v0, OPinv=OPinv, tol=_EIG_TOL)
+        except spla.ArpackError as exc:
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        if B.dtype.kind == "c":
+            # scipy's complex ARPACK wrapper leaves its workspace, and with it B,
+            # in a reference cycle: free them now, not at the next full collection
+            gc.collect(1)
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order], solves
 
 
 def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
@@ -192,7 +174,9 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
         for i, s in enumerate(sectors):
             if found[i] is not None:
                 continue
-            vals, vecs, made = s.pairs(B, want[i], keep_lu)
+            vals, vecs, made = s.pairs(B, want[i])
+            if not keep_lu:
+                s.drop()
             found[i] = vals, vecs
             solves += made
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
@@ -241,11 +225,14 @@ def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
     start, applying B^-1 with `solve` (factorized_solver(B) unless given).
 
     Lanczos stops once each Ritz residual is below sqrt(u) |theta|, with a
-    basis of max(2k + 1, 9) vectors, or n if fewer.
+    basis of max(2k + 1, 9) vectors, or n if fewer.  An A with no nonzero
+    value (it may store zeros) has every theta 0, and ARPACK fails on it.
     """
     n = A.shape[0]
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
+    if not (A.data if sp.issparse(A) else np.asarray(A)).any():
+        return np.zeros(k)
     if solve is None:
         solve = factorized_solver(B)
     Minv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
@@ -253,8 +240,8 @@ def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
         vals = spla.eigsh(A, k=k, M=B, Minv=Minv, which=which, v0=np.ones(n),
                           ncv=min(n, max(2 * k + 1, _MIN_NCV)), tol=_RITZ_TOL,
                           return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    except spla.ArpackError as exc:
+        raise SolverError(f"eigensolver failed: {exc}") from exc
     return np.sort(vals)
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all homoglab modules."""
 
+from numbers import Integral
+
 
 class HomoglabError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,13 @@ class HomoglabError(Exception):
 
 class ConfigError(HomoglabError):
     """Invalid user-supplied configuration (eps not 1/n, bad rectangle, ...)."""
+
+
+def config_int(name: str, value, least: int) -> int:
+    """`value` as an int; ConfigError unless an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class GeometryError(HomoglabError):

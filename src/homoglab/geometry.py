@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, MeshInternalError
+from .errors import ConfigError, GeometryError, MeshInternalError, config_int
 
 # triangle region tags
 FLUID = 0
@@ -25,6 +25,8 @@ OUTER = 0
 HOLE_BDRY = 1
 
 _LOCATE_TOL = 1e-12  # barycentric slack: a point this close counts as inside
+_INV_INT_TOL = 1e-9  # rounding of 1/eps for an eps = 1/n given as 0.125 or 1/8
+MIN_HOLE_POLY = 8  # fewest vertices of the hole polygon
 
 # storage dtype of each Mesh index and tag array
 _INDEX_DTYPES = {"triangles": np.int32, "boundary_edges": np.int32,
@@ -45,24 +47,17 @@ class DomainConfig:
         if not (np.isfinite(self.eps) and self.eps > 0.0):
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         n = 1.0 / self.eps
-        if abs(n - round(n)) > 1e-9 or round(n) < 2:
+        if abs(n - round(n)) > _INV_INT_TOL or round(n) < 2:
             raise ConfigError(f"eps must equal 1/n for integer n >= 2, got {self.eps}")
         if not (0.0 <= self.hole_radius < 0.5):
             raise ConfigError(f"hole_radius must lie in [0, 0.5), got {self.hole_radius}")
-        if isinstance(self.hole_poly, bool) or not isinstance(self.hole_poly, (int, np.integer)):
-            raise ConfigError(f"hole_poly must be an integer, got {self.hole_poly!r}")
-        if self.hole_poly < 8:
-            raise ConfigError(f"hole_poly must be >= 8, got {self.hole_poly}")
+        self.hole_poly = config_int("hole_poly", self.hole_poly, MIN_HOLE_POLY)
         x0, y0, x1, y1 = self.k_rect
         if not (0.0 < x0 < x1 < 1.0 and 0.0 < y0 < y1 < 1.0):
             raise ConfigError(f"K rectangle must satisfy 0<x0<x1<1, 0<y0<y1<1, got {self.k_rect}")
         if not self.h_ref > 0.0:
             raise ConfigError(f"h_ref must be > 0, got {self.h_ref}")
-        if self.hole_radius + self.h_ref >= 0.5:
-            raise GeometryError(
-                f"hole_radius + h_ref = {self.hole_radius + self.h_ref} >= 0.5: "
-                "hole would touch the cell boundary"
-            )
+        _template_squares(self.hole_radius, self.hole_poly, self.h_ref)
 
     @property
     def n_cells(self) -> int:
@@ -214,6 +209,22 @@ def face_keys(cell: Mesh) -> np.ndarray:
     return key
 
 
+def _template_squares(r: float, n_b: int, h_ref: float) -> int:
+    """Squares per template face, m = round(1/h_ref), once the template's
+    rules hold: a ring of elements fits around the hole, and a hole (r > 0)
+    is a polygon of at least MIN_HOLE_POLY vertices, all on the 4m-node rings."""
+    if r + h_ref >= 0.5:
+        raise GeometryError(f"hole radius + h_ref = {r + h_ref} >= 0.5: "
+                            "hole would touch the cell boundary")
+    m = max(1, int(round(1.0 / h_ref)))
+    if r > 0.0 and n_b < MIN_HOLE_POLY:
+        raise GeometryError(f"hole polygon needs >= {MIN_HOLE_POLY} vertices, got {n_b}")
+    if r > 0.0 and 4 * m < n_b:
+        raise GeometryError(f"h_ref={h_ref} too coarse for a {n_b}-gon hole: "
+                            f"need 4*round(1/h_ref) >= n_b")
+    return m
+
+
 def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
     """Template mesh of the full unit cell Q with the hole polygon as interface.
 
@@ -226,23 +237,14 @@ def build_cell_mesh(r: float, n_b: int, h_ref: float) -> Mesh:
         raise GeometryError(f"hole radius must be finite and >= 0, got {r}")
     if not h_ref > 0.0:
         raise GeometryError(f"mesh size h_ref must be > 0, got {h_ref}")
-    if r + h_ref >= 0.5:
-        raise GeometryError(f"r + h_ref = {r + h_ref} >= 0.5")
-    m = max(1, int(round(1.0 / h_ref)))
+    m = _template_squares(r, n_b, h_ref)
 
     if r == 0.0:
         mesh = build_domain_mesh((0.0, 0.0, 1.0, 1.0), 1.0 / m)
         mesh.eps = 1.0
         return mesh
 
-    if n_b < 8:
-        raise GeometryError(f"hole polygon needs >= 8 vertices, got {n_b}")
     n_ring = 4 * m
-    if n_ring < n_b:
-        raise GeometryError(
-            f"h_ref={h_ref} too coarse for a {n_b}-gon hole: "
-            f"need 4*round(1/h_ref) >= n_b"
-        )
 
     # inner contour: the polygon, refined to exactly n_ring nodes with all
     # vertices retained (base segments per edge, remainder spread first)
@@ -460,15 +462,17 @@ def locate_point(mesh: Mesh, X: np.ndarray):
     return tri, lam
 
 
-def interpolate(mesh: Mesh, u: np.ndarray, X) -> np.ndarray:
+def interpolate(mesh: Mesh, u: np.ndarray, X):
     """P1 interpolant of nodal field(s) u, (N,) or (N, c), at the points X
-    (P, 2); zero where a point lies in no FLUID triangle."""
+    (P, 2), and the (P,) bool mask of the points located in a FLUID
+    triangle; the interpolant is zero where the mask is False.  The one
+    caller of `locate_point` in the package."""
     u = np.asarray(u, dtype=float)
     tri, lam = locate_point(mesh, X)
     out = np.zeros((len(tri),) + u.shape[1:])
     hit = tri >= 0
     out[hit] = np.einsum("pl,pl...->p...", lam[hit], u[mesh.triangles[tri[hit]]])
-    return out
+    return out, hit
 
 
 def write_mesh_text(mesh: Mesh) -> str:

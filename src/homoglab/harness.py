@@ -4,12 +4,11 @@ then the perforated problem per eps; fit log-log rates and emit reports."""
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ except ImportError:  # Windows has no getrusage
 from . import corrector as corr
 from . import fem, geometry, lab, spectral
 from .cell import solve_cell_problem
-from .errors import ConfigError, HomoglabError
+from .errors import ConfigError, config_int
 from .geometry import DomainConfig
 
 MODES = ("EIGENVALUES", "CORRECTOR", "EIGENSPACE", "VISIK", "LAB")
@@ -53,28 +52,29 @@ class StudyConfig:
     lab_samples: int = 100             # ignored
 
     def __post_init__(self):
+        # stored as Python numbers, which the report serializes
+        self.k = config_int("k", self.k, 1)
+        self.cell_refine = config_int("cell_refine", self.cell_refine, 1)
+        self.hole_poly = config_int("hole_poly", self.hole_poly, geometry.MIN_HOLE_POLY)
+        self.seed = config_int("seed", self.seed, 0)
+        self.hole_radius, self.h_ref = float(self.hole_radius), float(self.h_ref)
+        self.k_rect = tuple(map(float, self.k_rect))
+        self.eps_list = tuple(sorted(map(float, self.eps_list), reverse=True))
+        if self.h_domain is not None:
+            self.h_domain = float(self.h_domain)
         if len(set(self.eps_list)) < len(self.eps_list):
             raise ConfigError(f"eps_list repeats a value: {list(self.eps_list)}")
         if len(self.eps_list) < 2:
             raise ConfigError("eps_list needs at least two values for rate fits")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if (isinstance(self.cell_refine, bool)
-                or not isinstance(self.cell_refine, (int, np.integer))):
-            raise ConfigError(f"cell_refine must be an integer, got {self.cell_refine!r}")
-        if self.cell_refine < 1:
-            raise ConfigError(f"cell_refine must be >= 1, got {self.cell_refine}")
         if self.h_domain is not None and not self.h_domain > 0.0:
             raise ConfigError(f"h_domain must be > 0, got {self.h_domain}")
-        if sorted(self.eps_list, reverse=True) != list(self.eps_list):
-            self.eps_list = tuple(sorted(self.eps_list, reverse=True))
         unknown = set(self.modes) - set(MODES)
         if unknown:
             raise ConfigError(f"unknown modes {sorted(unknown)}")
         for eps in self.eps_list:
             self.domain_config(eps)
+            if "LAB" in self.modes:
+                lab.require_cells_outside_k(eps, self.k_rect)
         nx, ny = geometry.domain_grid(self.k_rect, self.h_macro)
         interior = (nx - 1) * (ny - 1)
         if interior <= self.k + 1:
@@ -278,7 +278,7 @@ def _eigenspace_gap(bundle, U_eps: np.ndarray, a_mesh, u_hom: np.ndarray) -> flo
     mesh = bundle.mesh
     return corr.eigenspace_gap(
         spectral.extend_Teps(bundle, U_eps).T,
-        geometry.interpolate(a_mesh, u_hom, mesh.nodes).T,
+        geometry.interpolate(a_mesh, u_hom, mesh.nodes)[0].T,
         fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles)))
 
 
@@ -317,13 +317,8 @@ def _study_flags(body: dict, cfg: StudyConfig) -> dict:
 
 
 def _config_echo(cfg: StudyConfig) -> dict:
-    return {
-        "hole_radius": cfg.hole_radius, "hole_poly": cfg.hole_poly,
-        "k_rect": list(cfg.k_rect), "h_ref": cfg.h_ref,
-        "eps_list": list(cfg.eps_list), "k": cfg.k,
-        "modes": list(cfg.modes), "seed": cfg.seed,
-        "h_domain": cfg.h_domain, "cell_refine": cfg.cell_refine,
-    }
+    """Every field but the ignored `lab_samples`; tuples serialize as lists."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "lab_samples"}
 
 
 def body_bytes(report: dict) -> bytes:

@@ -42,14 +42,21 @@ def check_trace(bundle: DiscreteOperatorBundle) -> LabRow:
     return LabRow("trace", eps, float(theta), 0, passed=bool(np.isfinite(theta)))
 
 
-def _cells_outside_k(mesh: Mesh, ends: np.ndarray, k_rect) -> np.ndarray:
-    """True where the cell square eps * (c + [0,1]^2) holding the centroid
-    of each row of node indices `ends` misses the open K."""
-    eps = mesh.eps
+def _cells_outside_k(eps: float, cells: np.ndarray, k_rect) -> np.ndarray:
+    """True where the cell square eps * (c + [0,1]^2) of each row c of the
+    (P, 2) lattice indices `cells` misses the open K."""
     kx0, ky0, kx1, ky1 = k_rect
-    cx, cy = mesh.cells(mesh.nodes[ends].mean(axis=1)).T
+    cx, cy = cells.T
     return ((eps * (cx + 1) <= kx0) | (eps * cx >= kx1)
             | (eps * (cy + 1) <= ky0) | (eps * cy >= ky1))
+
+
+def require_cells_outside_k(eps: float, k_rect):
+    """ConfigError unless some cell of the 1/eps x 1/eps lattice misses the
+    open K: Omega_eps^K, the domain of `check_volsup`, is empty otherwise."""
+    cells = np.indices((round(1.0 / eps),) * 2).reshape(2, -1).T
+    if not _cells_outside_k(eps, cells, k_rect).any():
+        raise ConfigError(f"Omega_eps^K is empty at eps={eps}: K covers every cell")
 
 
 def _volsup_support(mesh: Mesh, k_rect):
@@ -57,8 +64,10 @@ def _volsup_support(mesh: Mesh, k_rect):
     whose Y^i_eps lies in Omega \\ K."""
     tris = mesh.fluid_triangles()
     edges = np.nonzero(mesh.edge_kind == geometry.HOLE_BDRY)[0]
-    return (tris[_cells_outside_k(mesh, mesh.triangles[tris], k_rect)],
-            edges[_cells_outside_k(mesh, mesh.boundary_edges[edges], k_rect)])
+    tri_cells, edge_cells = (mesh.cells(mesh.nodes[ends].mean(axis=1))
+                             for ends in (mesh.triangles[tris], mesh.boundary_edges[edges]))
+    return (tris[_cells_outside_k(mesh.eps, tri_cells, k_rect)],
+            edges[_cells_outside_k(mesh.eps, edge_cells, k_rect)])
 
 
 def check_volsup(bundle: DiscreteOperatorBundle, sol: CellSolution,
@@ -68,9 +77,8 @@ def check_volsup(bundle: DiscreteOperatorBundle, sol: CellSolution,
     reduced DoFs its triangles touch, all three eliminated at once."""
     mesh = bundle.mesh
     eps = mesh.eps
+    require_cells_outside_k(eps, k_rect)
     tris, edges = _volsup_support(mesh, k_rect)
-    if len(tris) == 0:
-        raise ConfigError("Omega_eps^K is empty: K covers every cell")
 
     touched = np.zeros(mesh.n_nodes, dtype=bool)
     touched[mesh.triangles[tris]] = True

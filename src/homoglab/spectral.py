@@ -10,7 +10,7 @@ import numpy as np
 
 from . import fem, geometry
 from .eigensolve import Sector, solve_gevp, solve_source
-from .errors import ConfigError, SolverError
+from .errors import SolverError, config_int
 from .geometry import DomainConfig, Mesh
 
 _C4_TOL = 1e-12          # relative commutator bound for the rotation sectors
@@ -175,8 +175,7 @@ def solve_perforated_evp(cfg: DomainConfig, k: int, keep_lu: bool = False):
     at a time, unless `keep_lu` keeps them for a caller that solves with the
     bundle again; a solve on a dropped sector makes its LU again.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
+    k = config_int("k", k, 1)
     bundle = build_perforated_bundle(cfg)
     spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors,
                       keep_lu=keep_lu)

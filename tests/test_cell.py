@@ -122,6 +122,24 @@ def test_eval_chi_batched(cell_sol8, template8):
         eval_chi(cell_sol8, bad, eps)
 
 
+def test_eval_chi_locates_through_interpolate(cell_sol8, template8, monkeypatch):
+    """One call of eval_chi is one `geometry.interpolate`, which locates
+    every point once."""
+    counts = {"interpolate": 0, "locate_point": 0}
+    for name in counts:
+        real = getattr(geometry, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    fl = template8.fluid_triangles()
+    X = 0.25 * (template8.nodes[template8.triangles[fl]].mean(axis=1) + 1.0)
+    assert eval_chi(cell_sol8, X, 0.25).shape == (len(X), 2)
+    assert counts == {"interpolate": 1, "locate_point": 1}
+
+
 def test_chi_odd_under_cell_rotation(cell_sol8):
     # the discrete template is invariant under rotation by pi about the cell
     # center, so chi is exactly odd under y -> 1 - y (both components)

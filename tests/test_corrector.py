@@ -44,7 +44,7 @@ def test_no_hole_corrector_is_interpolant(a_mesh32, hom_field):
     U = corr.build_corrector(hom_field[:, None], a_mesh32, sol0, 0.25, bundle,
                              cutoff=False)
     interp = geometry.interpolate(
-        a_mesh32, hom_field, bundle.mesh.nodes)[bundle.red.keep]
+        a_mesh32, hom_field, bundle.mesh.nodes)[0][bundle.red.keep]
     assert np.allclose(U[0], interp, atol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_corrector_amplitude_scales_with_eps(sweep, a_mesh32, hom_field):
     for eps in (0.25, 0.125, 0.0625):
         bundle, u_off, _ = sweep[eps]
         interp = geometry.interpolate(
-            a_mesh32, hom_field, bundle.mesh.nodes)[bundle.red.keep]
+            a_mesh32, hom_field, bundle.mesh.nodes)[0][bundle.red.keep]
         d = u_off - interp
         norms.append(float(np.sqrt(d @ (bundle.M @ d))))
     for a, b in zip(norms, norms[1:]):
@@ -199,7 +199,7 @@ def test_corrector_consistency_order_eps(sweep, a_mesh32, hom_field):
     for eps in (0.25, 0.125, 0.0625):
         bundle, u_off, _ = sweep[eps]
         interp = geometry.interpolate(
-            a_mesh32, hom_field, bundle.mesh.nodes)[bundle.red.keep]
+            a_mesh32, hom_field, bundle.mesh.nodes)[0][bundle.red.keep]
         d = u_off - interp
         errs.append(float(np.sqrt(d @ (bundle.M @ d))))
     for a, b in zip(errs, errs[1:]):

@@ -209,3 +209,30 @@ def test_trim_hook_is_glibc_malloc_trim_or_none():
     if platform.libc_ver()[0] == "glibc":
         assert trim is not None
     assert trim is None or trim(0) in (0, 1)
+
+
+def test_extreme_eigenvalues_of_zero_matrix():
+    """An A whose stored values are all zero (volsup's 0 M - R keeps
+    explicit zeros) has every eigenvalue 0; ARPACK would fail on it."""
+    n = 12
+    B = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+    A = sp.csr_matrix((np.zeros(n), (np.arange(n), np.arange(n))), shape=(n, n))
+    assert A.nnz == n
+    for which in ("LA", "SA", "BE"):
+        assert extreme_eigenvalues(A, B, which, k=2).tolist() == [0.0, 0.0]
+
+
+def test_arpack_errors_become_solver_errors(monkeypatch):
+    """Any ARPACK failure, not only non-convergence, is a SolverError, at
+    both ARPACK sites."""
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9)
+
+    monkeypatch.setattr(spla, "eigsh", failing)
+    n = 30
+    A = sp.diags(np.arange(1.0, n + 1.0)).tocsr()
+    B = sp.identity(n, format="csr")
+    with pytest.raises(SolverError, match="ARPACK error -9"):
+        extreme_eigenvalues(A, B, "LA")
+    with pytest.raises(SolverError, match="ARPACK error -9"):
+        solve_gevp(A, B, 2)

@@ -72,6 +72,17 @@ def test_domain_config_validation():
     assert DomainConfig(eps=0.125, hole_radius=0.25).n_cells == 8
 
 
+def test_domain_config_refuses_polygon_finer_than_rings():
+    """The ring rule `build_cell_mesh` applies (4 round(1/h_ref) >= the
+    polygon's vertex count) is applied at construction; without a hole
+    there is no polygon to carry."""
+    with pytest.raises(GeometryError, match="too coarse for a 64-gon hole"):
+        DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=64)
+    assert DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=64, h_ref=1 / 16).hole_poly == 64
+    assert DomainConfig(eps=0.25, hole_radius=0.0, hole_poly=64).hole_poly == 64
+    assert type(DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=np.int32(24)).hole_poly) is int
+
+
 def test_template_no_hole():
     mesh = build_cell_mesh(0.0, 32, 1.0 / 8.0)
     assert mesh.fluid_area() == pytest.approx(1.0, abs=1e-12)
@@ -265,13 +276,24 @@ def test_interpolate(template8):
 
     mesh = build_domain_mesh(K_RECT, 0.5 / 8.0)
     X = np.random.default_rng(3).uniform(0.25, 0.75, (200, 2))
-    vals = geometry.interpolate(mesh, np.column_stack([f(mesh.nodes), -f(mesh.nodes)]), X)
-    assert vals.shape == (200, 2)
+    vals, hit = geometry.interpolate(mesh, np.column_stack([f(mesh.nodes), -f(mesh.nodes)]), X)
+    assert vals.shape == (200, 2) and hit.all()
     assert np.abs(vals[:, 0] - f(X)).max() <= 1e-14
     assert np.abs(vals[:, 1] + f(X)).max() <= 1e-14
-    # zero outside the mesh and inside a hole
-    assert geometry.interpolate(mesh, f(mesh.nodes), [(0.1, 0.5)]).tolist() == [0.0]
-    assert geometry.interpolate(template8, f(template8.nodes), [(0.5, 0.5)]).tolist() == [0.0]
+    # zero, and not located, outside the mesh and inside a hole
+    for m, x in ((mesh, (0.1, 0.5)), (template8, (0.5, 0.5))):
+        vals, hit = geometry.interpolate(m, f(m.nodes), [x])
+        assert vals.tolist() == [0.0] and hit.tolist() == [False]
+
+
+def test_interpolate_mask_is_location(template8):
+    """The mask names exactly the points `locate_point` finds a FLUID
+    triangle for: points in the holes and off the cell are not located."""
+    X = np.random.default_rng(5).uniform(-0.1, 1.1, (400, 2))
+    _, hit = geometry.interpolate(template8, template8.nodes[:, 0], X)
+    assert hit.dtype == bool
+    assert np.array_equal(hit, locate_point(template8, X)[0] >= 0)
+    assert 0 < np.count_nonzero(hit) < len(X)
 
 
 def test_rect_helpers():
@@ -310,6 +332,25 @@ def test_cell_mesh_resolution_guards():
         build_cell_mesh(0.25, 4, 1.0 / 8.0)    # too few polygon vertices
     with pytest.raises(GeometryError):
         build_cell_mesh(0.25, 64, 1.0 / 8.0)   # square cannot carry 64 nodes
+
+
+def test_points_are_located_only_in_interpolate():
+    """Every point location in the package goes through
+    `geometry.interpolate`, which reports the located points beside the
+    values; no other function calls `locate_point`."""
+    src = Path(geometry.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "locate_point":
+                        callers.append(f"{path.name}:{fn.name}")
+    assert callers == ["geometry.py:interpolate"]
 
 
 def test_meshes_are_built_only_in_geometry():

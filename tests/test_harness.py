@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from homoglab import corrector, lab, spectral
-from homoglab.errors import ConfigError
+from homoglab import corrector, geometry, lab, spectral
+from homoglab.errors import ConfigError, GeometryError
 from homoglab.harness import (CSV_COLUMNS, StudyConfig, body_bytes, emit,
                               fit_rate, run_study)
 
@@ -299,3 +299,61 @@ def test_eigenvalue_and_corrector_study_keeps_no_lu(monkeypatch, lus):
     assert len(bundles) == 2
     assert [n for n, *_ in lus[3:]] == [s.dim for b in bundles for s in b.sectors]
     assert all(ref() is None for *_, ref in lus)
+
+
+def test_numpy_scalar_config_reports_like_plain_numbers(tmp_path):
+    """A config of numpy scalars is stored as Python numbers: the report
+    body is the one plain numbers give, and it serializes."""
+    plain = StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, cell_refine=2,
+                        modes=("EIGENVALUES",))
+    scalars = StudyConfig(eps_list=(np.float32(1 / 4), np.float64(1 / 8)),
+                          k=np.int64(2), cell_refine=np.int64(2),
+                          hole_poly=np.int32(32), seed=np.int64(20240901),
+                          hole_radius=np.float32(0.25), h_ref=np.float32(1 / 8),
+                          modes=("EIGENVALUES",))
+    for name in ("k", "cell_refine", "hole_poly", "seed"):
+        assert type(getattr(scalars, name)) is int, name
+    for name in ("hole_radius", "h_ref"):
+        assert type(getattr(scalars, name)) is float, name
+    assert all(type(e) is float for e in scalars.eps_list)
+    report = run_study(scalars)
+    assert body_bytes(report) == body_bytes(run_study(plain))
+    emit(report, tmp_path, formats=("json", "csv"))
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    ({"hole_poly": 64}, GeometryError, "too coarse for a 64-gon hole"),
+    ({"eps_list": (1 / 2, 1 / 4)}, ConfigError, "K covers every cell"),
+])
+def test_study_refused_before_any_mesh(bad, error, match, monkeypatch):
+    """A polygon finer than the coarse template's rings, and a LAB sweep at
+    an eps where K covers every cell, are refused at construction."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("mesh built for a config that must be refused")
+
+    for name in ("build_cell_mesh", "build_domain_mesh", "build_perforated_mesh",
+                 "tile_template"):
+        monkeypatch.setattr(geometry, name, no_mesh)
+    with pytest.raises(error, match=match):
+        StudyConfig(**bad)
+
+
+def test_lab_rule_only_with_lab():
+    """K may cover every cell at some eps when the lab does not run."""
+    cfg = StudyConfig(eps_list=(1 / 2, 1 / 4), modes=("EIGENVALUES", "CORRECTOR"))
+    assert cfg.eps_list == (0.5, 0.25)
+
+
+def test_no_hole_lab_values():
+    """Without holes there is no Robin mass: the trace and volsup pencils
+    have A = 0, so their constants are 0 (ARPACK is not asked), the
+    oscillation of chi = 0 is 0 and the norm-equivalence constant is 1."""
+    report = run_study(StudyConfig(hole_radius=0.0, eps_list=(1 / 4, 1 / 8),
+                                   modes=("EIGENVALUES", "LAB")))
+    want = {"trace": 0.0, "volsup": 0.0, "periodic_osc": 0.0, "norm_equivalence": 1.0}
+    got = {}
+    for row in report["body"]["lab"]:
+        if row["check"] in want:
+            got.setdefault(row["check"], []).append((row["eps"], row["worst_ratio"]))
+            assert row["passed"], row
+    assert got == {name: [(1 / 4, v), (1 / 8, v)] for name, v in want.items()}

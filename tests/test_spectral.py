@@ -513,13 +513,13 @@ def test_sector_solved_again(monkeypatch):
     match the one-sector solve."""
     bundle = _bundle(eps=1 / 8)
     calls = []
-    pairs = eigensolve._pairs
+    pairs = eigensolve.Sector.pairs
 
-    def counting(A, B, k, solve):
+    def counting(self, B, k):
         calls.append(k)
-        return pairs(A, B, k, solve)
+        return pairs(self, B, k)
 
-    monkeypatch.setattr(eigensolve, "_pairs", counting)
+    monkeypatch.setattr(eigensolve.Sector, "pairs", counting)
     spec = solve_gevp(bundle.A, bundle.M, 16, sectors=bundle.sectors)
     assert calls[:3] == [5, 5, 5] and 10 in calls[3:]
     full = solve_gevp(bundle.A, bundle.M, 16)
@@ -532,14 +532,14 @@ def test_sector_runs_stop_after_one_pass(monkeypatch, n):
     20-vector basis (21 operator solves, with the start vector's), and the
     merged pairs stay far inside the 1e-9 (1 + |lambda|) residual gate."""
     runs = []
-    pairs = eigensolve._pairs
+    pairs = eigensolve.Sector.pairs
 
-    def counting(A, B, k, solve):
-        out = pairs(A, B, k, solve)
+    def counting(self, B, k):
+        out = pairs(self, B, k)
         runs.append(out[2])
         return out
 
-    monkeypatch.setattr(eigensolve, "_pairs", counting)
+    monkeypatch.setattr(eigensolve.Sector, "pairs", counting)
     bundle = _bundle(eps=1 / n)
     spec = solve_gevp(bundle.A, bundle.M, 4, sectors=bundle.sectors)
     assert len(runs) == 3 and max(runs) <= 21
