@@ -219,10 +219,19 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
                     solves=solves)
 
 
-def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
-    """k eigenvalues, ascending, of A u = theta B u (A symmetric, B SPD) at the
-    end(s) `which` ("LA", "SA", "BE"): shift-free Lanczos from an all-ones
-    start, applying B^-1 with `solve` (factorized_solver(B) unless given).
+def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None,
+                        sectors=None) -> np.ndarray:
+    """k eigenvalues, ascending, of A u = theta B u (A Hermitian, B HPD) at the
+    end(s) `which` ("LA", "SA", "BE", the last for a real pencil only):
+    shift-free Lanczos from an all-ones start, applying B^-1 with `solve`
+    (factorized_solver(B) unless given).  A complex pencil goes to ARPACK's
+    Arnoldi, which gives the real parts of its Ritz values.
+
+    With `sectors` of B (Sector objects whose A is B, each pencil matrix
+    commuting with them) the pencil is run one sector at a time: the
+    projected B is factorized, A projected and the run made, and the
+    sector's LU and matrices die before the next sector's are made.  The k
+    values at `which` are taken over all sectors, a complex sector's twice.
 
     Lanczos stops once each Ritz residual is below sqrt(u) |theta|, with a
     basis of max(2k + 1, 9) vectors, or n if fewer.  An A with no nonzero
@@ -231,13 +240,26 @@ def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None) -> np.ndarray:
     n = A.shape[0]
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
+    if sectors is None:
+        return _extremes(A, B, which, k, solve)
+    vals = np.sort(np.concatenate([
+        np.repeat(_extremes(s.project(A), s.project(s.A), which, k), s.weight)
+        for s in sectors]))
+    low = {"SA": k, "LA": 0, "BE": k // 2}[which]  # eigsh's split of "BE"
+    return np.concatenate([vals[:low], vals[len(vals) - (k - low):]])
+
+
+def _extremes(A, B, which: str, k: int, solve=None) -> np.ndarray:
+    """extreme_eigenvalues of one pencil."""
+    n = A.shape[0]
     if not (A.data if sp.issparse(A) else np.asarray(A)).any():
         return np.zeros(k)
     if solve is None:
         solve = factorized_solver(B)
-    Minv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    Minv = spla.LinearOperator((n, n), matvec=solve, dtype=B.dtype)
     try:
-        vals = spla.eigsh(A, k=k, M=B, Minv=Minv, which=which, v0=np.ones(n),
+        vals = spla.eigsh(A, k=k, M=B, Minv=Minv, which=which,
+                          v0=np.ones(n, dtype=B.dtype),
                           ncv=min(n, max(2 * k + 1, _MIN_NCV)), tol=_RITZ_TOL,
                           return_eigenvectors=False)
     except spla.ArpackError as exc:

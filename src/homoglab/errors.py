@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all homoglab modules."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class HomoglabError(Exception):
@@ -16,6 +16,26 @@ def config_int(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def config_float(name: str, value) -> float:
+    """`value` as a float; ConfigError unless a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def config_floats(name: str, values, count: int | None = None) -> tuple:
+    """`values` as a tuple of floats, `count` of them when given;
+    ConfigError unless a sequence of real numbers."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence of real numbers, "
+                          f"got {values!r}") from None
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{name} needs {count} values, got {len(values)}")
+    return tuple(config_float(name, v) for v in values)
 
 
 class GeometryError(HomoglabError):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, MeshInternalError, config_int
+from .errors import (ConfigError, GeometryError, MeshInternalError, config_float,
+                     config_floats, config_int)
 
 # triangle region tags
 FLUID = 0
@@ -44,6 +45,10 @@ class DomainConfig:
     h_ref: float = 1.0 / 8.0
 
     def __post_init__(self):
+        self.eps = config_float("eps", self.eps)
+        self.hole_radius = config_float("hole_radius", self.hole_radius)
+        self.h_ref = config_float("h_ref", self.h_ref)
+        self.k_rect = config_floats("k_rect", self.k_rect, 4)
         if not (np.isfinite(self.eps) and self.eps > 0.0):
             raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         n = 1.0 / self.eps

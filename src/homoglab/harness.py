@@ -21,7 +21,7 @@ except ImportError:  # Windows has no getrusage
 from . import corrector as corr
 from . import fem, geometry, lab, spectral
 from .cell import solve_cell_problem
-from .errors import ConfigError, config_int
+from .errors import ConfigError, config_float, config_floats, config_int
 from .geometry import DomainConfig
 
 MODES = ("EIGENVALUES", "CORRECTOR", "EIGENSPACE", "VISIK", "LAB")
@@ -57,11 +57,12 @@ class StudyConfig:
         self.cell_refine = config_int("cell_refine", self.cell_refine, 1)
         self.hole_poly = config_int("hole_poly", self.hole_poly, geometry.MIN_HOLE_POLY)
         self.seed = config_int("seed", self.seed, 0)
-        self.hole_radius, self.h_ref = float(self.hole_radius), float(self.h_ref)
-        self.k_rect = tuple(map(float, self.k_rect))
-        self.eps_list = tuple(sorted(map(float, self.eps_list), reverse=True))
+        self.hole_radius = config_float("hole_radius", self.hole_radius)
+        self.h_ref = config_float("h_ref", self.h_ref)
+        self.k_rect = config_floats("k_rect", self.k_rect, 4)
+        self.eps_list = tuple(sorted(config_floats("eps_list", self.eps_list), reverse=True))
         if self.h_domain is not None:
-            self.h_domain = float(self.h_domain)
+            self.h_domain = config_float("h_domain", self.h_domain)
         if len(set(self.eps_list)) < len(self.eps_list):
             raise ConfigError(f"eps_list repeats a value: {list(self.eps_list)}")
         if len(self.eps_list) < 2:
@@ -169,6 +170,7 @@ def run_study(cfg: StudyConfig) -> dict:
     sweep_eigenvalues = {}
     rows = []
     lab_rows = []
+    eps_peaks = []
     for eps in cfg.eps_list:
         # each eps's bundle (mesh, matrices, LUs) is freed when _eps_rows
         # returns, before the next eps is built
@@ -177,6 +179,7 @@ def run_study(cfg: StudyConfig) -> dict:
             homog_spec.eigenvalues, clusters)
         rows.extend(eps_rows)
         lab_rows.extend(eps_lab)
+        eps_peaks.append({"eps": eps, "peak_rss_mb": peak_rss_mb()})
 
     if "LAB" in cfg.modes:
         side = min(x1 - x0, y1 - y0)
@@ -192,7 +195,8 @@ def run_study(cfg: StudyConfig) -> dict:
     body["complete"] = True
     report = {"header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                          "runtime_s": round(time.time() - t_start, 3),
-                         "peak_rss_mb": peak_rss_mb()},
+                         "peak_rss_mb": peak_rss_mb(),
+                         "eps_peak_rss_mb": eps_peaks},
               "body": body}
     return report
 
@@ -225,7 +229,9 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
     returned refers to the eps's bundle.
     """
     # VISIK (its doubling and apply_Keps) and LAB (check_norm_equivalence)
-    # solve with the bundle again, so its sector LUs are kept for them
+    # solve with the bundle again, so its sector LUs are kept for them; they
+    # run first, and the LUs are dropped before the checks that factorize
+    # their own matrices (the hole extension, the trace and volsup pencils)
     keep_lu = bool({"VISIK", "LAB"} & set(cfg.modes))
     spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k,
                                                      keep_lu=keep_lu)
@@ -239,6 +245,17 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
     if {"CORRECTOR", "VISIK"} & set(cfg.modes):
         U = corr.build_corrector(hom_full, a_mesh, cell_sol, eps, bundle,
                                  cutoff=True)
+    if "VISIK" in cfg.modes:
+        mu = 1.0 / float(lam_hom[0])
+        vres = corr.visik_check(bundle, U[0], mu, spec_eps)
+        rows[0]["visik_alpha"] = float(vres.residual)
+        rows[0]["visik_certificate"] = bool(vres.certificate)
+        rows[0]["visik_nearest_distance"] = float(vres.nearest_distance)
+    if "LAB" in cfg.modes:
+        norm_row = lab.check_norm_equivalence(bundle).as_dict()
+    for s in bundle.sectors:
+        s.drop()
+
     if "CORRECTOR" in cfg.modes:
         for cl in clusters:
             if cl[-1] >= cfg.k:
@@ -254,19 +271,12 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
         rows[cl[0]]["gap"] = _eigenspace_gap(bundle, spec_eps.eigenvectors[:, cl],
                                              a_mesh, hom_full[:, cl])
 
-    if "VISIK" in cfg.modes:
-        mu = 1.0 / float(lam_hom[0])
-        vres = corr.visik_check(bundle, U[0], mu, spec_eps)
-        rows[0]["visik_alpha"] = float(vres.residual)
-        rows[0]["visik_certificate"] = bool(vres.certificate)
-        rows[0]["visik_nearest_distance"] = float(vres.nearest_distance)
-
     lab_rows = []
     if "LAB" in cfg.modes:
         lab_rows = [lab.check_trace(bundle).as_dict(),
                     lab.check_volsup(bundle, cell_sol, cfg.k_rect).as_dict(),
                     lab.check_periodic_osc(cell_sol, bundle, _lab_u, _lab_v).as_dict(),
-                    lab.check_norm_equivalence(bundle).as_dict()]
+                    norm_row]
 
     return spec_eps.eigenvalues, rows, lab_rows
 

@@ -34,11 +34,14 @@ class LabRow:
 
 def check_trace(bundle: DiscreteOperatorBundle) -> LabRow:
     """Sharp c in int_{Sigma_eps} u^2 <= c (eps^-1 int u^2 + eps int |grad u|^2):
-    the largest theta of R_all u = theta (M/eps + eps S) u."""
+    the largest theta of R_all u = theta (M/eps + eps S) u, over the bundle's
+    sectors when R_all and R commute with the quarter turn, and with them
+    M/eps + eps (A - R), so one sector's LU of it is alive at a time."""
     eps = bundle.mesh.eps
     R_all = bundle.red.project(fem.assemble_robin_mass(bundle.mesh, k_rect=None))
     B = bundle.M / eps + eps * bundle.S
-    theta = extreme_eigenvalues(R_all, B, "LA")[-1]
+    sectors = bundle.sectors_of(B, bundle.R, R_all)
+    theta = extreme_eigenvalues(R_all, B, "LA", sectors=sectors)[-1]
     return LabRow("trace", eps, float(theta), 0, passed=bool(np.isfinite(theta)))
 
 

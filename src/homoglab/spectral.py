@@ -48,15 +48,32 @@ class DiscreteOperatorBundle:
         return self.red.R
 
     @functools.cached_property
+    def _orbits(self):
+        """`_rotation_orbits` of the bundle, found once."""
+        return _rotation_orbits(self)
+
+    @functools.cached_property
     def sectors(self):
         """The pencil (A, M) in the sectors of the quarter turn when it is a
         symmetry of both (see `_rotation_orbits`), else in one sector of
         every DoF; each sector's LU is made on its first solve and lives
         until the sector drops it."""
-        found = _rotation_orbits(self)
-        if found is None:
-            return (Sector(self.A),)
-        return tuple(_TurnSector(self.A, *found, chi) for chi in _CHARACTERS)
+        return self.sectors_of(self.A)
+
+    def sectors_of(self, X, *parts):
+        """The bundle's sectors with X as their operator, each with no LU,
+        when the turn is a symmetry of A and M and every matrix of `parts`
+        commutes with it too (`_commutes`); else the one sector of X.  X
+        must be a linear combination of A, M and `parts`, so that it
+        commutes with the turn when they do."""
+        if self._orbits is None:
+            return (Sector(X),)
+        orbits, fixed = self._orbits
+        turn = np.arange(self.A.shape[0])
+        turn[orbits] = np.roll(orbits, -1, axis=1)
+        if not all(_commutes(Y, turn) for Y in parts):
+            return (Sector(X),)
+        return tuple(_TurnSector(X, orbits, fixed, chi) for chi in _CHARACTERS)
 
     def solve(self, f):
         """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f),
@@ -71,9 +88,7 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     DoFs the turn fixes (the centre, if it is a DoF).
 
     None unless the turn maps the DoFs onto themselves and A and M commute
-    with it: each turned matrix has the sparsity pattern of the original,
-    and no entry differs from the original's by more than _C4_TOL times
-    the original's largest.
+    with it (`_commutes`).
     """
     X = bundle.mesh.nodes[bundle.red.keep]
 
@@ -89,16 +104,8 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     if not np.array_equal(own[at], turned):
         return None
     turn = order[at]
-    for A in (bundle.A, bundle.M):
-        T = A[turn][:, turn]
-        T.sort_indices()
-        if not A.has_sorted_indices:
-            A = A.sorted_indices()
-        if not (np.array_equal(T.indptr, A.indptr)
-                and np.array_equal(T.indices, A.indices)):
-            return None
-        if np.abs(T.data - A.data).max(initial=0.0) > _C4_TOL * np.abs(A.data).max():
-            return None
+    if not (_commutes(bundle.A, turn) and _commutes(bundle.M, turn)):
+        return None
     idx = np.arange(len(turn))
     half = turn[turn]
     orbits = np.column_stack([idx, turn, half, turn[half]])
@@ -107,6 +114,23 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
         return None
     first = ~fixed & (idx == orbits.min(axis=1))
     return orbits[first], idx[fixed]
+
+
+def _commutes(X, turn) -> bool:
+    """Whether the sparse X commutes with the DoF permutation `turn`: the
+    turned X has X's sparsity pattern, and no entry differs from X's by more
+    than _C4_TOL times X's largest."""
+    back = np.empty(len(turn), dtype=X.indices.dtype)
+    back[turn] = np.arange(len(turn))
+    T = X[turn]  # a copy; renumbering its columns is X[turn][:, turn]
+    T.indices = back[T.indices]
+    T.has_sorted_indices = False
+    T.sort_indices()
+    if not X.has_sorted_indices:
+        X = X.sorted_indices()
+    return (np.array_equal(T.indptr, X.indptr) and np.array_equal(T.indices, X.indices)
+            and np.abs(T.data - X.data).max(initial=0.0)
+            <= _C4_TOL * np.abs(X.data).max(initial=0.0))
 
 
 class _TurnSector(Sector):

@@ -4,6 +4,7 @@ import platform
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -79,6 +80,22 @@ def test_extreme_eigenvalues_small_pencils():
     assert extreme_eigenvalues(A4, B4, "BE", k=2) == pytest.approx([-0.5, 10.0], rel=1e-12)
     assert extreme_eigenvalues(A4, B4, "LA", k=3) == pytest.approx([2.0, 3.0, 10.0],
                                                                    rel=1e-12)
+
+
+def test_extreme_eigenvalues_complex_hermitian():
+    """A complex Hermitian pencil, as the E sector of a quarter turn gives:
+    B^-1 applied and the start vector in B's dtype, and real Ritz values."""
+    n = 40
+    rng = np.random.default_rng(7)
+    X, Y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2))
+    A, B = (X + X.conj().T) / 2.0, Y @ Y.conj().T + n * np.eye(n)
+    want = la.eigh(A, B, eigvals_only=True)
+    for which, k, ends in (("LA", 1, want[-1:]), ("SA", 1, want[:1]),
+                           ("LA", 3, want[-3:]), ("SA", 2, want[:2])):
+        got = extreme_eigenvalues(sp.csr_matrix(A), sp.csr_matrix(B), which, k=k)
+        assert got.dtype.kind == "f"
+        assert got == pytest.approx(ends, rel=1e-12), (which, k)
 
 
 def test_extreme_eigenvalues_k_out_of_range(monkeypatch):

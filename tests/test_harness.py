@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from homoglab import corrector, geometry, lab, spectral
+from homoglab import corrector, geometry, harness, lab, spectral
 from homoglab.errors import ConfigError, GeometryError
 from homoglab.harness import (CSV_COLUMNS, StudyConfig, body_bytes, emit,
                               fit_rate, run_study)
@@ -173,6 +173,15 @@ def test_header_reports_peak_memory(small_report):
     assert b"peak_rss_mb" not in body_bytes(small_report)
 
 
+def test_header_reports_peak_memory_per_eps(small_report):
+    # ru_maxrss at the end of each eps, in sweep order like the rows; a peak
+    # so far never falls, and the study's own reading comes last
+    per_eps = small_report["header"]["eps_peak_rss_mb"]
+    assert [e["eps"] for e in per_eps] == [1 / 4, 1 / 8]
+    peaks = [e["peak_rss_mb"] for e in per_eps]
+    assert 0.0 < peaks[0] <= peaks[1] <= small_report["header"]["peak_rss_mb"]
+
+
 def test_emit_formats(small_report, tmp_path):
     written = emit(small_report, tmp_path, formats=("json", "csv", "svg"))
     names = {p.name for p in written}
@@ -257,6 +266,40 @@ def test_eigenspace_temporaries_die_before_the_lab(monkeypatch):
                           cell_refine=2, modes=("EIGENSPACE", "LAB")))
 
 
+def test_bundle_lus_are_dropped_before_the_checks_that_factorize(monkeypatch, lus):
+    """VISIK and norm equivalence run first, on the sector LUs the solve
+    made, and make none; then every LU is dropped, so none is alive when
+    the hole extension, the trace, volsup or periodic-oscillation check
+    starts."""
+    started = []
+
+    def watch(mod, name, at, kept):
+        # the bundle is argument `at`; `kept`: its LUs are alive, and the
+        # call must make no LU
+        real = getattr(mod, name)
+
+        def wrapped(*args, **kw):
+            sectors = args[at].sectors
+            assert [s._lu is not None for s in sectors] == [kept] * len(sectors), name
+            before = len(lus)
+            out = real(*args, **kw)
+            assert not kept or len(lus) == before, name
+            started.append(name)
+            return out
+        monkeypatch.setattr(mod, name, wrapped)
+
+    watch(corrector, "visik_check", 0, True)
+    watch(lab, "check_norm_equivalence", 0, True)
+    watch(harness, "_eigenspace_gap", 0, False)
+    watch(lab, "check_trace", 0, False)
+    watch(lab, "check_volsup", 0, False)
+    watch(lab, "check_periodic_osc", 1, False)
+    run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
+                          cell_refine=2))
+    assert started == ["visik_check", "check_norm_equivalence", "_eigenspace_gap",
+                       "check_trace", "check_volsup", "check_periodic_osc"] * 2
+
+
 def _sectors(*dims):
     # one eps's E, A and B sector LUs, in the order they are made
     return [(dims[0], "c"), (dims[1], "f"), (dims[2], "f")]
@@ -267,17 +310,21 @@ _MACRO = [(1086, "f"), (3969, "f"), (3969, "f")]
 
 
 @pytest.mark.parametrize("kw,made", [
-    ({}, _MACRO + _sectors(300, 301, 300) + [(16, "f"), (1201, "f"), (916, "f")]
-     + _sectors(1232, 1233, 1232) + [(64, "f"), (4929, "f"), (3728, "f")]
-     + _sectors(4992, 4993, 4992) + [(256, "f"), (19969, "f"), (15040, "f")]),
+    ({}, _MACRO + _sectors(300, 301, 300) + [(16, "f")] + _sectors(300, 301, 300)
+     + [(916, "f")]
+     + _sectors(1232, 1233, 1232) + [(64, "f")] + _sectors(1232, 1233, 1232)
+     + [(3728, "f")]
+     + _sectors(4992, 4993, 4992) + [(256, "f")] + _sectors(4992, 4993, 4992)
+     + [(15040, "f")]),
     (dict(eps_list=(1 / 16, 1 / 32), modes=("EIGENVALUES", "VISIK")),
      _MACRO + _sectors(4992, 4993, 4992) + _sectors(20096, 20097, 20096))],
     ids=["default", "certify"])
 def test_study_keeps_the_sector_lus_for_visik_and_lab(lus, kw, made):
     """VISIK (its doubling and apply_Keps) and LAB (norm equivalence) solve
-    with the bundle again, so each eps's sector LUs are made once and kept:
-    21 LUs in the default study (per eps the hole extension, the trace and
-    volsup pencils after the sectors) and 9 when only VISIK runs."""
+    with the bundle again, so each eps's sector LUs are made once and kept
+    for them: 27 LUs in the default study (per eps, after the sectors, the
+    hole extension, the trace pencil in the three sectors, E first, and the
+    volsup pencil) and 9 when only VISIK runs."""
     run_study(StudyConfig(**kw))
     assert [(n, kind) for n, kind, *_ in lus] == made
 
@@ -321,6 +368,15 @@ def test_numpy_scalar_config_reports_like_plain_numbers(tmp_path):
     emit(report, tmp_path, formats=("json", "csv"))
 
 
+def _no_mesh(monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("mesh built for a config that must be refused")
+
+    for name in ("build_cell_mesh", "build_domain_mesh", "build_perforated_mesh",
+                 "tile_template"):
+        monkeypatch.setattr(geometry, name, no_mesh)
+
+
 @pytest.mark.parametrize("bad, error, match", [
     ({"hole_poly": 64}, GeometryError, "too coarse for a 64-gon hole"),
     ({"eps_list": (1 / 2, 1 / 4)}, ConfigError, "K covers every cell"),
@@ -328,14 +384,35 @@ def test_numpy_scalar_config_reports_like_plain_numbers(tmp_path):
 def test_study_refused_before_any_mesh(bad, error, match, monkeypatch):
     """A polygon finer than the coarse template's rings, and a LAB sweep at
     an eps where K covers every cell, are refused at construction."""
-    def no_mesh(*args, **kwargs):
-        raise AssertionError("mesh built for a config that must be refused")
-
-    for name in ("build_cell_mesh", "build_domain_mesh", "build_perforated_mesh",
-                 "tile_template"):
-        monkeypatch.setattr(geometry, name, no_mesh)
+    _no_mesh(monkeypatch)
     with pytest.raises(error, match=match):
         StudyConfig(**bad)
+
+
+@pytest.mark.parametrize("make, bad, match", [
+    (StudyConfig, {"k_rect": (0.25, 0.25, 0.75)}, "k_rect needs 4 values"),
+    (StudyConfig, {"k_rect": 0.5}, "k_rect must be a sequence"),
+    (StudyConfig, {"eps_list": 0.25}, "eps_list must be a sequence"),
+    (StudyConfig, {"eps_list": (1 / 4, "1/8")}, "eps_list must be a real number"),
+    (StudyConfig, {"hole_radius": "x"}, "hole_radius must be a real number"),
+    (StudyConfig, {"h_ref": None}, "h_ref must be a real number"),
+    (StudyConfig, {"h_domain": True}, "h_domain must be a real number"),
+    (geometry.DomainConfig, {"eps": 1 / 4, "hole_radius": 0.25,
+                             "k_rect": (0.25, 0.25, 0.75)}, "k_rect needs 4 values"),
+    (geometry.DomainConfig, {"eps": 1 / 4, "hole_radius": 0.25, "k_rect": 0.5},
+     "k_rect must be a sequence"),
+    (geometry.DomainConfig, {"eps": "a", "hole_radius": 0.25}, "eps must be a real number"),
+    (geometry.DomainConfig, {"eps": 1 / 4, "hole_radius": "x"},
+     "hole_radius must be a real number"),
+], ids=["study_k_rect_short", "study_k_rect_number", "study_eps_list_number",
+        "study_eps_list_string", "study_hole_radius", "study_h_ref", "study_h_domain",
+        "domain_k_rect_short", "domain_k_rect_number", "domain_eps", "domain_hole_radius"])
+def test_malformed_config_refused_before_any_mesh(make, bad, match, monkeypatch):
+    """A field of the wrong shape or type is a ConfigError at construction,
+    not a raw ValueError or TypeError from unpacking or converting it."""
+    _no_mesh(monkeypatch)
+    with pytest.raises(ConfigError, match=match):
+        make(**bad)
 
 
 def test_lab_rule_only_with_lab():

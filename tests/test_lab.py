@@ -155,10 +155,72 @@ def test_sharp_constants_match_converged_eigsh(bundle_eighth, cell_sol8):
         assert row.worst_ratio == pytest.approx(want[name], rel=1e-12), name
 
 
+def _trace_pencil(bundle):
+    eps = bundle.mesh.eps
+    R_all = bundle.red.project(fem.assemble_robin_mass(bundle.mesh, k_rect=None))
+    return R_all, bundle.M / eps + eps * bundle.S
+
+
+def _sectors_seen(monkeypatch):
+    """The sectors each lab call hands extreme_eigenvalues, in call order."""
+    seen = []
+    real = lab.extreme_eigenvalues
+
+    def keeping(A, B, *args, sectors=None, **kw):
+        seen.append(sectors)
+        return real(A, B, *args, sectors=sectors, **kw)
+
+    monkeypatch.setattr(lab, "extreme_eigenvalues", keeping)
+    return seen
+
+
+@pytest.mark.parametrize("which", ["bundle_quarter", "bundle_eighth"])
+def test_trace_in_sectors_matches_one_sector(which, request, monkeypatch):
+    """The trace pencil commutes with the quarter turn, so its constant is
+    the largest over the E, A and B sectors of M/eps + eps S: the one-sector
+    value to 1e-12 relative (3.9e-15 is the largest drift at 1/4 to 1/16)."""
+    bundle = request.getfixturevalue(which)
+    seen = _sectors_seen(monkeypatch)
+    row = lab.check_trace(bundle)
+    R_all, B = _trace_pencil(bundle)
+    assert [(s.dim, s.weight) for s in seen[0]] == [
+        (s.dim, s.weight) for s in bundle.sectors]
+    assert all(s.A is seen[0][0].A for s in seen[0])
+    assert (seen[0][0].A != B).nnz == 0
+    one = eigensolve.extreme_eigenvalues(R_all, B, "LA")[-1]
+    assert row.worst_ratio == pytest.approx(one, rel=1e-12)
+
+
+def test_trace_falls_back_to_one_sector(bundle_eighth, monkeypatch):
+    """An off-centre K has one sector, and so has any trace pencil whose
+    matrices fail the commutation check."""
+    off = spectral.build_perforated_bundle(geometry.DomainConfig(
+        eps=1 / 8, hole_radius=0.25, k_rect=(0.2, 0.25, 0.7, 0.75)))
+    seen = _sectors_seen(monkeypatch)
+    lab.check_trace(off)
+    assert len(seen[0]) == 1 and seen[0][0].dim == off.red.dim
+
+    R_all, B = _trace_pencil(bundle_eighth)
+    R = bundle_eighth.R
+    assert len(bundle_eighth.sectors_of(B, R, R_all)) == 3
+    for X in (R_all, R):
+        skewed = X.copy()
+        skewed.data[skewed.indptr[-1] // 2] *= 1.0 + 1e-6   # off its orbit's value
+        parts = (skewed, R) if X is R_all else (R_all, skewed)
+        assert len(bundle_eighth.sectors_of(B, *parts)) == 1
+    monkeypatch.setattr(spectral, "_commutes", lambda X, turn: False)
+    row = lab.check_trace(bundle_eighth)
+    assert len(seen[1]) == 1
+    one = eigensolve.extreme_eigenvalues(R_all, B, "LA")[-1]
+    assert row.worst_ratio == one
+
+
 def test_sharp_constants_solve_counts(bundle_eighth, cell_sol8, monkeypatch):
-    # applications of B^-1 per Lanczos run at eps = 1/8: 15, 17 and 10 as
-    # measured, against 21, 39 and 21 when iterated to machine precision in
-    # a 20-vector basis
+    # applications of B^-1 per Lanczos run at eps = 1/8: 15 in each of the
+    # trace's E, A and B sectors, 17 for volsup and 10 for norm equivalence
+    # as measured, against 21, 39 and 21 when the one-sector trace, volsup
+    # and norm-equivalence pencils are iterated to machine precision in a
+    # 20-vector basis
     counts = []
 
     def counted(solve):
@@ -180,10 +242,12 @@ def test_sharp_constants_solve_counts(bundle_eighth, cell_sol8, monkeypatch):
     own = spectral.DiscreteOperatorBundle(mesh=bundle_eighth.mesh, red=bundle_eighth.red)
     own.solve = counted(bundle_eighth.solve)
     _sharp_rows(own, cell_sol8)
-    # the bundle's solve was wrapped first, then one LU per pencil in run order
-    assert len(counts) == 3
-    solves = dict(zip(("norm_equivalence", "trace", "volsup"), counts))
-    assert solves["trace"] <= 15
+    # the bundle's solve was wrapped first, then one LU per trace sector and
+    # one for volsup, in run order
+    assert len(counts) == 5
+    solves = dict(zip(("norm_equivalence", "trace_E", "trace_A", "trace_B", "volsup"),
+                      counts))
+    assert max(solves[f"trace_{s}"] for s in "EAB") <= 15
     assert solves["volsup"] <= 17
     assert solves["norm_equivalence"] <= 10
 
