@@ -60,13 +60,13 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 class Sector:
     """An invariant subspace of a real pencil (A, B), kept as A and a basis
-    P: `solve` applies (P^H A P)^-1 through the sector's LU, made by `lu`
-    when no LU is alive.  The LU lives until `drop`; a solve after that
-    makes it again.  `expand` maps coordinates to full vectors (P y),
-    `restrict` a real full vector to coordinates (P^H f) and `project` a
-    full matrix that commutes with the sector to the sector's (P^H X P).
-    This class is all of the pencil: P = I, and each of the three returns
-    its argument itself; `spectral` subclasses it for the quarter turn.
+    P: `lu`, the package's one factorization, returns the solve of the LU
+    of P^H A P, made unless one is alive; it lives until `drop`.  `expand`
+    maps coordinates to full vectors (P y), `restrict` a real full vector
+    to coordinates (P^H f) and `project` a full matrix that commutes with
+    the sector to the sector's (P^H X P).  This class is all of the pencil:
+    P = I, and each of the three returns its argument itself; `spectral`
+    subclasses it for the quarter turn.
 
     A complex sector stands for itself and its conjugate, whose eigenpairs are
     the conjugates of its own: each of its eigenvalues counts twice (weight
@@ -89,17 +89,15 @@ class Sector:
     def project(self, X):
         return X
 
-    def lu(self):
-        """The solve of the sector's LU, made now unless one is alive."""
+    def lu(self, projected=None):
+        """The LU's solve, made from `projected` or P^H A P unless one is alive."""
         if self._lu is None:
-            self._lu = factorized_solver(self.project(self.A))
+            self._lu = factorized_solver(
+                self.project(self.A) if projected is None else projected)
         return self._lu
 
-    def solve(self, f):
-        return self.lu()(f)
-
     def drop(self):
-        """Free the LU; the next solve makes it again."""
+        """Free the LU; the next `lu` makes it again."""
         self._lu = None
 
     def pairs(self, B, k: int):
@@ -146,6 +144,27 @@ class Sector:
         order = np.argsort(vals)
         return vals[order], vecs[:, order], solves
 
+    def extremes(self, X, which: str, k: int) -> np.ndarray:
+        """k eigenvalues, ascending, at the end(s) `which` of X u = theta A u
+        in this sector: shift-free Lanczos from an all-ones start through
+        the LU of the projected A, which is dropped as the run ends.  A
+        projected X with no nonzero value has every theta 0: no LU is made."""
+        X = self.project(X)
+        if not (X.data if sp.issparse(X) else np.asarray(X)).any():
+            return np.zeros(k)
+        B = self.project(self.A)
+        solve, n = self.lu(B), self.dim
+        Minv = spla.LinearOperator((n, n), matvec=solve, dtype=B.dtype)
+        try:
+            vals = spla.eigsh(X, k=k, M=B, Minv=Minv, which=which,
+                              v0=np.ones(n, dtype=B.dtype),
+                              ncv=min(n, max(2 * k + 1, _MIN_NCV)), tol=_RITZ_TOL,
+                              return_eigenvectors=False)
+        except spla.ArpackError as exc:
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        self.drop()
+        return np.sort(vals)
+
 
 def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
@@ -164,8 +183,7 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
     n = A.shape[0]
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
-    if sectors is None:
-        sectors = (Sector(A),)
+    sectors = sectors or (Sector(A),)
     start = min(k, -(-k // sum(s.weight for s in sectors)) + 1)
     want = [min(start, s.dim) for s in sectors]
     found = [None] * len(sectors)
@@ -219,19 +237,16 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
                     solves=solves)
 
 
-def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None,
-                        sectors=None) -> np.ndarray:
+def extreme_eigenvalues(A, B, which: str, k: int = 1, sectors=None) -> np.ndarray:
     """k eigenvalues, ascending, of A u = theta B u (A Hermitian, B HPD) at the
-    end(s) `which` ("LA", "SA", "BE", the last for a real pencil only):
-    shift-free Lanczos from an all-ones start, applying B^-1 with `solve`
-    (factorized_solver(B) unless given).  A complex pencil goes to ARPACK's
-    Arnoldi, which gives the real parts of its Ritz values.
+    end(s) `which` ("LA", "SA", "BE", the last for a real pencil only).
 
-    With `sectors` of B (Sector objects whose A is B, each pencil matrix
-    commuting with them) the pencil is run one sector at a time: the
-    projected B is factorized, A projected and the run made, and the
-    sector's LU and matrices die before the next sector's are made.  The k
-    values at `which` are taken over all sectors, a complex sector's twice.
+    The pencil is run in `sectors` of B (Sector objects whose A is B, each
+    pencil matrix commuting with them), by default the one `Sector(B)`, one
+    sector at a time (`Sector.extremes`): a sector's LU, made unless it is
+    alive, is dropped as its run ends.  The k values at `which` are taken
+    over all sectors, a complex sector's twice; ARPACK's Arnoldi runs a
+    complex sector and gives the real parts of its Ritz values.
 
     Lanczos stops once each Ritz residual is below sqrt(u) |theta|, with a
     basis of max(2k + 1, 9) vectors, or n if fewer.  An A with no nonzero
@@ -240,31 +255,10 @@ def extreme_eigenvalues(A, B, which: str, k: int = 1, solve=None,
     n = A.shape[0]
     if k < 1 or k >= n:
         raise SolverError(f"need 1 <= k < dimension, got k={k}, n={n}")
-    if sectors is None:
-        return _extremes(A, B, which, k, solve)
-    vals = np.sort(np.concatenate([
-        np.repeat(_extremes(s.project(A), s.project(s.A), which, k), s.weight)
-        for s in sectors]))
+    vals = np.sort(np.concatenate([np.repeat(s.extremes(A, which, k), s.weight)
+                                   for s in sectors or (Sector(B),)]))
     low = {"SA": k, "LA": 0, "BE": k // 2}[which]  # eigsh's split of "BE"
     return np.concatenate([vals[:low], vals[len(vals) - (k - low):]])
-
-
-def _extremes(A, B, which: str, k: int, solve=None) -> np.ndarray:
-    """extreme_eigenvalues of one pencil."""
-    n = A.shape[0]
-    if not (A.data if sp.issparse(A) else np.asarray(A)).any():
-        return np.zeros(k)
-    if solve is None:
-        solve = factorized_solver(B)
-    Minv = spla.LinearOperator((n, n), matvec=solve, dtype=B.dtype)
-    try:
-        vals = spla.eigsh(A, k=k, M=B, Minv=Minv, which=which,
-                          v0=np.ones(n, dtype=B.dtype),
-                          ncv=min(n, max(2 * k + 1, _MIN_NCV)), tol=_RITZ_TOL,
-                          return_eigenvectors=False)
-    except spla.ArpackError as exc:
-        raise SolverError(f"eigensolver failed: {exc}") from exc
-    return np.sort(vals)
 
 
 def factorized_solver(A):
@@ -290,17 +284,19 @@ def factorized_solver(A):
     return lu.solve
 
 
-def solve_source(A, rhs: np.ndarray, solve=None) -> np.ndarray:
-    """Solve A u = rhs with a direct sparse factorization and verify the residual."""
+def solve_source(A, rhs: np.ndarray, sectors=None) -> np.ndarray:
+    """Solve A u = rhs for real rhs and verify the residual: u sums
+    weight * Re(P A_s^-1 P^H rhs) over `sectors` of A, by default the one
+    `Sector(A)`, through each sector's LU, which is kept."""
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != rhs.shape[0]:
         raise SolverError(f"rhs length {rhs.shape[0]} != dim {A.shape[0]}")
-    if solve is None:
-        solve = factorized_solver(A)
-    u = solve(rhs)
-    r = rhs - A @ u
-    u = u + solve(r)  # one refinement step keeps coarse meshes honest
-    nr = np.linalg.norm(rhs - A @ u)
+    sectors = sectors or (Sector(A),)
+    u, r = 0.0, rhs
+    for _ in range(2):  # a solve, then one refinement step for coarse meshes
+        u = u + sum(s.weight * s.expand(s.lu()(s.restrict(r))).real for s in sectors)
+        r = rhs - A @ u
+    nr = np.linalg.norm(r)
     if nr > _SOURCE_REL_TOL * max(np.linalg.norm(rhs), 1e-300):
         raise SolverError(f"source solve residual {nr:.3e} exceeds tolerance")
     return u

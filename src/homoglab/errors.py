@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all homoglab modules."""
 
+from collections.abc import Sequence
 from numbers import Integral, Real
 
 
@@ -36,6 +37,17 @@ def config_floats(name: str, values, count: int | None = None) -> tuple:
     if count is not None and len(values) != count:
         raise ConfigError(f"{name} needs {count} values, got {len(values)}")
     return tuple(config_float(name, v) for v in values)
+
+
+def config_names(name: str, values, allowed) -> tuple:
+    """`values` as a tuple; ConfigError unless a non-string sequence of `allowed`."""
+    if (isinstance(values, str) or not isinstance(values, Sequence)
+            or not all(isinstance(v, str) for v in values)):
+        raise ConfigError(f"{name} must be a sequence of names, got {values!r}")
+    unknown = sorted(set(values) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {name} {unknown}")
+    return tuple(values)
 
 
 class GeometryError(HomoglabError):

@@ -21,7 +21,7 @@ except ImportError:  # Windows has no getrusage
 from . import corrector as corr
 from . import fem, geometry, lab, spectral
 from .cell import solve_cell_problem
-from .errors import ConfigError, config_float, config_floats, config_int
+from .errors import ConfigError, config_float, config_floats, config_int, config_names
 from .geometry import DomainConfig
 
 MODES = ("EIGENVALUES", "CORRECTOR", "EIGENSPACE", "VISIK", "LAB")
@@ -61,6 +61,7 @@ class StudyConfig:
         self.h_ref = config_float("h_ref", self.h_ref)
         self.k_rect = config_floats("k_rect", self.k_rect, 4)
         self.eps_list = tuple(sorted(config_floats("eps_list", self.eps_list), reverse=True))
+        self.modes = config_names("modes", self.modes, MODES)
         if self.h_domain is not None:
             self.h_domain = config_float("h_domain", self.h_domain)
         if len(set(self.eps_list)) < len(self.eps_list):
@@ -69,9 +70,6 @@ class StudyConfig:
             raise ConfigError("eps_list needs at least two values for rate fits")
         if self.h_domain is not None and not self.h_domain > 0.0:
             raise ConfigError(f"h_domain must be > 0, got {self.h_domain}")
-        unknown = set(self.modes) - set(MODES)
-        if unknown:
-            raise ConfigError(f"unknown modes {sorted(unknown)}")
         for eps in self.eps_list:
             self.domain_config(eps)
             if "LAB" in self.modes:

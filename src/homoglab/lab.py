@@ -35,13 +35,12 @@ class LabRow:
 def check_trace(bundle: DiscreteOperatorBundle) -> LabRow:
     """Sharp c in int_{Sigma_eps} u^2 <= c (eps^-1 int u^2 + eps int |grad u|^2):
     the largest theta of R_all u = theta (M/eps + eps S) u, over the bundle's
-    sectors when R_all and R commute with the quarter turn, and with them
+    sectors when R_all commutes with the quarter turn, and with it
     M/eps + eps (A - R), so one sector's LU of it is alive at a time."""
     eps = bundle.mesh.eps
     R_all = bundle.red.project(fem.assemble_robin_mass(bundle.mesh, k_rect=None))
     B = bundle.M / eps + eps * bundle.S
-    sectors = bundle.sectors_of(B, bundle.R, R_all)
-    theta = extreme_eigenvalues(R_all, B, "LA", sectors=sectors)[-1]
+    theta = extreme_eigenvalues(R_all, B, "LA", sectors=bundle.sectors_of(B, R_all))[-1]
     return LabRow("trace", eps, float(theta), 0, passed=bool(np.isfinite(theta)))
 
 
@@ -164,8 +163,8 @@ def check_eigen_bounds(sweep: dict, dirichlet_eigenvalues: np.ndarray) -> LabRow
 
 def check_norm_equivalence(bundle: DiscreteOperatorBundle) -> LabRow:
     """Sharp c in ||u||_eps <= c ||u||_H_eps, reported, never asserted: with
-    t the largest eigenvalue of R u = t (S + R) u, through the bundle's one LU
-    of S + R, c = sqrt(1 / (1 - t)) = sqrt(1 + theta_max(R, S))."""
-    t = extreme_eigenvalues(bundle.R, bundle.A, "LA", solve=bundle.solve)[-1]
+    t the largest eigenvalue of R u = t (S + R) u, over the bundle's sectors
+    through their LUs of S + R, c = sqrt(1 / (1 - t)) = sqrt(1 + theta_max(R, S))."""
+    t = extreme_eigenvalues(bundle.R, bundle.A, "LA", sectors=bundle.sectors)[-1]
     return LabRow("norm_equivalence", bundle.mesh.eps, float(np.sqrt(1.0 / (1.0 - t))),
                   0, passed=True)

@@ -23,8 +23,8 @@ _CHARACTERS = (1j, 1.0, -1.0)
 @dataclass
 class DiscreteOperatorBundle:
     """Reduced matrices, constraint bookkeeping and the one factorization of
-    A, split over the sectors of A; only a perforated bundle carries the
-    Robin mass R."""
+    A, split over the sectors of A (`sectors`); only a perforated bundle
+    carries the Robin mass R."""
 
     mesh: Mesh
     red: fem.ReducedSystem
@@ -54,18 +54,17 @@ class DiscreteOperatorBundle:
 
     @functools.cached_property
     def sectors(self):
-        """The pencil (A, M) in the sectors of the quarter turn when it is a
-        symmetry of both (see `_rotation_orbits`), else in one sector of
-        every DoF; each sector's LU is made on its first solve and lives
-        until the sector drops it."""
+        """A in the quarter turn's sectors when the turn is a symmetry of A, M
+        and R (`_rotation_orbits`), else in one sector; each sector's LU is
+        made on its first solve and lives until the sector drops it."""
         return self.sectors_of(self.A)
 
     def sectors_of(self, X, *parts):
         """The bundle's sectors with X as their operator, each with no LU,
-        when the turn is a symmetry of A and M and every matrix of `parts`
-        commutes with it too (`_commutes`); else the one sector of X.  X
-        must be a linear combination of A, M and `parts`, so that it
-        commutes with the turn when they do."""
+        when the turn is a symmetry of A, M and R and every matrix of
+        `parts` commutes with it too (`_commutes`); else the one sector of
+        X.  X must be a linear combination of A, M, R and `parts`, so that
+        it commutes with the turn when they do."""
         if self._orbits is None:
             return (Sector(X),)
         orbits, fixed = self._orbits
@@ -75,20 +74,14 @@ class DiscreteOperatorBundle:
             return (Sector(X),)
         return tuple(_TurnSector(X, orbits, fixed, chi) for chi in _CHARACTERS)
 
-    def solve(self, f):
-        """A^-1 f for real f: the sum over the sectors of weight * Re(P A_s^-1 P^H f),
-        through each sector's LU, made again if it was dropped."""
-        return sum(s.weight * s.expand(s.solve(s.restrict(f))).real
-                   for s in self.sectors)
-
 
 def _rotation_orbits(bundle: DiscreteOperatorBundle):
     """The reduced DoFs' orbits under the quarter turn (x, y) -> (1 - y, x):
     an (m, 4) array whose column g holds the g-th turn of column 0, and the
     DoFs the turn fixes (the centre, if it is a DoF).
 
-    None unless the turn maps the DoFs onto themselves and A and M commute
-    with it (`_commutes`).
+    None unless the turn maps the DoFs onto themselves and A, M and R, where
+    the bundle has one, commute with it (`_commutes`).
     """
     X = bundle.mesh.nodes[bundle.red.keep]
 
@@ -104,7 +97,8 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     if not np.array_equal(own[at], turned):
         return None
     turn = order[at]
-    if not (_commutes(bundle.A, turn) and _commutes(bundle.M, turn)):
+    if not all(_commutes(X, turn) for X in (bundle.A, bundle.M, bundle.R)
+               if X is not None):
         return None
     idx = np.arange(len(turn))
     half = turn[turn]
@@ -236,7 +230,7 @@ def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray) -> np.ndarray:
     if bundle.R is None:
         raise SolverError("apply_Keps needs a perforated bundle")
     return solve_source(bundle.A, bundle.M @ np.asarray(f, dtype=float),
-                        solve=bundle.solve)
+                        sectors=bundle.sectors)
 
 
 def extend_Teps(bundle: DiscreteOperatorBundle, U: np.ndarray) -> np.ndarray:

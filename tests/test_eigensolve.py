@@ -1,6 +1,9 @@
 """Generalized eigensolver and direct source solves."""
 
+import ast
+import inspect
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +114,33 @@ def test_extreme_eigenvalues_k_out_of_range(monkeypatch):
     for k in (0, 4, 5):
         with pytest.raises(SolverError):
             extreme_eigenvalues(A4, A4, "LA", k=k)
+
+
+def test_lus_are_made_only_in_sector_lu():
+    """Every factorization in the package is a Sector's: `factorized_solver`
+    is named in one place, the call in `Sector.lu`; no solve is passed in
+    as a callable, and neither a sector nor a bundle solves by itself."""
+    src = Path(eigensolve.__file__).parent
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name == "factorized_solver":
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == ["eigensolve.Sector.lu"]
+    for fn in (extreme_eigenvalues, solve_source):
+        assert "solve" not in inspect.signature(fn).parameters, fn.__name__
+    from homoglab.spectral import DiscreteOperatorBundle
+    assert not hasattr(eigensolve.Sector, "solve")
+    assert not hasattr(DiscreteOperatorBundle, "solve")
 
 
 def test_sparse_path_diagonal():

@@ -397,6 +397,9 @@ def test_study_refused_before_any_mesh(bad, error, match, monkeypatch):
     (StudyConfig, {"hole_radius": "x"}, "hole_radius must be a real number"),
     (StudyConfig, {"h_ref": None}, "h_ref must be a real number"),
     (StudyConfig, {"h_domain": True}, "h_domain must be a real number"),
+    (StudyConfig, {"modes": None}, "modes must be a sequence of names"),
+    (StudyConfig, {"modes": 5}, "modes must be a sequence of names"),
+    (StudyConfig, {"modes": "LAB"}, "modes must be a sequence of names"),
     (geometry.DomainConfig, {"eps": 1 / 4, "hole_radius": 0.25,
                              "k_rect": (0.25, 0.25, 0.75)}, "k_rect needs 4 values"),
     (geometry.DomainConfig, {"eps": 1 / 4, "hole_radius": 0.25, "k_rect": 0.5},
@@ -406,6 +409,7 @@ def test_study_refused_before_any_mesh(bad, error, match, monkeypatch):
      "hole_radius must be a real number"),
 ], ids=["study_k_rect_short", "study_k_rect_number", "study_eps_list_number",
         "study_eps_list_string", "study_hole_radius", "study_h_ref", "study_h_domain",
+        "study_modes_none", "study_modes_number", "study_modes_string",
         "domain_k_rect_short", "domain_k_rect_number", "domain_eps", "domain_hole_radius"])
 def test_malformed_config_refused_before_any_mesh(make, bad, match, monkeypatch):
     """A field of the wrong shape or type is a ConfigError at construction,

@@ -201,13 +201,10 @@ def test_trace_falls_back_to_one_sector(bundle_eighth, monkeypatch):
     assert len(seen[0]) == 1 and seen[0][0].dim == off.red.dim
 
     R_all, B = _trace_pencil(bundle_eighth)
-    R = bundle_eighth.R
-    assert len(bundle_eighth.sectors_of(B, R, R_all)) == 3
-    for X in (R_all, R):
-        skewed = X.copy()
-        skewed.data[skewed.indptr[-1] // 2] *= 1.0 + 1e-6   # off its orbit's value
-        parts = (skewed, R) if X is R_all else (R_all, skewed)
-        assert len(bundle_eighth.sectors_of(B, *parts)) == 1
+    assert len(bundle_eighth.sectors_of(B, R_all)) == 3
+    skewed = R_all.copy()
+    skewed.data[skewed.indptr[-1] // 2] *= 1.0 + 1e-6   # off its orbit's value
+    assert len(bundle_eighth.sectors_of(B, skewed)) == 1
     monkeypatch.setattr(spectral, "_commutes", lambda X, turn: False)
     row = lab.check_trace(bundle_eighth)
     assert len(seen[1]) == 1
@@ -216,10 +213,11 @@ def test_trace_falls_back_to_one_sector(bundle_eighth, monkeypatch):
 
 
 def test_sharp_constants_solve_counts(bundle_eighth, cell_sol8, monkeypatch):
-    # applications of B^-1 per Lanczos run at eps = 1/8: 15 in each of the
-    # trace's E, A and B sectors, 17 for volsup and 10 for norm equivalence
-    # as measured, against 21, 39 and 21 when the one-sector trace, volsup
-    # and norm-equivalence pencils are iterated to machine precision in a
+    # applications of B^-1 per Lanczos run at eps = 1/8, one LU per run:
+    # 15 in each of the trace's E, A and B sectors, 17 for volsup and 10,
+    # 10 and 15 in norm equivalence's E, A and B sectors as measured,
+    # against 21, 39 and 21 when the one-sector trace, volsup and
+    # norm-equivalence pencils are iterated to machine precision in a
     # 20-vector basis
     counts = []
 
@@ -232,24 +230,22 @@ def test_sharp_constants_solve_counts(bundle_eighth, cell_sol8, monkeypatch):
             return solve(x)
         return apply
 
-    # the session bundle makes its sector LUs on first solve; make them
-    # now, whatever ran before, so that only the pencils' own LUs are counted
-    for s in bundle_eighth.sectors:
-        s.lu()
     factorized = eigensolve.factorized_solver
     monkeypatch.setattr(eigensolve, "factorized_solver",
                         lambda B: counted(factorized(B)))
+    # a bundle of the session's matrices whose sectors hold no LU yet, so
+    # that norm equivalence makes (and counts) its own
     own = spectral.DiscreteOperatorBundle(mesh=bundle_eighth.mesh, red=bundle_eighth.red)
-    own.solve = counted(bundle_eighth.solve)
     _sharp_rows(own, cell_sol8)
-    # the bundle's solve was wrapped first, then one LU per trace sector and
-    # one for volsup, in run order
-    assert len(counts) == 5
-    solves = dict(zip(("norm_equivalence", "trace_E", "trace_A", "trace_B", "volsup"),
-                      counts))
+    # one LU per trace sector, one for volsup and one per bundle sector, in
+    # run order; each bundle sector's LU is dropped as its run ends
+    assert len(counts) == 7
+    assert [s._lu for s in own.sectors] == [None] * 3
+    runs = ("trace_E", "trace_A", "trace_B", "volsup", "norm_E", "norm_A", "norm_B")
+    solves = dict(zip(runs, counts))
     assert max(solves[f"trace_{s}"] for s in "EAB") <= 15
     assert solves["volsup"] <= 17
-    assert solves["norm_equivalence"] <= 10
+    assert all(solves[f"norm_{s}"] <= cap for s, cap in zip("EAB", (10, 10, 15)))
 
 
 def _random_fields(bundle, n_samples, seed):
@@ -450,6 +446,19 @@ def test_norm_equivalence(bundle_quarter):
     assert row.check == "norm_equivalence"
     assert row.passed  # report-only check
     assert row.worst_ratio >= 1.0 - 1e-12  # eps-norm dominates the H1 seminorm
+
+
+@pytest.mark.parametrize("which", ["bundle_quarter", "bundle_eighth"])
+def test_norm_equivalence_in_sectors_matches_one_sector(which, request, monkeypatch):
+    """R commutes with the quarter turn, so norm equivalence runs in the
+    bundle's own E, A and B sectors, through their LUs of A, and its
+    constant is the one-sector value to 1e-12 relative."""
+    bundle = request.getfixturevalue(which)
+    seen = _sectors_seen(monkeypatch)
+    row = lab.check_norm_equivalence(bundle)
+    assert seen == [bundle.sectors] and len(seen[0]) == 3
+    t = eigensolve.extreme_eigenvalues(bundle.R, bundle.A, "LA")[-1]
+    assert row.worst_ratio == pytest.approx(np.sqrt(1.0 / (1.0 - t)), rel=1e-12)
 
 
 def test_rows_are_json_clean(bundle_quarter):

@@ -1,5 +1,6 @@
 """The three eigenproblems, the source operator and the extension operator."""
 
+import dataclasses
 import gc
 import types
 import weakref
@@ -547,10 +548,30 @@ def test_sector_runs_stop_after_one_pass(monkeypatch, n):
     assert (spec.residuals < 1e-11 * (1.0 + np.abs(spec.eigenvalues))).all()
 
 
-def test_bundle_solve_through_sectors():
+def test_bundle_solve_through_sectors(lus):
+    """apply_Keps's source solve in the bundle's sectors: the sum over them
+    of weight * Re(P A_s^-1 P^H b), against one LU of A, and each sector's
+    LU made once and kept for the next solve."""
     bundle = _bundle(eps=1 / 4)
     b = np.sin(np.arange(bundle.red.dim, dtype=float))
     want = spla.splu(bundle.A.tocsc()).solve(b)
-    got = bundle.solve(b)
+    got = eigensolve.solve_source(bundle.A, b, sectors=bundle.sectors)
     assert len(bundle.sectors) == 3 and got.dtype == float
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert [n for n, *_ in lus] == [s.dim for s in bundle.sectors]
+    again = eigensolve.solve_source(bundle.A, b, sectors=bundle.sectors)
+    assert len(lus) == 3 and again.tobytes() == got.tobytes()
+
+
+def test_one_sector_when_only_R_breaks_the_turn():
+    """A and M commute with the quarter turn, but R is off its orbit's value
+    in one entry: the orbits are refused, so every bundle matrix, R
+    included, is run in one sector."""
+    bundle = _bundle(eps=1 / 8)
+    assert spectral._rotation_orbits(bundle) is not None
+    R = bundle.R.copy()
+    R.data[R.indptr[-1] // 2] *= 1.0 + 1e-6
+    skewed = spectral.DiscreteOperatorBundle(mesh=bundle.mesh,
+                                             red=dataclasses.replace(bundle.red, R=R))
+    assert spectral._rotation_orbits(skewed) is None
+    assert len(skewed.sectors) == 1 and skewed.sectors[0].A is bundle.A
