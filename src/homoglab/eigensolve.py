@@ -25,12 +25,19 @@ _MIN_NCV = 9              # Krylov basis floor; fewest solves in a sweep of 4..2
 # SuperLU reserves far more factor storage than it fills; the unfilled tail
 # stays out of the resident set unless it lands on heap pages that earlier
 # temporaries left resident, so glibc's malloc_trim hands the free pages back
-# before each LU (None where the C library has no malloc_trim)
+# before each LU, and again after it for the work arrays SuperLU has freed
+# (None where the C library has no malloc_trim)
 try:
     _trim_heap = ctypes.CDLL(None).malloc_trim
     _trim_heap.argtypes, _trim_heap.restype = [ctypes.c_size_t], ctypes.c_int
 except (OSError, AttributeError, TypeError):
     _trim_heap = None
+
+
+def _trim():
+    """Hand the free heap pages back to the system, where the C library can."""
+    if _trim_heap is not None:
+        _trim_heap(0)
 
 
 @dataclass
@@ -106,7 +113,10 @@ class Sector:
         which Lanczos cannot give: LAPACK on the projected pencil.  Otherwise
         shift-invert Lanczos at 0 from an all-ones start through the sector's
         LU, made before B is projected (for this run alone), so that no
-        projected B is alive at the LU's peak.  ARPACK stops once every Ritz
+        projected B is alive at the LU's peak.  The heap is trimmed after
+        the projection and after the run, so that neither the projection's
+        freed temporaries nor ARPACK's freed workspace stay resident under
+        the next allocations.  ARPACK stops once every Ritz
         residual is below _EIG_TOL |theta|, theta the inverted eigenvalue: the
         order of solve_gevp's gate on the full pencil, which alone decides
         what is accepted; machine epsilon would cost restarts of the
@@ -121,6 +131,7 @@ class Sector:
             return vals[:k], vecs[:, :k], 0
         solve = self.lu()
         B = self.project(B)
+        _trim()
         n = self.dim
         solves = 0
 
@@ -141,6 +152,7 @@ class Sector:
             # scipy's complex ARPACK wrapper leaves its workspace, and with it B,
             # in a reference cycle: free them now, not at the next full collection
             gc.collect(1)
+        _trim()
         order = np.argsort(vals)
         return vals[order], vecs[:, order], solves
 
@@ -270,17 +282,17 @@ def factorized_solver(A):
     LU.  (Its plain transpose would be conj(A) when A is complex.)  Any
     other A is converted: `splu` sorts an unsorted input in place, and a
     view would share A's indices.  The free heap pages go back to the
-    system first, where the C library can do that.
+    system before and after `splu`, where the C library can do that.
     """
     if sp.issparse(A) and A.format == "csr" and A.has_canonical_format:
         A = A.conj(copy=False).T
     A = sp.csc_matrix(A)
-    if _trim_heap is not None:
-        _trim_heap(0)
+    _trim()
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
+    _trim()
     return lu.solve
 
 

@@ -23,17 +23,39 @@ def _accumulate(n: int, rows, cols, vals) -> sp.csr_matrix:
 def fold_matrix(A, rows: np.ndarray, cols: np.ndarray, n: int,
                 phase: np.ndarray | None = None) -> sp.csr_matrix:
     """The n x n canonical CSR matrix that sums each entry (i, j) of the CSR
-    matrix A, times phase[j] if given, into (rows[i], cols[j]).  An entry
+    matrix A, times phase[j] if given, into (rows[i], cols[j]); with (c, .)
+    maps, c copies of A, copy k into (rows[k, i], cols[k, j]).  An entry
     whose row or column maps to -1 is dropped, and so is every explicit
     zero of the result.  With P the matrix with a one in row i, column
-    map[i], P' A P is fold_matrix(A, map, map, P.shape[1])."""
-    i = np.repeat(rows, np.diff(A.indptr))
-    j = cols[A.indices]
+    map[i], P' A P is fold_matrix(A, map, map, P.shape[1]).  The triplets
+    take the maps' integer type, and are copied only to drop entries."""
+    i = np.repeat(rows, np.diff(A.indptr), axis=-1).ravel()
+    j = cols[..., A.indices].ravel()
     vals = A.data if phase is None else A.data * phase[A.indices]
+    if i.size > vals.size:
+        vals = np.tile(vals, i.size // vals.size)
     kept = (i >= 0) & (j >= 0)
-    out = _accumulate(n, i[kept], j[kept], vals[kept])
+    if not kept.all():
+        i, j, vals = i[kept], j[kept], vals[kept]
+    out = _accumulate(n, i, j, vals)
     out.eliminate_zeros()
     return out
+
+
+def assemble_tiled(mesh: Mesh, assemble) -> sp.csr_matrix:
+    """`assemble(mesh, tris=...)`, the stiffness or the mass, over the FLUID
+    triangles of a tiled mesh (`geometry.tile_template`): made over cell 0's
+    alone and folded onto each of the n^2 cells through the cell node map
+    (`geometry.cell_node_map`), n^2 times that matrix's nnz triplets in
+    place of 9 per triangle.  Each cell gets the matrix of an exact
+    translate of cell 0, whose coordinates are eps times the template's.  A
+    node stored near 1 is its translate rounded, by up to the machine
+    epsilon u, so triangle by triangle the entries differ from these by
+    about u / (eps h_ref) relative."""
+    l2g = geometry.cell_node_map(mesh)
+    fluid = np.nonzero(mesh.tri_region[:mesh.n_triangles // len(l2g)] == geometry.FLUID)[0]
+    cell = assemble(mesh, tris=fluid)[:l2g.shape[1]]
+    return fold_matrix(cell, l2g, l2g, mesh.n_nodes)
 
 
 def _block_indices(tri_nodes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:

@@ -360,6 +360,19 @@ def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
     return _validate(mesh, "tiled mesh")
 
 
+def cell_node_map(mesh: Mesh) -> np.ndarray:
+    """(n^2, N0) int32 node of a `tile_template` mesh that each of cell 0's
+    N0 nodes is in each cell, read off the triangles: tiled triangle t is
+    template triangle t mod T in cell t // T, and cell 0's nodes are nodes
+    0 .. N0 - 1, numbered as the template numbers them."""
+    tri = mesh.triangles
+    cells = round(1.0 / mesh.eps) ** 2
+    first = tri[:len(tri) // cells]
+    l2g = np.empty((cells, int(first.max()) + 1), dtype=np.int32)
+    l2g[:, first] = tri.reshape(cells, len(first), 3)
+    return l2g
+
+
 def domain_grid(rect: tuple[float, float, float, float], h: float) -> tuple[int, int]:
     """Squares per side (nx, ny) of the structured mesh of `rect` at size h."""
     x0, y0, x1, y1 = rect

@@ -113,16 +113,22 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
 def _commutes(X, turn) -> bool:
     """Whether the sparse X commutes with the DoF permutation `turn`: the
     turned X has X's sparsity pattern, and no entry differs from X's by more
-    than _C4_TOL times X's largest."""
+    than _C4_TOL times X's largest.  Once the turn is seen to keep each
+    row's entry count, only the rows with entries are turned and compared,
+    so a matrix with few (the Robin mass R, on the hole boundary) costs
+    less; X's entries are those rows' entries, in row order."""
+    counts = np.diff(X.indptr)
+    if not np.array_equal(counts[turn], counts):
+        return False
     back = np.empty(len(turn), dtype=X.indices.dtype)
     back[turn] = np.arange(len(turn))
-    T = X[turn]  # a copy; renumbering its columns is X[turn][:, turn]
+    T = X[turn[np.flatnonzero(counts)]]  # a copy; renumbering its columns turns them
     T.indices = back[T.indices]
     T.has_sorted_indices = False
     T.sort_indices()
     if not X.has_sorted_indices:
         X = X.sorted_indices()
-    return (np.array_equal(T.indptr, X.indptr) and np.array_equal(T.indices, X.indices)
+    return (np.array_equal(T.indices, X.indices)
             and np.abs(T.data - X.data).max(initial=0.0)
             <= _C4_TOL * np.abs(X.data).max(initial=0.0))
 
@@ -159,25 +165,29 @@ class _TurnSector(Sector):
         P^H P W with P^H P = 4 on an orbit and 1 on a fixed DoF, so a
         quarter of X's rows are used.  Made Hermitian to the last bit."""
         m, k = len(self.orbits), len(self.fixed)
-        col = np.full(self.n, -1)
+        col = np.full(self.n, -1, dtype=np.int32)
         col[self.orbits] = np.arange(m)[:, None]
         col[self.fixed] = m + np.arange(k)
         phase = np.ones(self.n, dtype=self.chi.dtype)
         phase[self.orbits] = self.chi
         first = np.concatenate([self.orbits[:, 0], self.fixed])
-        Z = fem.fold_matrix(X[first], np.arange(m + k), col, m + k, phase)
+        Z = fem.fold_matrix(X[first], np.arange(m + k, dtype=np.int32), col, m + k,
+                            phase)
         Z.data[:Z.indptr[m]] *= 4.0
-        return (Z + Z.conj().T) * 0.5
+        Z = Z + Z.conj().T
+        Z.data *= 0.5
+        return Z
 
 
 def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
     """Tile Omega, assemble A = S + R and M over its FLUID triangles
-    (Omega_eps) and eliminate the outer Dirichlet nodes and the nodes off
-    Omega_eps from A, M and R."""
+    (Omega_eps), S and M from one cell (`fem.assemble_tiled`) and R edge by
+    edge, since K may cut a cell, and eliminate the outer Dirichlet nodes
+    and the nodes off Omega_eps from A, M and R."""
     mesh = geometry.build_perforated_mesh(cfg)
     R = fem.assemble_robin_mass(mesh, cfg.k_rect)
-    A = fem.assemble_stiffness(mesh) + R
-    M = fem.assemble_mass(mesh)
+    A = fem.assemble_tiled(mesh, fem.assemble_stiffness) + R
+    M = fem.assemble_tiled(mesh, fem.assemble_mass)
     fixed = ~mesh.fluid_nodes()
     fixed[mesh.outer_nodes()] = True
     red = fem.apply_constraints(A, M, R, fem.dof_map(mesh.n_nodes, fixed))

@@ -35,6 +35,18 @@ def expansion_matrix(dof):
                          shape=(len(dof), dof.max() + 1))
 
 
+def tiled_tolerance(eps, h_ref):
+    """Bound on |tiled - per-triangle| / (largest entry) for the stiffness
+    and mass of a tiled mesh.  Per triangle, the P1 data come from the
+    stored node coordinates; a node near 1 is the translate of its template
+    node rounded by up to u, the machine epsilon, which moves entries by
+    about u / (eps * h_ref) relative, triangle sides being about eps *
+    h_ref.  The tiled assembly folds cell 0's matrix, an exact translate's.
+    Measured: 1.3e-14 against this bound's 1.1e-13 at eps = 1/16, h_ref =
+    1/8, and 1.7e-14 against 8.5e-14 at 1/6, 1/16."""
+    return 4.0 * np.finfo(float).eps / (eps * h_ref)
+
+
 class _LU:
     """A weakly referenceable stand-in for the solve of one LU."""
 

@@ -230,7 +230,8 @@ def test_spectrum_k_property():
 
 
 def test_heap_trimmed_before_every_factorization(monkeypatch):
-    # the free heap pages go back to the system right before each splu
+    # the free heap pages go back to the system right before each splu, and
+    # right after it the work arrays SuperLU has freed
     events = []
     splu = spla.splu
 
@@ -243,12 +244,35 @@ def test_heap_trimmed_before_every_factorization(monkeypatch):
     A = sp.diags([2.0, 3.0, 4.0]).tocsr()
     for M in (A, sp.csc_matrix(A), A.toarray()):
         factorized_solver(M)
-    assert events == [("trim", 0), "splu"] * 3
+    assert events == [("trim", 0), "splu", ("trim", 0)] * 3
     # without the C library's malloc_trim nothing is trimmed, and the LU works
     monkeypatch.setattr(eigensolve, "_trim_heap", None)
     events.clear()
     assert np.allclose(factorized_solver(A)(np.array([2.0, 3.0, 4.0])), 1.0)
     assert events == ["splu"]
+
+
+def test_heap_trimmed_around_each_lanczos_run(monkeypatch):
+    """A sector's Lanczos run trims the heap after its LU and its projected
+    B are made, and again when eigsh returns, so neither the projection's
+    freed temporaries nor ARPACK's freed workspace stay resident."""
+    events = []
+
+    class Recording(eigensolve.Sector):
+        def project(self, X):
+            events.append("project")
+            return X
+
+    splu, eigsh = spla.splu, spla.eigsh
+    monkeypatch.setattr(spla, "splu", lambda A: events.append("splu") or splu(A))
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *a, **kw: events.append("eigsh") or eigsh(*a, **kw))
+    monkeypatch.setattr(eigensolve, "_trim_heap", lambda pad: events.append("trim"))
+    A = sp.diags(np.arange(1.0, 21.0)).tocsr()
+    vals, _, _ = Recording(A).pairs(sp.identity(20, format="csr"), 2)
+    assert np.allclose(vals, [1.0, 2.0])
+    assert events == ["project", "trim", "splu", "trim", "project", "trim", "eigsh",
+                      "trim"]
 
 
 def test_trim_hook_is_glibc_malloc_trim_or_none():

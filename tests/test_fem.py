@@ -10,7 +10,7 @@ from homoglab import fem, geometry
 from homoglab.errors import AssemblyError, ConstraintError
 from homoglab.geometry import DomainConfig, build_domain_mesh, build_perforated_mesh
 
-from conftest import expansion_matrix
+from conftest import expansion_matrix, tiled_tolerance
 
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 
@@ -345,6 +345,67 @@ def test_fold_matrix_drops_and_phases():
     assert out.has_canonical_format and out.format == "csr"
     # (0, 0): 1 - 2 + 1, which cancels; (1, 0): 3 - 4
     assert out.nnz == 1 and out[1, 0] == -1.0
+
+
+def test_fold_matrix_copies(monkeypatch):
+    """(c, n) maps sum c copies of A, copy k through row k of the maps, as
+    the 1-D maps fold the block-diagonal matrix of the copies; no entry is
+    dropped when no map holds -1, and the triplets keep int32."""
+    A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0],
+                                [3.0, 4.0, 5.0],
+                                [0.0, -1.0, 6.0]]))
+    rows = np.array([[0, 1, 2], [2, 3, 4]], dtype=np.int32)
+    cols = np.array([[0, 1, 2], [2, 3, 1]], dtype=np.int32)
+    seen = []
+    accumulate = fem._accumulate
+
+    def recording(n, i, j, vals):
+        seen.append((i.dtype, j.dtype, len(i)))
+        return accumulate(n, i, j, vals)
+
+    monkeypatch.setattr(fem, "_accumulate", recording)
+    got = fem.fold_matrix(A, rows, cols, 5)
+    monkeypatch.undo()
+    want = fem.fold_matrix(sp.block_diag([A, A], format="csr"), rows.ravel(),
+                           cols.ravel(), 5)
+    assert seen == [(np.int32, np.int32, 2 * A.nnz)]
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+
+
+def _cell_zero(mesh):
+    """Cell 0's FLUID triangles of a tiled mesh and the cell node map."""
+    l2g = geometry.cell_node_map(mesh)
+    T = mesh.n_triangles // len(l2g)
+    return np.nonzero(mesh.tri_region[:T] == geometry.FLUID)[0], l2g
+
+
+@pytest.mark.parametrize("assemble", [fem.assemble_stiffness, fem.assemble_mass])
+@pytest.mark.parametrize("eps, r, h_ref", [(1 / 4, 0.25, 1 / 8), (1 / 6, 0.25, 1 / 16),
+                                           (1 / 4, 0.0, 1 / 8), (1 / 16, 0.25, 1 / 8)])
+def test_tiled_assembly(assemble, eps, r, h_ref):
+    """The tiled stiffness and mass are, bitwise, the fold of n^2 copies of
+    cell 0's matrix through the cell node map, and they equal the
+    triangle-by-triangle assembly in sparsity bitwise and in value to that
+    assembly's rounding (`tiled_tolerance`)."""
+    mesh = build_perforated_mesh(DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref))
+    fluid, l2g = _cell_zero(mesh)
+    n0 = l2g.shape[1]
+    assert np.array_equal(l2g[:, mesh.triangles[:len(mesh.triangles) // len(l2g)]]
+                          .reshape(-1, 3), mesh.triangles)
+    cell = assemble(mesh, tris=fluid)[:n0, :n0]
+    got = fem.assemble_tiled(mesh, assemble)
+    want = fem.fold_matrix(sp.block_diag([cell] * len(l2g), format="csr"),
+                           l2g.ravel(), l2g.ravel(), mesh.n_nodes)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+
+    each = assemble(mesh)
+    each.eliminate_zeros()
+    assert np.array_equal(got.indptr, each.indptr)
+    assert np.array_equal(got.indices, each.indices)
+    assert (np.abs(got.data - each.data).max()
+            <= tiled_tolerance(eps, h_ref) * np.abs(each.data).max())
 
 
 def test_norms():

@@ -15,6 +15,8 @@ from homoglab import eigensolve, fem, geometry, spectral
 from homoglab.eigensolve import solve_gevp
 from homoglab.errors import ConfigError, SolverError
 
+from conftest import tiled_tolerance
+
 K_RECT = (0.25, 0.25, 0.75, 0.75)
 PI2 = np.pi * np.pi
 
@@ -257,7 +259,10 @@ def _fluid_only_mesh(cfg, cell):
 def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
     """Assembling over the FLUID triangles of the tiled mesh and eliminating
     the nodes off Omega_eps gives the reduced matrices of the FLUID-only
-    copy bitwise."""
+    copy, assembled triangle by triangle: the same sparsity bitwise, R
+    bitwise, and S, M and A to the rounding of that per-triangle assembly
+    (`conftest.tiled_tolerance`), since the bundle folds one cell's S and M
+    onto every cell."""
     cfg = geometry.DomainConfig(eps=eps, hole_radius=r, k_rect=K_RECT, h_ref=h_ref)
     bundle = spectral.build_perforated_bundle(cfg)
     ref_mesh, fluid_to_full = _fluid_only_mesh(cfg, geometry.build_cell_mesh(r, 32, h_ref))
@@ -267,12 +272,39 @@ def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
         fem.dof_map(ref_mesh.n_nodes, ref_mesh.outer_nodes()))
     assert bundle.red.dim == ref.dim
     assert np.array_equal(bundle.red.keep, fluid_to_full[ref.keep])
+    tol = tiled_tolerance(eps, h_ref)
     for name, got, want in (("S", bundle.S, ref.A), ("M", bundle.M, ref.M),
                             ("R", bundle.R, ref.R),
                             ("A", bundle.A, (ref.A + ref.R).tocsr())):
-        for part in ("data", "indices", "indptr"):
+        for part in ("indices", "indptr"):
             g, w = getattr(got, part), getattr(want, part)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f"{name}.{part}"
+        assert got.data.dtype == want.data.dtype
+        err = np.abs(got.data - want.data).max(initial=0.0)
+        scale = np.abs(want.data).max(initial=0.0)
+        assert err <= (0.0 if name == "R" else tol) * scale, f"{name}.data off by {err:.2e}"
+
+
+def test_bundle_assembles_from_one_cell(monkeypatch):
+    """Building the bundle sums no more COO triplets in one go than n^2
+    copies of one cell's matrix hold (triangle by triangle, S and M would
+    take 9 per FLUID triangle), and every triplet index is int32."""
+    seen = []
+    accumulate = fem._accumulate
+
+    def recording(n, i, j, vals):
+        seen.append((len(i), i.dtype, j.dtype))
+        return accumulate(n, i, j, vals)
+
+    monkeypatch.setattr(fem, "_accumulate", recording)
+    cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
+    spectral.build_perforated_bundle(cfg)
+    monkeypatch.undo()
+    cell = fem.assemble_mass(geometry.build_cell_mesh(0.25, 32, 1 / 8))
+    # R; cell 0's S and its fold; cell 0's M and its fold; reduced A, M, R
+    assert len(seen) == 8
+    assert max(n for n, *_ in seen) <= 64 * cell.nnz
+    assert all(i == j == np.int32 for _, i, j in seen)
 
 
 def test_extend_constant_field(bundle_quarter):
@@ -575,3 +607,28 @@ def test_one_sector_when_only_R_breaks_the_turn():
                                              red=dataclasses.replace(bundle.red, R=R))
     assert spectral._rotation_orbits(skewed) is None
     assert len(skewed.sectors) == 1 and skewed.sectors[0].A is bundle.A
+
+
+def test_commutes_compares_rows_with_entries():
+    """`_commutes` turns and compares only the rows with entries, once the
+    turn keeps every row's entry count.  It agrees with the turned matrix
+    X[turn][:, turn] on the bundle's A, M and R (R has entries on the hole
+    boundary's rows alone), and refuses an R with one more entry in a row
+    the turn maps onto an empty one, or with one entry fewer."""
+    bundle = _bundle(eps=1 / 8)
+    orbits, _ = spectral._rotation_orbits(bundle)
+    turn = np.arange(bundle.red.dim)
+    turn[orbits] = np.roll(orbits, -1, axis=1)
+    for X in (bundle.A, bundle.M, bundle.R):
+        assert spectral._commutes(X, turn)
+        assert abs(X[turn][:, turn] - X).max() <= 1e-12 * abs(X).max()
+    counts = np.diff(bundle.R.indptr)
+    assert 0 < np.count_nonzero(counts) < len(counts)
+    empty = int(np.flatnonzero(counts == 0)[0])
+    extra = bundle.R.tolil()
+    extra[empty, empty] = 1.0
+    assert not spectral._commutes(extra.tocsr(), turn)
+    fewer = bundle.R.copy()
+    fewer.data[fewer.indptr[-1] // 2] = 0.0
+    fewer.eliminate_zeros()
+    assert not spectral._commutes(fewer, turn)
