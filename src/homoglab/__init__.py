@@ -7,7 +7,7 @@ from .corrector import (AlignmentResult, VisikResult, align_eigenspaces,
 from .eigensolve import Spectrum, solve_gevp, solve_source
 from .errors import (AlignmentError, AssemblyError, ConfigError,
                      ConstraintError, GeometryError, HomoglabError,
-                     MeshInternalError, OutsideDomainError, SolverError)
+                     MeshInternalError, SolverError)
 from .geometry import (DomainConfig, Mesh, build_cell_mesh, build_domain_mesh,
                        build_perforated_mesh, locate_point, tile_template)
 from .harness import StudyConfig, emit, fit_rate, run_study
@@ -21,7 +21,7 @@ __all__ = [
     "AlignmentError", "AlignmentResult", "AssemblyError", "CellSolution",
     "ConfigError", "ConstraintError", "DiscreteOperatorBundle",
     "DomainConfig", "GeometryError", "HomoglabError", "Mesh",
-    "MeshInternalError", "OutsideDomainError", "SolverError",
+    "MeshInternalError", "SolverError",
     "Spectrum", "StudyConfig", "VisikResult", "align_eigenspaces",
     "apply_Keps", "build_cell_mesh", "build_corrector", "build_domain_mesh",
     "build_perforated_mesh", "compute_ahom", "eigenspace_gap", "emit",

@@ -8,10 +8,8 @@ import numpy as np
 
 from . import fem, geometry
 from .eigensolve import solve_source
-from .errors import OutsideDomainError
+from .errors import GeometryError
 from .geometry import Mesh
-
-_FACE_SNAP = 1e-12  # a wrapped coordinate this near 0 or 1 is put on the face at 0
 
 
 @dataclass
@@ -96,20 +94,17 @@ def fhom(xi, sol: CellSolution, direct: bool = False) -> float:
     return float(np.einsum("t,ta,ta->", areas, corr, corr))
 
 
-def eval_chi(sol: CellSolution, x, eps: float) -> np.ndarray:
-    """chi(x/eps), the P1 interpolant of chi on the sol.mesh triangle holding
-    x/eps, at the P points x, (P, 2); returns (P, 2).
-
-    Points are wrapped into the unit cell; the first point landing inside
-    the hole raises OutsideDomainError (callers must query fluid points only).
-    """
-    x = np.asarray(x, dtype=float)
-    y = x / eps
-    y -= np.floor(y)
-    y[(y < _FACE_SNAP) | (y > 1.0 - _FACE_SNAP)] = 0.0
-    chi, hit = geometry.interpolate(sol.mesh, sol.chi, y)
-    if not hit.all():
-        p = int(np.argmin(hit))
-        raise OutsideDomainError(f"point {x[p].tolist()} maps into "
-                                 f"the hole at y={y[p].tolist()}")
-    return chi
+def eval_chi(sol: CellSolution, mesh: Mesh, index, centroids: bool = False) -> np.ndarray:
+    """chi(x/eps), (P, 2), at the P nodes `index` of a `geometry.tile_template`
+    mesh, or at the centroids of its P triangles `index` if `centroids`.  chi
+    is Y-periodic: they take the values at cell 0's template points 0 .. i,
+    i the last asked for (`geometry.template_index`), the only points located
+    in sol.mesh.  One asked for that is not located raises GeometryError."""
+    idx = geometry.template_index(mesh, index, triangles=centroids)
+    at = np.arange(np.max(idx, initial=-1) + 1)
+    x = mesh.nodes[mesh.triangles[at]].mean(axis=1) if centroids else mesh.nodes[at]
+    chi, hit = geometry.interpolate(sol.mesh, sol.chi, x / mesh.eps)
+    if not hit[idx].all():
+        raise GeometryError(f"template point {x[idx[np.argmin(hit[idx])]] / mesh.eps} "
+                            "lies in no FLUID triangle of the cell solution's mesh")
+    return chi[idx]

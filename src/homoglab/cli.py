@@ -35,7 +35,7 @@ def _parse_number(text: str) -> float:
 
 
 def _parse_krect(text: str):
-    parts = [float(p) for p in text.split(",")]
+    parts = [_parse_number(p) for p in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected x0,y0,x1,y1")
     return tuple(parts)

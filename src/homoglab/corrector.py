@@ -50,7 +50,7 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
     mode u^j, a column of the nodal fields u_hom (N, m) on the A mesh.
 
     Returns the (m, n) corrector values on the n reduced DoFs; the m modes
-    share one point location on A and one evaluation of chi.
+    share one point location on A and one gather of chi (`eval_chi`).
 
     Outside A the corrector is zero.  With cutoff=True, psi ramps linearly
     from 0 at dA to 1 at distance 2*eps, so |grad psi| = 1/(2 eps) <= 2/eps.
@@ -69,7 +69,7 @@ def build_corrector(u_hom: np.ndarray, a_mesh: Mesh, sol: CellSolution,
             f"point location failed for {len(failures)} nodes inside A, "
             f"first offenders {failures[:5].tolist()}")
     uval, gx, gy = np.split(vals, 3, axis=1)
-    chi_val = eval_chi(sol, x, eps)
+    chi_val = eval_chi(sol, bundle.mesh, keep[inside])
     psi = np.minimum(1.0, d[inside] / (2.0 * eps))[:, None] if cutoff else 1.0
     U = np.zeros((u_hom.shape[1], len(keep)))
     U[:, inside] = (uval + eps * psi * (chi_val[:, :1] * gx

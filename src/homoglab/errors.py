@@ -70,9 +70,5 @@ class SolverError(HomoglabError):
     """Linear or eigenvalue solver failed or did not converge."""
 
 
-class OutsideDomainError(HomoglabError):
-    """A point query landed outside the fluid region."""
-
-
 class AlignmentError(HomoglabError):
     """Eigenspace alignment failed (rank-deficient cross Gram matrix)."""

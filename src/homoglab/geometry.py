@@ -360,17 +360,45 @@ def tile_template(cfg: DomainConfig, cell: Mesh) -> Mesh:
     return _validate(mesh, "tiled mesh")
 
 
+def _cell_triangles(mesh: Mesh) -> tuple[int, int]:
+    """(n, T): cells per side of a `tile_template` mesh and triangles per cell."""
+    if not mesh.eps:
+        raise GeometryError("a domain mesh (eps = 0) has no cells")
+    n = round(1.0 / mesh.eps)
+    return n, mesh.n_triangles // (n * n)
+
+
 def cell_node_map(mesh: Mesh) -> np.ndarray:
     """(n^2, N0) int32 node of a `tile_template` mesh that each of cell 0's
     N0 nodes is in each cell, read off the triangles: tiled triangle t is
     template triangle t mod T in cell t // T, and cell 0's nodes are nodes
     0 .. N0 - 1, numbered as the template numbers them."""
-    tri = mesh.triangles
-    cells = round(1.0 / mesh.eps) ** 2
-    first = tri[:len(tri) // cells]
-    l2g = np.empty((cells, int(first.max()) + 1), dtype=np.int32)
-    l2g[:, first] = tri.reshape(cells, len(first), 3)
+    n, t0 = _cell_triangles(mesh)
+    first = mesh.triangles[:t0]
+    l2g = np.empty((n * n, int(first.max()) + 1), dtype=np.int32)
+    l2g[:, first] = mesh.triangles.reshape(n * n, t0, 3)
     return l2g
+
+
+def template_index(mesh: Mesh, index, triangles: bool = False) -> np.ndarray:
+    """Template node of each node `index` of a `tile_template` mesh, read
+    off cell 0 and the cell order, or the template triangle t mod T of each
+    triangle t if `triangles`.  After the cells before it, cell (ix, iy)
+    numbers its template nodes in order but those on its left face if ix > 0
+    and on its bottom face if iy > 0, which earlier cells own."""
+    n, t0 = _cell_triangles(mesh)
+    index = np.asarray(index)
+    if triangles:
+        return index % t0
+    left, bottom = (mesh.nodes[:int(mesh.triangles[:t0].max()) + 1] == 0.0).T
+    owned = np.array([~(left & sx | bottom & sy) for sy in (False, True) for sx in (False, True)])
+    iy, ix = np.divmod(np.arange(n * n), n)
+    kind = (ix > 0) + 2 * (iy > 0)  # the row of `owned` each cell takes
+    size = owned.sum(axis=1)[kind]
+    start = np.cumsum(size) - size  # first node of each cell
+    c = np.searchsorted(start, index, side="right") - 1
+    # row k: the template nodes a cell of kind k owns, in order, then the rest
+    return np.argsort(~owned, axis=1, kind="stable")[kind[c], index - start[c]]
 
 
 def domain_grid(rect: tuple[float, float, float, float], h: float) -> tuple[int, int]:

@@ -107,7 +107,7 @@ def check_periodic_osc(sol: CellSolution, bundle: DiscreteOperatorBundle,
     tris = mesh.triangles[fl]
     areas = mesh.areas()[fl]
     centroids = mesh.nodes[tris].mean(axis=1)
-    chi_val = eval_chi(sol, centroids, eps)
+    chi_val = eval_chi(sol, mesh, fl, centroids=True)
     total = float(np.sum(areas * chi_val[:, 0] * u_fn(centroids) * v_fn(centroids)))
 
     dof_nodes = mesh.nodes[bundle.red.keep]

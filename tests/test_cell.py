@@ -5,7 +5,7 @@ import pytest
 
 from homoglab import geometry
 from homoglab.cell import CellSolution, compute_ahom, eval_chi, fhom, solve_cell_problem
-from homoglab.errors import GeometryError, OutsideDomainError
+from homoglab.errors import GeometryError
 
 from conftest import expansion_matrix
 
@@ -76,79 +76,130 @@ def test_variational_bound(cell_sol8):
         assert 0.0 < val <= cell_sol8.cell_area + 1e-12
 
 
-def test_eval_chi_periodicity(cell_sol8):
-    eps = 0.25
-    # dyadic coordinates so the periodic wrap is exact in floating point
-    x = np.array([0.015625, 0.03125])
-    v0 = eval_chi(cell_sol8, x[None], eps)
-    v1 = eval_chi(cell_sol8, (x + np.array([eps, 0.0]))[None], eps)
-    assert np.array_equal(v0[0], v1[0])
-    # generic point: agreement up to roundoff in the wrap
-    y = np.array([0.012, 0.027])
-    w0 = eval_chi(cell_sol8, y[None], eps)
-    w1 = eval_chi(cell_sol8, (y + np.array([0.0, eps]))[None], eps)
-    assert np.allclose(w0[0], w1[0], atol=1e-10)
+def _tiled(eps):
+    """The perforated mesh the study tiles at eps, from the 1/8 template."""
+    return geometry.build_perforated_mesh(geometry.DomainConfig(
+        eps=eps, hole_radius=0.25, hole_poly=32, h_ref=1.0 / 8.0))
 
 
-def test_eval_chi_nodal_exactness(cell_sol8, template8):
-    # a template node strictly inside the fluid part, away from the seams
-    fluid_nodes = np.unique(template8.triangles[template8.fluid_triangles()])
-    for n in fluid_nodes:
-        x, y = template8.nodes[n]
-        if 0.02 < x < 0.2 and 0.02 < y < 0.2:
-            break
-    val = eval_chi(cell_sol8, 0.25 * template8.nodes[n][None], 0.25)
-    assert np.allclose(val[0], cell_sol8.chi[n], atol=1e-12)
+def _wrapped_chi(sol, x, eps):
+    """chi(x/eps) as `eval_chi` found it before it read the tiling: each
+    point wrapped into the unit cell, a coordinate within 1e-12 of a face
+    put on the face at 0, and interpolated in sol.mesh."""
+    y = x / eps
+    y -= np.floor(y)
+    y[(y < 1e-12) | (y > 1.0 - 1e-12)] = 0.0
+    chi, hit = geometry.interpolate(sol.mesh, sol.chi, y)
+    assert hit.all()
+    return chi
+
+
+@pytest.mark.parametrize("eps", [1 / 3, 1 / 4, 1 / 8])
+def test_eval_chi_matches_wrapped_interpolation(eps, cell_sol32):
+    # the study's pair: chi on the refined template, the mesh tiled from the
+    # coarse one, so the template's points fall inside fine triangles
+    mesh = _tiled(eps)
+    nodes = np.flatnonzero(mesh.fluid_nodes())
+    fl = mesh.fluid_triangles()
+    centroids = mesh.nodes[mesh.triangles[fl]].mean(axis=1)
+    for got, x in ((eval_chi(cell_sol32, mesh, nodes), mesh.nodes[nodes]),
+                   (eval_chi(cell_sol32, mesh, fl, centroids=True), centroids)):
+        assert got.shape == (len(x), 2)
+        assert np.max(np.abs(got - _wrapped_chi(cell_sol32, x, eps))) <= 1e-14
+
+
+def test_eval_chi_periodicity(cell_sol32):
+    """A template point has one value in every cell: bitwise off the faces,
+    to roundoff on a face two cells share (each maps to its own side)."""
+    mesh = _tiled(0.25)
+    l2g = geometry.cell_node_map(mesh)
+    t0 = mesh.n_triangles // len(l2g)
+    fl0 = np.flatnonzero(mesh.tri_region[:t0] == geometry.FLUID)
+    fluid0 = np.unique(mesh.triangles[fl0])
+    vals = eval_chi(cell_sol32, mesh, l2g[:, fluid0].ravel()).reshape(len(l2g), -1, 2)
+    face = ((mesh.nodes[fluid0] == 0.0) | (mesh.nodes[fluid0] == 0.25)).any(axis=1)
+    assert np.array_equal(vals[:, ~face], np.broadcast_to(vals[0, ~face], vals[:, ~face].shape))
+    assert np.allclose(vals, vals[0], rtol=0.0, atol=1e-15)
+    tris = (fl0 + t0 * np.arange(len(l2g))[:, None]).ravel()
+    per_cell = eval_chi(cell_sol32, mesh, tris, centroids=True).reshape(len(l2g), -1, 2)
+    assert np.array_equal(per_cell, np.broadcast_to(per_cell[0], per_cell.shape))
+
+
+def test_eval_chi_nodal_exactness(cell_sol8):
+    # chi solved on the template the mesh is tiled from: a tiled node is a
+    # template node, so its value is chi there up to barycentric roundoff
+    mesh = _tiled(0.25)
+    l2g = geometry.cell_node_map(mesh)
+    fluid0 = np.flatnonzero(cell_sol8.mesh.fluid_nodes())
+    vals = eval_chi(cell_sol8, mesh, l2g[:, fluid0].ravel()).reshape(len(l2g), -1, 2)
+    assert np.allclose(vals, cell_sol8.chi[fluid0], rtol=0.0, atol=1e-12)
 
 
 def test_eval_chi_hole_raises(cell_sol8):
-    with pytest.raises(OutsideDomainError):
-        eval_chi(cell_sol8, np.array([[0.5, 0.5]]) * 0.25, 0.25)
+    """The template points of a mesh tiled around holes of radius 0.25 that
+    lie in a cell solution's larger hole are located nowhere; so are the
+    hole's own centre and HOLE triangles."""
+    wide = solve_cell_problem(geometry.build_cell_mesh(0.35, 32, 1.0 / 8.0))
+    mesh = _tiled(0.25)
+    with pytest.raises(GeometryError, match="no FLUID triangle"):
+        eval_chi(wide, mesh, np.flatnonzero(mesh.fluid_nodes()))
+    with pytest.raises(GeometryError):
+        eval_chi(wide, mesh, mesh.fluid_triangles(), centroids=True)
+    hole = np.flatnonzero(mesh.tri_region == geometry.HOLE)
+    with pytest.raises(GeometryError):
+        eval_chi(cell_sol8, mesh, hole[-1:], centroids=True)
+    with pytest.raises(GeometryError):
+        eval_chi(cell_sol8, mesh, np.flatnonzero(~mesh.fluid_nodes())[:1])
 
 
-def test_eval_chi_batched(cell_sol8, template8):
-    eps = 0.25
-    fl = template8.fluid_triangles()
-    y = np.vstack([np.unique(template8.nodes[template8.triangles[fl]].reshape(-1, 2), axis=0),
-                   template8.nodes[template8.triangles[fl]].mean(axis=1)])
-    X = eps * (y + np.array([1.0, 2.0]))
-    vals = eval_chi(cell_sol8, X, eps)
-    assert vals.shape == (len(X), 2)
-    for x, v in zip(X, vals):
-        assert np.array_equal(v, eval_chi(cell_sol8, x[None], eps)[0])
-    # one point in the hole fails the whole batch and is named
-    bad = np.vstack([X[:3], [0.5 * eps, 0.5 * eps], X[3:5]])
-    with pytest.raises(OutsideDomainError, match=r"\[0\.125, 0\.125\]"):
-        eval_chi(cell_sol8, bad, eps)
+def test_eval_chi_batched(cell_sol32):
+    """One call over many points, in any order, gives each point the value
+    of a call on it alone."""
+    mesh = _tiled(1.0 / 3.0)
+    rng = np.random.default_rng(3)
+    nodes = rng.permutation(np.flatnonzero(mesh.fluid_nodes()))
+    tris = rng.permutation(mesh.fluid_triangles())
+    for centroids, pts in ((False, nodes), (True, tris)):
+        vals = eval_chi(cell_sol32, mesh, pts, centroids)
+        assert vals.shape == (len(pts), 2)
+        for p, v in zip(pts[:40], vals[:40]):
+            assert np.array_equal(v, eval_chi(cell_sol32, mesh, [p], centroids)[0])
 
 
-def test_eval_chi_locates_through_interpolate(cell_sol8, template8, monkeypatch):
-    """One call of eval_chi is one `geometry.interpolate`, which locates
-    every point once."""
-    counts = {"interpolate": 0, "locate_point": 0}
-    for name in counts:
-        real = getattr(geometry, name)
+def test_eval_chi_locates_through_interpolate(cell_sol32, monkeypatch):
+    """One call of eval_chi is one `geometry.interpolate` of at most the
+    template's N0 nodes or T0 triangles, the same count at every eps."""
+    calls = []
+    real = geometry.interpolate
 
-        def counted(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
+    def counted(mesh, u, X):
+        calls.append(len(X))
+        return real(mesh, u, X)
 
-        monkeypatch.setattr(geometry, name, counted)
-    fl = template8.fluid_triangles()
-    X = 0.25 * (template8.nodes[template8.triangles[fl]].mean(axis=1) + 1.0)
-    assert eval_chi(cell_sol8, X, 0.25).shape == (len(X), 2)
-    assert counts == {"interpolate": 1, "locate_point": 1}
+    monkeypatch.setattr(geometry, "interpolate", counted)
+    counts = {}
+    for eps in (1 / 4, 1 / 8, 1 / 16):
+        mesh = _tiled(eps)
+        n0, t0 = geometry.cell_node_map(mesh).shape[1], mesh.n_triangles // round(1 / eps) ** 2
+        for centroids, pts, most in ((False, np.flatnonzero(mesh.fluid_nodes()), n0),
+                                     (True, mesh.fluid_triangles(), t0)):
+            calls.clear()
+            assert eval_chi(cell_sol32, mesh, pts, centroids).shape == (len(pts), 2)
+            assert len(calls) == 1 and calls[0] <= most
+            counts.setdefault(centroids, set()).add(calls[0])
+    # the default template: 96 FLUID nodes (the hole's centre is not one)
+    # and 128 FLUID triangles, whatever eps is
+    assert counts == {False: {96}, True: {128}}
 
 
 def test_chi_odd_under_cell_rotation(cell_sol8):
     # the discrete template is invariant under rotation by pi about the cell
     # center, so chi is exactly odd under y -> 1 - y (both components)
-    pts = [(0.07, 0.11), (0.31, 0.04), (0.13, 0.42)]
-    for p in pts:
-        q = (1.0 - p[0], 1.0 - p[1])
-        vp = eval_chi(cell_sol8, np.array([p]), 1.0)
-        vq = eval_chi(cell_sol8, np.array([q]), 1.0)
-        assert np.allclose(vq[0], -vp[0], atol=1e-10)
+    p = np.array([(0.07, 0.11), (0.31, 0.04), (0.13, 0.42)])
+    vp, hit_p = geometry.interpolate(cell_sol8.mesh, cell_sol8.chi, p)
+    vq, hit_q = geometry.interpolate(cell_sol8.mesh, cell_sol8.chi, 1.0 - p)
+    assert hit_p.all() and hit_q.all()
+    assert np.allclose(vq, -vp, atol=1e-10)
 
 
 def test_refinement_convergence(cell_sol8, cell_sol32):

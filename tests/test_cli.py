@@ -48,9 +48,30 @@ def test_nonpositive_eps_is_an_error(eps, tmp_path, capsys):
 
 def test_parse_krect():
     assert cli._parse_krect("0.25,0.25,0.75,0.75") == (0.25, 0.25, 0.75, 0.75)
+    assert cli._parse_krect("1/4, 1/4, 3/4, 0.75") == (0.25, 0.25, 0.75, 0.75)
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_krect("0.25,0.75")
+    with pytest.raises(ValueError):
+        cli._parse_krect("1/0,1/4,3/4,3/4")
+
+
+def test_krect_takes_fractions_like_eps(tmp_path, capsys):
+    """`--krect` and the config key `k_rect` read 1/4 as `--eps` and
+    `eps_list` do."""
+    args = cli._build_parser().parse_args(["spectrum", "--krect", "1/4,1/4,3/4,3/4"])
+    assert args.krect == (0.25, 0.25, 0.75, 0.75)
+    config = tmp_path / "sweep.cfg"
+    config.write_text("k_rect = 1/4, 1/4, 3/4, 3/4\n")
+    assert cli._load_study_config(config).k_rect == (0.25, 0.25, 0.75, 0.75)
+    dumps = []
+    for rect in ("1/4,1/4,3/4,3/4", "0.25,0.25,0.75,0.75"):
+        assert cli.main(["mesh", "--kind", "domain", "--krect", rect, "--href", "1/8"]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mesh", "--kind", "domain", "--krect", "1/0,1/4,3/4,3/4"])
+    assert exc.value.code == 2
 
 
 def test_threads_guard(monkeypatch):

@@ -337,9 +337,11 @@ def test_cell_mesh_resolution_guards():
 def test_points_are_located_only_in_interpolate():
     """Every point location in the package goes through
     `geometry.interpolate`, which reports the located points beside the
-    values; no other function calls `locate_point`."""
+    values; no other function calls `locate_point`.  `interpolate` locates
+    chi's points only in `cell.eval_chi`, and the tiled nodes on the A mesh
+    only in the corrector and the eigenspace gap."""
     src = Path(geometry.__file__).parent
-    callers = []
+    callers = {"locate_point": [], "interpolate": []}
     for path in sorted(src.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -348,9 +350,47 @@ def test_points_are_located_only_in_interpolate():
                 if isinstance(node, ast.Call):
                     f = node.func
                     name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name == "locate_point":
-                        callers.append(f"{path.name}:{fn.name}")
-    assert callers == ["geometry.py:interpolate"]
+                    if name in callers:
+                        callers[name].append(f"{path.name}:{fn.name}")
+    assert callers == {"locate_point": ["geometry.py:interpolate"],
+                       "interpolate": ["cell.py:eval_chi", "corrector.py:build_corrector",
+                                       "harness.py:_eigenspace_gap"]}
+
+
+@pytest.mark.parametrize("eps, r, h_ref", [(1 / 2, 0.25, 1 / 8), (1 / 3, 0.25, 1 / 8),
+                                           (1 / 4, 0.0, 1 / 8), (1 / 6, 0.2, 1 / 16)])
+def test_template_index_inverts_cell_node_map(eps, r, h_ref):
+    """Every node maps to its template node in the first cell, in tiling
+    order, that holds it (`cell_node_map`), and triangle t to t mod T."""
+    mesh = build_perforated_mesh(DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref))
+    l2g = geometry.cell_node_map(mesh)
+    _, first = np.unique(l2g, return_index=True)
+    got = geometry.template_index(mesh, np.arange(mesh.n_nodes))
+    assert np.array_equal(got, first % l2g.shape[1])
+    rng = np.random.default_rng(2)
+    nodes = rng.integers(0, mesh.n_nodes, 50)
+    assert np.array_equal(geometry.template_index(mesh, nodes), got[nodes])
+    tris = rng.integers(0, mesh.n_triangles, 50)
+    assert np.array_equal(geometry.template_index(mesh, tris, triangles=True),
+                          tris % (mesh.n_triangles // len(l2g)))
+    template = build_cell_mesh(r, 32, h_ref)
+    assert np.array_equal(geometry.template_index(template, np.arange(template.n_nodes)),
+                          np.arange(template.n_nodes))
+
+
+def test_cell_maps_need_a_tiled_mesh(cell_sol8):
+    """A domain mesh (eps = 0) has no cells: the cell maps, the tiled
+    assembly and eval_chi say so instead of dividing by zero."""
+    from homoglab import fem
+    from homoglab.cell import eval_chi
+    mesh = build_domain_mesh(K_RECT, 0.5 / 8.0)
+    for call in (lambda: geometry.cell_node_map(mesh),
+                 lambda: geometry.template_index(mesh, [0]),
+                 lambda: geometry.template_index(mesh, [0], triangles=True),
+                 lambda: fem.assemble_tiled(mesh, fem.assemble_mass),
+                 lambda: eval_chi(cell_sol8, mesh, [0])):
+        with pytest.raises(GeometryError, match="no cells"):
+            call()
 
 
 def test_meshes_are_built_only_in_geometry():

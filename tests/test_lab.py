@@ -401,7 +401,7 @@ def _periodic_osc_full_mesh(sol, bundle, u_fn, v_fn):
     mesh, eps = bundle.mesh, bundle.mesh.eps
     fl = mesh.fluid_triangles()
     centroids = mesh.nodes[mesh.triangles[fl]].mean(axis=1)
-    chi1 = eval_chi(sol, centroids, eps)[:, 0]
+    chi1 = eval_chi(sol, mesh, fl, centroids=True)[:, 0]
     total = np.sum(mesh.areas()[fl] * chi1 * u_fn(centroids) * v_fn(centroids))
     H1 = fem.assemble_stiffness(mesh) + fem.assemble_mass(mesh)
     uu, vv = u_fn(mesh.nodes), v_fn(mesh.nodes)
