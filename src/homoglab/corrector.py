@@ -144,15 +144,17 @@ class VisikResult:
 
 
 def visik_check(bundle: DiscreteOperatorBundle, U: np.ndarray, mu: float,
-                spectrum) -> VisikResult:
+                spectrum, KU: np.ndarray | None = None) -> VisikResult:
     """Residual localization: some discrete mu_j must lie within alpha of mu.
 
     U is normalized internally to unit eps-norm (idempotent when already
-    normalized).  The certificate is exact for the self-adjoint discrete
-    operator: while the supplied spectrum ends below 1/mu, twice as many modes
-    are solved in the bundle's sectors, with their factorizations.  Once
-    lambda_k >= 1/mu, every later mode has 1/lambda_j <= mu and is no nearer
-    to mu.
+    normalized).  KU is K_eps U when the caller has it (a study sums it
+    sector by sector while the eigensolve's LUs are alive), else it is
+    `apply_Keps(bundle, U)`.  The certificate is exact for the
+    self-adjoint discrete operator: while the supplied spectrum ends below
+    1/mu, twice as many modes are solved in the bundle's sectors, their
+    LUs made again one at a time.  Once lambda_k >= 1/mu, every later mode
+    has 1/lambda_j <= mu and is no nearer to mu.
     """
     while spectrum.eigenvalues[-1] < 1.0 / mu:
         spectrum = solve_gevp(bundle.A, bundle.M, 2 * spectrum.k,
@@ -162,9 +164,9 @@ def visik_check(bundle: DiscreteOperatorBundle, U: np.ndarray, mu: float,
     nrm = np.sqrt(float(U @ (A @ U)))
     if nrm == 0.0:
         raise SolverError("zero eps-norm trial field in visik_check")
-    U = U / nrm
-    KU = apply_Keps(bundle, U)
-    diff = KU - mu * U
+    if KU is None:
+        KU = apply_Keps(bundle, U)
+    diff = (KU - mu * U) / nrm
     alpha = np.sqrt(float(diff @ (A @ diff)))
     mus = 1.0 / spectrum.eigenvalues
     j = int(np.argmin(np.abs(mus - mu)))

@@ -178,19 +178,20 @@ class Sector:
         return np.sort(vals)
 
 
-def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
+def solve_gevp(A, B, k: int, sectors=None, readers=()) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
     The pencil is solved in `sectors` of A, by default the one `Sector(A)`,
-    one after another, so at most one sector's projected B is alive.  Each
-    sector's LU is kept for later solves; with `keep_lu` False it is dropped
-    as the sector's run ends, so at most one LU is alive, and a re-solve
-    makes it again.  Each sector starts at ceil(k / w) + 1 modes (at most
-    k), w the sectors' total weight; a sector whose largest value lies below
-    the merged k-th value is solved again for twice as many.  The k smallest
-    merged pairs are expanded, made B-orthonormal and checked on the full
-    pencil.  The operator solves of every run, re-solves included, add up
-    to `Spectrum.solves`.
+    one visit after another: a visit makes the sector's LU, runs Lanczos,
+    calls each of `readers` on the sector (`read(s)`), in order, while the
+    LU is alive, and drops the LU; so at most one LU and one projected B
+    are alive.  Each sector starts at ceil(k / w) + 1 modes (at most k), w
+    the sectors' total weight; a sector whose largest value lies below the
+    merged k-th value is solved again for twice as many, its LU made again,
+    and the readers are not called again.  The k smallest merged pairs are
+    expanded, made B-orthonormal and checked on the full pencil.  The
+    operator solves of every run, re-solves included, add up to
+    `Spectrum.solves`.
     """
     n = A.shape[0]
     if k < 1 or k >= n:
@@ -205,10 +206,12 @@ def solve_gevp(A, B, k: int, sectors=None, keep_lu: bool = True) -> Spectrum:
             if found[i] is not None:
                 continue
             vals, vecs, made = s.pairs(B, want[i])
-            if not keep_lu:
-                s.drop()
+            for read in readers:
+                read(s)
+            s.drop()
             found[i] = vals, vecs
             solves += made
+        readers = ()
         merged = np.sort(np.concatenate([np.repeat(v, s.weight) for s, (v, _)
                                          in zip(sectors, found)]))
         kth = merged[k - 1] if len(merged) >= k else np.inf
@@ -296,19 +299,37 @@ def factorized_solver(A):
     return lu.solve
 
 
+def _sector_source(s: Sector, A, rhs: np.ndarray) -> np.ndarray:
+    """y solving P^H A P y = c = P^H rhs in the sector s through its LU,
+    refined once in the sector, and checked: its residual must be within
+    _SOURCE_REL_TOL of c.  The LU is used if alive and left alive, else made
+    and dropped; every reference to it dies on return."""
+    made = s._lu is None
+    solve, c = s.lu(), s.restrict(rhs)
+    y = solve(c)
+    y = y + solve(c - s.restrict(A @ s.expand(y)))
+    if made:
+        s.drop()
+    nr = np.linalg.norm(c - s.restrict(A @ s.expand(y)))
+    if nr > _SOURCE_REL_TOL * max(np.linalg.norm(c), 1e-300):
+        raise SolverError(f"source solve residual {nr:.3e} exceeds tolerance")
+    return y
+
+
 def solve_source(A, rhs: np.ndarray, sectors=None) -> np.ndarray:
-    """Solve A u = rhs for real rhs and verify the residual: u sums
-    weight * Re(P A_s^-1 P^H rhs) over `sectors` of A, by default the one
-    `Sector(A)`, through each sector's LU, which is kept."""
+    """Solve A u = rhs for real rhs in `sectors` of A, by default the one
+    `Sector(A)`: u sums weight * Re(P y) over the sectors, y solving the
+    sector's system through its LU, refined once in the sector for coarse
+    meshes (y += A_s^-1 P^H (rhs - A P y)), its residual checked.  A
+    sector's LU that is alive is used and left alive; any other is made and
+    dropped before the next sector's, so one LU is alive at a time.  Over
+    some of A's sectors u is the part of A^-1 rhs in their span, and the
+    parts over all of them, summed in sector order, are the whole solve's u.
+    """
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != rhs.shape[0]:
         raise SolverError(f"rhs length {rhs.shape[0]} != dim {A.shape[0]}")
-    sectors = sectors or (Sector(A),)
-    u, r = 0.0, rhs
-    for _ in range(2):  # a solve, then one refinement step for coarse meshes
-        u = u + sum(s.weight * s.expand(s.lu()(s.restrict(r))).real for s in sectors)
-        r = rhs - A @ u
-    nr = np.linalg.norm(r)
-    if nr > _SOURCE_REL_TOL * max(np.linalg.norm(rhs), 1e-300):
-        raise SolverError(f"source solve residual {nr:.3e} exceeds tolerance")
+    u = 0.0
+    for s in sectors or (Sector(A),):
+        u = u + s.weight * s.expand(_sector_source(s, A, rhs)).real
     return u

@@ -42,20 +42,26 @@ def fold_matrix(A, rows: np.ndarray, cols: np.ndarray, n: int,
     return out
 
 
-def assemble_tiled(mesh: Mesh, assemble) -> sp.csr_matrix:
+def assemble_tiled(mesh: Mesh, assemble, dof: np.ndarray | None = None) -> sp.csr_matrix:
     """`assemble(mesh, tris=...)`, the stiffness or the mass, over the FLUID
     triangles of a tiled mesh (`geometry.tile_template`): made over cell 0's
     alone and folded onto each of the n^2 cells through the cell node map
     (`geometry.cell_node_map`), n^2 times that matrix's nnz triplets in
-    place of 9 per triangle.  Each cell gets the matrix of an exact
-    translate of cell 0, whose coordinates are eps times the template's.  A
-    node stored near 1 is its translate rounded, by up to the machine
-    epsilon u, so triangle by triangle the entries differ from these by
-    about u / (eps h_ref) relative."""
+    place of 9 per triangle.  With a node -> DoF map `dof` (`dof_map`) the
+    copies are folded straight onto the reduced DoFs: the matrix is
+    `ReducedSystem.project` of the full one, and the full one is never
+    made.  Each cell gets the matrix of an exact translate of cell 0, whose
+    coordinates are eps times the template's.  A node stored near 1 is its
+    translate rounded, by up to the machine epsilon u, so triangle by
+    triangle the entries differ from these by about u / (eps h_ref)
+    relative."""
     l2g = geometry.cell_node_map(mesh)
     fluid = np.nonzero(mesh.tri_region[:mesh.n_triangles // len(l2g)] == geometry.FLUID)[0]
     cell = assemble(mesh, tris=fluid)[:l2g.shape[1]]
-    return fold_matrix(cell, l2g, l2g, mesh.n_nodes)
+    n = mesh.n_nodes
+    if dof is not None:
+        l2g, n = dof[l2g], int(dof.max()) + 1
+    return fold_matrix(cell, l2g, l2g, n)
 
 
 def _block_indices(tri_nodes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -220,15 +226,16 @@ def periodic_fold(template: Mesh) -> np.ndarray:
 def apply_constraints(A, M, R, dof: np.ndarray) -> ReducedSystem:
     """Eliminate constraints by projection: reduced A = P' A P (see
     `ReducedSystem.project`), for the operator A, the mass M and the Robin
-    mass R (None where there is none).
+    mass R, each None where there is none or where the caller reduces it
+    another way (`assemble_tiled` with the map).
 
     dof[i] is the reduced DoF of node i, or -1 where the node is fixed to
     zero.  Nodes sharing a DoF are folded together (periodic faces).
     """
-    n = A.shape[0]
     dof = np.asarray(dof)
-    if dof.shape != (n,):
-        raise ConstraintError(f"dof map of shape {dof.shape} for {n} nodes")
+    for X in (A, M, R):
+        if X is not None and dof.shape != (X.shape[0],):
+            raise ConstraintError(f"dof map of shape {dof.shape} for {X.shape[0]} nodes")
     nodes = np.nonzero(dof >= 0)[0]
     if len(nodes) == 0:
         raise ConstraintError("all nodes constrained: empty space")

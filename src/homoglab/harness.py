@@ -224,15 +224,30 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
     """Solve the perforated problem at one eps and run the configured modes.
 
     Returns the eigenvalues, the k report rows and the lab rows; nothing
-    returned refers to the eps's bundle.
+    returned refers to the eps's bundle.  The corrector is built before any
+    LU exists.  VISIK's share of K_eps U^1 and norm equivalence's Lanczos
+    run read each sector's LU in the eigensolve's one visit of the sector
+    (`solve_gevp`'s readers), norm equivalence last since it drops the LU;
+    so no LU outlives its visit, and at most one is alive at any moment.
     """
-    # VISIK (its doubling and apply_Keps) and LAB (check_norm_equivalence)
-    # solve with the bundle again, so its sector LUs are kept for them; they
-    # run first, and the LUs are dropped before the checks that factorize
-    # their own matrices (the hole extension, the trace and volsup pencils)
-    keep_lu = bool({"VISIK", "LAB"} & set(cfg.modes))
+    U, KU, norm_rows = None, [], []
+
+    def readers(bundle):
+        nonlocal U
+        out = []
+        if {"CORRECTOR", "VISIK"} & set(cfg.modes):
+            U = corr.build_corrector(hom_full, a_mesh, cell_sol, eps, bundle,
+                                     cutoff=True)
+        if "VISIK" in cfg.modes:
+            out.append(lambda s: KU.append(
+                spectral.apply_Keps(bundle, U[0], sectors=(s,))))
+        if "LAB" in cfg.modes:
+            out.append(lambda s: norm_rows.append(
+                lab.check_norm_equivalence(bundle, sectors=(s,))))
+        return out
+
     spec_eps, bundle = spectral.solve_perforated_evp(cfg.domain_config(eps), cfg.k,
-                                                     keep_lu=keep_lu)
+                                                     readers=readers)
     rows = [{"eps": eps, "j": j + 1,
              "lambda_eps": float(spec_eps.eigenvalues[j]),
              "lambda_hom": float(lam_hom[j]),
@@ -240,19 +255,12 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
              "heps_err": None, "l2_err": None, "gap": None, "visik_alpha": None}
             for j in range(cfg.k)]
 
-    if {"CORRECTOR", "VISIK"} & set(cfg.modes):
-        U = corr.build_corrector(hom_full, a_mesh, cell_sol, eps, bundle,
-                                 cutoff=True)
     if "VISIK" in cfg.modes:
         mu = 1.0 / float(lam_hom[0])
-        vres = corr.visik_check(bundle, U[0], mu, spec_eps)
+        vres = corr.visik_check(bundle, U[0], mu, spec_eps, KU=sum(KU))
         rows[0]["visik_alpha"] = float(vres.residual)
         rows[0]["visik_certificate"] = bool(vres.certificate)
         rows[0]["visik_nearest_distance"] = float(vres.nearest_distance)
-    if "LAB" in cfg.modes:
-        norm_row = lab.check_norm_equivalence(bundle).as_dict()
-    for s in bundle.sectors:
-        s.drop()
 
     if "CORRECTOR" in cfg.modes:
         for cl in clusters:
@@ -274,19 +282,22 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
         lab_rows = [lab.check_trace(bundle).as_dict(),
                     lab.check_volsup(bundle, cell_sol, cfg.k_rect).as_dict(),
                     lab.check_periodic_osc(cell_sol, bundle, _lab_u, _lab_v).as_dict(),
-                    norm_row]
+                    max(norm_rows, key=lambda r: r.worst_ratio).as_dict()]
 
     return spec_eps.eigenvalues, rows, lab_rows
 
 
 def _eigenspace_gap(bundle, U_eps: np.ndarray, a_mesh, u_hom: np.ndarray) -> float:
     """Largest L2(Omega) principal-angle sine between T_eps U_eps and the macro
-    modes u_hom interpolated onto the tiled mesh.  The full-mesh mass and the
-    fields it builds die on return, before the lab factorizes its pencils."""
+    modes u_hom interpolated onto the tiled mesh, zero off closed A, where
+    no node is located.  The full-mesh mass and the fields it builds die on
+    return, before the lab factorizes its pencils."""
     mesh = bundle.mesh
+    inside = geometry.point_in_closed_rect(a_mesh.bounds(), mesh.nodes)
+    macro = np.zeros((mesh.n_nodes, u_hom.shape[1]))
+    macro[inside] = geometry.interpolate(a_mesh, u_hom, mesh.nodes[inside])[0]
     return corr.eigenspace_gap(
-        spectral.extend_Teps(bundle, U_eps).T,
-        geometry.interpolate(a_mesh, u_hom, mesh.nodes)[0].T,
+        spectral.extend_Teps(bundle, U_eps).T, macro.T,
         fem.assemble_mass(mesh, tris=np.arange(mesh.n_triangles)))
 
 

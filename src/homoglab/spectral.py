@@ -55,8 +55,8 @@ class DiscreteOperatorBundle:
     @functools.cached_property
     def sectors(self):
         """A in the quarter turn's sectors when the turn is a symmetry of A, M
-        and R (`_rotation_orbits`), else in one sector; each sector's LU is
-        made on its first solve and lives until the sector drops it."""
+        and R (`_rotation_orbits`), else in one sector; a sector's LU is made
+        when a solve needs it and lives until the sector drops it."""
         return self.sectors_of(self.A)
 
     def sectors_of(self, X, *parts):
@@ -180,33 +180,36 @@ class _TurnSector(Sector):
 
 
 def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
-    """Tile Omega, assemble A = S + R and M over its FLUID triangles
-    (Omega_eps), S and M from one cell (`fem.assemble_tiled`) and R edge by
-    edge, since K may cut a cell, and eliminate the outer Dirichlet nodes
-    and the nodes off Omega_eps from A, M and R."""
+    """Tile Omega and assemble A = S + R and M over its FLUID triangles
+    (Omega_eps) with the outer Dirichlet nodes and the nodes off Omega_eps
+    eliminated: S and M from one cell, folded straight onto the reduced
+    DoFs (`fem.assemble_tiled`), and R edge by edge, since K may cut a
+    cell, then reduced (`fem.apply_constraints`)."""
     mesh = geometry.build_perforated_mesh(cfg)
-    R = fem.assemble_robin_mass(mesh, cfg.k_rect)
-    A = fem.assemble_tiled(mesh, fem.assemble_stiffness) + R
-    M = fem.assemble_tiled(mesh, fem.assemble_mass)
     fixed = ~mesh.fluid_nodes()
     fixed[mesh.outer_nodes()] = True
-    red = fem.apply_constraints(A, M, R, fem.dof_map(mesh.n_nodes, fixed))
+    red = fem.apply_constraints(None, None, fem.assemble_robin_mass(mesh, cfg.k_rect),
+                                fem.dof_map(mesh.n_nodes, fixed))
+    red.M = fem.assemble_tiled(mesh, fem.assemble_mass, red.dof)
+    red.A = fem.assemble_tiled(mesh, fem.assemble_stiffness, red.dof) + red.R
     return DiscreteOperatorBundle(mesh=mesh, red=red)
 
 
-def solve_perforated_evp(cfg: DomainConfig, k: int, keep_lu: bool = False):
+def solve_perforated_evp(cfg: DomainConfig, k: int, readers=None):
     """k smallest eigenpairs of (S+R) u = lambda M u on Omega_eps.
 
     Eigenfunctions come back L2(Omega_eps)-orthonormal on the reduced DoFs.
     A k that is not an integer >= 1 is refused before the mesh is built.
-    Each sector's LU is dropped when its Lanczos run ends, so one is alive
-    at a time, unless `keep_lu` keeps them for a caller that solves with the
-    bundle again; a solve on a dropped sector makes its LU again.
+    `readers(bundle)`, when given, is called once the bundle is built,
+    before any LU is made, and what it returns is `solve_gevp`'s readers:
+    each is called on each sector while the sector's LU is alive, in the
+    one visit that makes the LU, uses it and drops it, so one LU is alive
+    at a time.  A later solve on the bundle makes its LUs again.
     """
     k = config_int("k", k, 1)
     bundle = build_perforated_bundle(cfg)
     spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors,
-                      keep_lu=keep_lu)
+                      readers=readers(bundle) if readers else ())
     return spec, bundle
 
 
@@ -235,12 +238,16 @@ def solve_dirichlet_laplacian(a_mesh: Mesh, k: int):
     return solve_homogenized_evp(a_mesh, np.eye(2), 1.0, k)
 
 
-def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray) -> np.ndarray:
-    """Discrete source operator: solve (S+R) u = M f on the reduced DoFs."""
+def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray,
+               sectors=None) -> np.ndarray:
+    """Discrete source operator: solve (S+R) u = M f on the reduced DoFs, in
+    `sectors`, by default all the bundle's (`solve_source`).  Over some of
+    the bundle's sectors it is the part of K_eps f in their span, so a
+    caller can sum K_eps f sector by sector while each sector's LU is alive."""
     if bundle.R is None:
         raise SolverError("apply_Keps needs a perforated bundle")
     return solve_source(bundle.A, bundle.M @ np.asarray(f, dtype=float),
-                        sectors=bundle.sectors)
+                        sectors=sectors or bundle.sectors)
 
 
 def extend_Teps(bundle: DiscreteOperatorBundle, U: np.ndarray) -> np.ndarray:

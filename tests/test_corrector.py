@@ -171,19 +171,23 @@ def test_visik_certificate(spec_quarter, bundle_quarter):
         corr.visik_check(bundle_quarter, np.zeros(len(u1)), mu1, spec_quarter)
 
 
-def test_visik_check_solves_the_modes_it_needs(spec_quarter, bundle_quarter):
+def test_visik_check_solves_the_modes_it_needs(spec_quarter, bundle_quarter, lus):
     # lambda_4 = 72.6 is the discrete eigenvalue nearest 1/mu = 70; a one-mode
-    # spectrum ends below 70, so the check has to solve further modes itself
+    # spectrum ends below 70, so the check has to solve further modes itself,
+    # in the bundle's sectors, each LU made with no other alive
     from homoglab.eigensolve import solve_gevp
     u1 = spec_quarter.eigenvectors[:, 0]
     mu = 1.0 / 70.0
     one = solve_gevp(bundle_quarter.A, bundle_quarter.M, 1)
     twelve = solve_gevp(bundle_quarter.A, bundle_quarter.M, 12)
+    del lus[:]
     short = corr.visik_check(bundle_quarter, u1, mu, one)
+    assert len(lus) > len(bundle_quarter.sectors)
+    assert [alive for *_, alive, _ in lus] == [0] * len(lus)
     full = corr.visik_check(bundle_quarter, u1, mu, twelve)
     assert short.nearest_index == full.nearest_index == 3
     assert short.nearest_distance == pytest.approx(full.nearest_distance, rel=1e-10)
-    assert short.certificate == full.certificate
+    assert short.certificate and full.certificate
 
 
 def test_corrector_consistency_order_eps(sweep, a_mesh32, hom_field):

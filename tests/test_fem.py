@@ -387,7 +387,9 @@ def test_tiled_assembly(assemble, eps, r, h_ref):
     """The tiled stiffness and mass are, bitwise, the fold of n^2 copies of
     cell 0's matrix through the cell node map, and they equal the
     triangle-by-triangle assembly in sparsity bitwise and in value to that
-    assembly's rounding (`tiled_tolerance`)."""
+    assembly's rounding (`tiled_tolerance`).  Folded straight onto the
+    reduced DoFs of a node -> DoF map, they are the reduction of the full
+    matrix, bitwise."""
     mesh = build_perforated_mesh(DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref))
     fluid, l2g = _cell_zero(mesh)
     n0 = l2g.shape[1]
@@ -399,6 +401,12 @@ def test_tiled_assembly(assemble, eps, r, h_ref):
                            l2g.ravel(), l2g.ravel(), mesh.n_nodes)
     for part in ("data", "indices", "indptr"):
         assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+    fixed = ~mesh.fluid_nodes()
+    fixed[mesh.outer_nodes()] = True
+    red = fem.apply_constraints(got, None, None, fem.dof_map(mesh.n_nodes, fixed))
+    folded = fem.assemble_tiled(mesh, assemble, red.dof)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(folded, part).tobytes() == getattr(red.A, part).tobytes(), part
 
     each = assemble(mesh)
     each.eliminate_zeros()

@@ -267,23 +267,25 @@ def test_eigenspace_temporaries_die_before_the_lab(monkeypatch):
 
 
 def test_bundle_lus_are_dropped_before_the_checks_that_factorize(monkeypatch, lus):
-    """VISIK and norm equivalence run first, on the sector LUs the solve
-    made, and make none; then every LU is dropped, so none is alive when
-    the hole extension, the trace, volsup or periodic-oscillation check
-    starts."""
+    """Norm equivalence runs in each sector's visit in the eigensolve, with
+    that sector's LU alive and no other, and makes none; VISIK runs after
+    the solve on the K_eps U^1 summed in those visits, with no LU alive,
+    and makes none.  No LU is alive when the hole extension, the trace,
+    volsup or periodic-oscillation check starts."""
     started = []
 
-    def watch(mod, name, at, kept):
-        # the bundle is argument `at`; `kept`: its LUs are alive, and the
-        # call must make no LU
+    def watch(mod, name, at, borrows):
+        # the bundle is argument `at`; a call that `borrows` finds alive
+        # only the LU of the sector it is given and makes no LU
         real = getattr(mod, name)
 
         def wrapped(*args, **kw):
             sectors = args[at].sectors
-            assert [s._lu is not None for s in sectors] == [kept] * len(sectors), name
+            mine = kw.get("sectors", ())
+            assert [s._lu is not None for s in sectors] == [s in mine for s in sectors], name
             before = len(lus)
             out = real(*args, **kw)
-            assert not kept or len(lus) == before, name
+            assert not borrows or len(lus) == before, name
             started.append(name)
             return out
         monkeypatch.setattr(mod, name, wrapped)
@@ -294,10 +296,12 @@ def test_bundle_lus_are_dropped_before_the_checks_that_factorize(monkeypatch, lu
     watch(lab, "check_trace", 0, False)
     watch(lab, "check_volsup", 0, False)
     watch(lab, "check_periodic_osc", 1, False)
-    run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
+    # k = 4: lambda_k lies above 1 / mu, so VISIK solves no further modes
+    run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), h_domain=0.5 / 32,
                           cell_refine=2))
-    assert started == ["visik_check", "check_norm_equivalence", "_eigenspace_gap",
-                       "check_trace", "check_volsup", "check_periodic_osc"] * 2
+    assert started == (["check_norm_equivalence"] * 3
+                       + ["visik_check", "_eigenspace_gap", "check_trace",
+                          "check_volsup", "check_periodic_osc"]) * 2
 
 
 def _sectors(*dims):
@@ -319,14 +323,29 @@ _MACRO = [(1086, "f"), (3969, "f"), (3969, "f")]
     (dict(eps_list=(1 / 16, 1 / 32), modes=("EIGENVALUES", "VISIK")),
      _MACRO + _sectors(4992, 4993, 4992) + _sectors(20096, 20097, 20096))],
     ids=["default", "certify"])
-def test_study_keeps_the_sector_lus_for_visik_and_lab(lus, kw, made):
-    """VISIK (its doubling and apply_Keps) and LAB (norm equivalence) solve
-    with the bundle again, so each eps's sector LUs are made once and kept
-    for them: 27 LUs in the default study (per eps, after the sectors, the
-    hole extension, the trace pencil in the three sectors, E first, and the
-    volsup pencil) and 9 when only VISIK runs."""
+def test_study_makes_each_lu_with_no_other_alive(lus, kw, made):
+    """VISIK (its K_eps U^1) and LAB (norm equivalence) read each eps's
+    sector LUs in the eigensolve's visits, so each is made once: 27 LUs in
+    the default study (per eps, after the sectors, the hole extension, the
+    trace pencil in the three sectors, E first, and the volsup pencil) and
+    9 when only VISIK runs.  Every LU is made with no other alive."""
     run_study(StudyConfig(**kw))
     assert [(n, kind) for n, kind, *_ in lus] == made
+    assert [alive for *_, alive, _ in lus] == [0] * len(made)
+
+
+def test_visik_doubling_in_a_study_certifies(lus):
+    """With k = 2, lambda_2 lies below 1 / mu, so VISIK solves further modes
+    in the bundle's sectors after the eigensolve, their LUs made again, one
+    at a time, and certifies on the K_eps U^1 summed in the visits."""
+    report = run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), k=2, h_domain=0.5 / 32,
+                                   cell_refine=2, modes=("EIGENVALUES", "VISIK")))
+    rows = [r for r in report["body"]["rows"] if r["j"] == 1]
+    assert [r["visik_certificate"] for r in rows] == [True, True]
+    # the cell problem, the two macro solves, then per eps the eigensolve's
+    # three sector LUs and at least one more pass over the sectors
+    assert len(lus) >= 3 + 2 * 6 and (len(lus) - 3) % 3 == 0
+    assert [alive for *_, alive, _ in lus] == [0] * len(lus)
 
 
 def test_eigenvalue_and_corrector_study_keeps_no_lu(monkeypatch, lus):

@@ -103,41 +103,75 @@ def test_apply_Keps(spec_quarter, bundle_quarter):
 
 
 def test_one_factorization_per_bundle(lus):
-    # with keep_lu, as a study that runs VISIK or LAB asks: one LU per
-    # sector, all made by the solve and kept for later solves
+    """The solve makes one LU per sector, E first, and drops each as the
+    sector's visit ends, before the next is made; the complex sector stands
+    for two, so the sectors cover the reduced DoFs.  A later apply_Keps
+    makes each sector's LU again, uses it and drops it before the next."""
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
-    spec, bundle = spectral.solve_perforated_evp(cfg, 4, keep_lu=True)
-    # the complex sector stands for two, so the sectors cover the reduced DoFs
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
     sectors = [s.dim for s in bundle.sectors]
     assert [n for n, *_ in lus] == sectors
     assert [s.weight for s in bundle.sectors] == [2, 1, 1]
     assert sum(s.weight * s.dim for s in bundle.sectors) == bundle.red.dim
     for j in range(2):
         spectral.apply_Keps(bundle, spec.eigenvectors[:, j])
-    assert [n for n, *_ in lus] == sectors
-    assert all(ref() is not None for *_, ref in lus)
+    assert [n for n, *_ in lus] == sectors * 3
+    assert [alive for *_, alive, _ in lus] == [0] * 9
+    assert all(ref() is None for *_, ref in lus)
 
 
 def test_one_lu_alive_on_the_eigenvalue_path(lus):
-    """Without keep_lu each sector's LU dies when its Lanczos run ends,
-    before the next sector's is made: three LUs in all, and eigenpairs
-    bitwise equal to the keeping path's.  A later solve on the bundle makes
-    each LU again."""
+    """`readers(bundle)` is called once the bundle is built, before any LU;
+    each reader it returns runs on each sector in turn, in order, while
+    that sector's LU and no other is alive.  The eigenpairs are bitwise
+    those of a solve without readers, and no LU outlives its visit."""
     cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
-    kept, kept_bundle = spectral.solve_perforated_evp(cfg, 4, keep_lu=True)
+    plain, _ = spectral.solve_perforated_evp(cfg, 4)
     del lus[:]
-    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
+    seen = []
+
+    def readers(bundle):
+        assert lus == []
+
+        def reader(name):
+            def read(s):
+                alive = [ref() is not None for *_, ref in lus]
+                seen.append((name, s.dim, alive))
+            return read
+        return reader("first"), reader("second")
+
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4, readers=readers)
     dims = [s.dim for s in bundle.sectors]
     assert [n for n, *_ in lus] == dims
     assert [alive for *_, alive, _ in lus] == [0, 0, 0]
     assert all(ref() is None for *_, ref in lus)
-    assert spec.eigenvalues.tobytes() == kept.eigenvalues.tobytes()
-    assert spec.eigenvectors.tobytes() == kept.eigenvectors.tobytes()
-    f = spec.eigenvectors[:, 0]
-    again = spectral.apply_Keps(bundle, f)
-    assert [n for n, *_ in lus] == dims + dims
-    assert again.tobytes() == spectral.apply_Keps(kept_bundle, f).tobytes()
+    assert seen == [(name, n, [j == i for j in range(i + 1)])
+                    for i, n in enumerate(dims) for name in ("first", "second")]
+    assert spec.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+    assert spec.eigenvectors.tobytes() == plain.eigenvectors.tobytes()
+
+
+def test_readers_run_once_when_a_sector_is_solved_again(lus, monkeypatch):
+    """At eps = 1/8 and k = 15 the A sector's 5 values end below the merged
+    15th, so it is solved again for 10, its LU made again: the readers run
+    in the first visit of each sector only."""
+    bundle = _bundle(eps=1 / 8)
+    runs, read = [], []
+    pairs = eigensolve.Sector.pairs
+
+    def counting(self, B, k):
+        runs.append((self.dim, k))
+        return pairs(self, B, k)
+
+    monkeypatch.setattr(eigensolve.Sector, "pairs", counting)
+    solve_gevp(bundle.A, bundle.M, 15, sectors=bundle.sectors,
+               readers=(lambda s: read.append(s.dim),))
+    dims = [s.dim for s in bundle.sectors]
+    assert runs == [(n, 5) for n in dims] + [(dims[1], 10)]
+    assert read == dims
+    assert [n for n, *_ in lus] == dims + dims[1:2]
+    assert [alive for *_, alive, _ in lus] == [0] * 4
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, True, "4"])
@@ -301,8 +335,9 @@ def test_bundle_assembles_from_one_cell(monkeypatch):
     spectral.build_perforated_bundle(cfg)
     monkeypatch.undo()
     cell = fem.assemble_mass(geometry.build_cell_mesh(0.25, 32, 1 / 8))
-    # R; cell 0's S and its fold; cell 0's M and its fold; reduced A, M, R
-    assert len(seen) == 8
+    # R and its reduction; cell 0's M and S, each folded straight onto the
+    # reduced DoFs, so no full-size S or M is made
+    assert len(seen) == 6
     assert max(n for n, *_ in seen) <= 64 * cell.nnz
     assert all(i == j == np.int32 for _, i, j in seen)
 
@@ -581,18 +616,31 @@ def test_sector_runs_stop_after_one_pass(monkeypatch, n):
 
 
 def test_bundle_solve_through_sectors(lus):
-    """apply_Keps's source solve in the bundle's sectors: the sum over them
-    of weight * Re(P A_s^-1 P^H b), against one LU of A, and each sector's
-    LU made once and kept for the next solve."""
-    bundle = _bundle(eps=1 / 4)
-    b = np.sin(np.arange(bundle.red.dim, dtype=float))
-    want = spla.splu(bundle.A.tocsc()).solve(b)
-    got = eigensolve.solve_source(bundle.A, b, sectors=bundle.sectors)
+    """apply_Keps's source solve in the bundle's sectors, each refined in
+    itself: the sum over them of weight * Re(P y), against one LU of A to
+    1e-12, and against the two-pass solve (one refinement step on the full
+    residual through every sector's LU) to 1e-13.  Each sector's LU is
+    made, used and dropped before the next, and the parts solved sector by
+    sector, summed in sector order, are the whole solve bitwise."""
+    bundle = _bundle(eps=1 / 8)
+    f = np.sin(np.arange(bundle.red.dim, dtype=float))
+    b = bundle.M @ f
+    got = spectral.apply_Keps(bundle, f)
     assert len(bundle.sectors) == 3 and got.dtype == float
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert [n for n, *_ in lus] == [s.dim for s in bundle.sectors]
-    again = eigensolve.solve_source(bundle.A, b, sectors=bundle.sectors)
-    assert len(lus) == 3 and again.tobytes() == got.tobytes()
+    assert [alive for *_, alive, _ in lus] == [0, 0, 0]
+    want = spla.splu(bundle.A.tocsc()).solve(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    u, r = 0.0, b
+    for _ in range(2):
+        u = u + sum(s.weight * s.expand(s.lu()(s.restrict(r))).real
+                    for s in bundle.sectors)
+        r = b - bundle.A @ u
+    for s in bundle.sectors:
+        s.drop()
+    assert np.linalg.norm(got - u) <= 1e-13 * np.linalg.norm(u)
+    parts = [spectral.apply_Keps(bundle, f, sectors=(s,)) for s in bundle.sectors]
+    assert sum(parts).tobytes() == got.tobytes()
 
 
 def test_one_sector_when_only_R_breaks_the_turn():
