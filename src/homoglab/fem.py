@@ -42,26 +42,30 @@ def fold_matrix(A, rows: np.ndarray, cols: np.ndarray, n: int,
     return out
 
 
-def assemble_tiled(mesh: Mesh, assemble, dof: np.ndarray | None = None) -> sp.csr_matrix:
-    """`assemble(mesh, tris=...)`, the stiffness or the mass, over the FLUID
-    triangles of a tiled mesh (`geometry.tile_template`): made over cell 0's
-    alone and folded onto each of the n^2 cells through the cell node map
-    (`geometry.cell_node_map`), n^2 times that matrix's nnz triplets in
-    place of 9 per triangle.  With a node -> DoF map `dof` (`dof_map`) the
-    copies are folded straight onto the reduced DoFs: the matrix is
-    `ReducedSystem.project` of the full one, and the full one is never
-    made.  Each cell gets the matrix of an exact translate of cell 0, whose
-    coordinates are eps times the template's.  A node stored near 1 is its
-    translate rounded, by up to the machine epsilon u, so triangle by
-    triangle the entries differ from these by about u / (eps h_ref)
-    relative."""
-    l2g = geometry.cell_node_map(mesh)
+def cell_matrix(mesh: Mesh, assemble, l2g: np.ndarray) -> sp.csr_matrix:
+    """`assemble(mesh, tris=...)` over cell 0's FLUID triangles of a tiled
+    mesh with cell node map l2g, on cell 0's N0 nodes: (N0, N0)."""
+    n0 = l2g.shape[1]
     fluid = np.nonzero(mesh.tri_region[:mesh.n_triangles // len(l2g)] == geometry.FLUID)[0]
-    cell = assemble(mesh, tris=fluid)[:l2g.shape[1]]
-    n = mesh.n_nodes
-    if dof is not None:
-        l2g, n = dof[l2g], int(dof.max()) + 1
-    return fold_matrix(cell, l2g, l2g, n)
+    return assemble(mesh, tris=fluid)[:n0, :n0]
+
+
+def assemble_tiled(mesh: Mesh, assemble, dof: np.ndarray) -> sp.csr_matrix:
+    """`assemble(mesh, tris=...)`, the stiffness or the mass, over the FLUID
+    triangles of a tiled mesh (`geometry.tile_template`), on the reduced
+    DoFs of the node -> DoF map `dof` (`dof_map`): `cell_matrix` folded
+    straight onto the DoFs of each of the n^2 cells through the cell node
+    map (`geometry.cell_node_map`), n^2 times its nnz triplets in place of
+    9 per triangle.  The matrix is `ReducedSystem.project` of the full one,
+    and the full one is never made.  Each cell gets the matrix of an exact
+    translate of cell 0, whose coordinates are eps times the template's.  A
+    node stored near 1 is its translate rounded, by up to the machine
+    epsilon u, so triangle by triangle the entries differ from these by
+    about u / (eps h_ref) relative."""
+    l2g = geometry.cell_node_map(mesh)
+    cell = cell_matrix(mesh, assemble, l2g)
+    l2g = dof[l2g]
+    return fold_matrix(cell, l2g, l2g, int(dof.max()) + 1)
 
 
 def _block_indices(tri_nodes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:

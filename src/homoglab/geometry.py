@@ -381,24 +381,16 @@ def cell_node_map(mesh: Mesh) -> np.ndarray:
 
 
 def template_index(mesh: Mesh, index, triangles: bool = False) -> np.ndarray:
-    """Template node of each node `index` of a `tile_template` mesh, read
-    off cell 0 and the cell order, or the template triangle t mod T of each
-    triangle t if `triangles`.  After the cells before it, cell (ix, iy)
-    numbers its template nodes in order but those on its left face if ix > 0
-    and on its bottom face if iy > 0, which earlier cells own."""
-    n, t0 = _cell_triangles(mesh)
+    """Template node of each node `index` of a `tile_template` mesh, its
+    index in the first cell, in tiling order, that holds it (`cell_node_map`
+    inverted), or the template triangle t mod T of each triangle t if
+    `triangles`."""
     index = np.asarray(index)
     if triangles:
-        return index % t0
-    left, bottom = (mesh.nodes[:int(mesh.triangles[:t0].max()) + 1] == 0.0).T
-    owned = np.array([~(left & sx | bottom & sy) for sy in (False, True) for sx in (False, True)])
-    iy, ix = np.divmod(np.arange(n * n), n)
-    kind = (ix > 0) + 2 * (iy > 0)  # the row of `owned` each cell takes
-    size = owned.sum(axis=1)[kind]
-    start = np.cumsum(size) - size  # first node of each cell
-    c = np.searchsorted(start, index, side="right") - 1
-    # row k: the template nodes a cell of kind k owns, in order, then the rest
-    return np.argsort(~owned, axis=1, kind="stable")[kind[c], index - start[c]]
+        return index % _cell_triangles(mesh)[1]
+    l2g = cell_node_map(mesh)
+    _, first = np.unique(l2g, return_index=True)  # l2g is cell-major
+    return first[index] % l2g.shape[1]
 
 
 def domain_grid(rect: tuple[float, float, float, float], h: float) -> tuple[int, int]:

@@ -67,9 +67,7 @@ class DiscreteOperatorBundle:
         it commutes with the turn when they do."""
         if self._orbits is None:
             return (Sector(X),)
-        orbits, fixed = self._orbits
-        turn = np.arange(self.A.shape[0])
-        turn[orbits] = np.roll(orbits, -1, axis=1)
+        orbits, fixed, turn = self._orbits
         if not all(_commutes(Y, turn) for Y in parts):
             return (Sector(X),)
         return tuple(_TurnSector(X, orbits, fixed, chi) for chi in _CHARACTERS)
@@ -77,37 +75,43 @@ class DiscreteOperatorBundle:
 
 def _rotation_orbits(bundle: DiscreteOperatorBundle):
     """The reduced DoFs' orbits under the quarter turn (x, y) -> (1 - y, x):
-    an (m, 4) array whose column g holds the g-th turn of column 0, and the
-    DoFs the turn fixes (the centre, if it is a DoF).
+    an (m, 4) array whose column g holds the g-th turn of column 0, the
+    DoFs the turn fixes (the centre, if it is a DoF), and the turned DoF of
+    each DoF.  The turn is cell 0's, tau, carried to each cell by index:
+    cell c = (c % n, c // n) = (ix, iy) turns onto rot(c) = (n - 1 - iy, ix).
 
-    None unless the turn maps the DoFs onto themselves and A, M and R, where
-    the bundle has one, commute with it (`_commutes`).
+    None for a domain mesh, and unless tau maps cell 0's nodes onto
+    themselves and commutes with cell 0's S and M, of which the bundle's are
+    folds, and the turn with R (`_commutes`).  The turn then keeps the DoFs:
+    the FLUID nodes (M's rows) off the square's boundary.
     """
-    X = bundle.mesh.nodes[bundle.red.keep]
-
-    def codes(Y):
-        key = np.rint(Y * _NODE_LATTICE).astype(np.int64)
-        return (key[:, 0] << 32) + key[:, 1]
-
-    own = codes(X)
-    order = np.argsort(own)
-    own = own[order]
-    turned = codes(np.column_stack([1.0 - X[:, 1], X[:, 0]]))
-    at = np.minimum(np.searchsorted(own, turned), len(own) - 1)
-    if not np.array_equal(own[at], turned):
+    mesh, red = bundle.mesh, bundle.red
+    if not mesh.eps:
         return None
-    turn = order[at]
-    if not all(_commutes(X, turn) for X in (bundle.A, bundle.M, bundle.R)
-               if X is not None):
+    l2g = geometry.cell_node_map(mesh)
+    X = mesh.nodes[:l2g.shape[1]] / mesh.eps
+    # the lattice point of each node of cell 0, then of each turned node
+    points = np.rint(np.vstack([X, np.column_stack([1.0 - X[:, 1], X[:, 0]])]) * _NODE_LATTICE)
+    rows, at = np.unique(points, axis=0, return_inverse=True)
+    if len(rows) > len(X):  # a turned node lands on no node
         return None
-    idx = np.arange(len(turn))
+    tau = np.argsort(at[:len(X)])[at[len(X):]]
+    if not all(_commutes(fem.cell_matrix(mesh, assemble, l2g), tau)
+               for assemble in (fem.assemble_stiffness, fem.assemble_mass)):
+        return None
+    n = round(1.0 / mesh.eps)
+    rot = np.rot90(np.arange(n * n).reshape(n, n)).ravel()
+    node_turn = np.empty(mesh.n_nodes, dtype=l2g.dtype)
+    node_turn[l2g] = l2g[rot][:, tau]
+    turn = red.dof[node_turn[red.keep]]
+    if not _commutes(bundle.R, turn):
+        return None
+    idx = np.arange(len(turn), dtype=turn.dtype)
     half = turn[turn]
     orbits = np.column_stack([idx, turn, half, turn[half]])
     fixed = turn == idx
-    if not (np.array_equal(turn[orbits[:, 3]], idx) and (half != idx)[~fixed].all()):
-        return None
     first = ~fixed & (idx == orbits.min(axis=1))
-    return orbits[first], idx[fixed]
+    return orbits[first], idx[fixed], turn
 
 
 def _commutes(X, turn) -> bool:
@@ -252,21 +256,24 @@ def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray,
 
 def extend_Teps(bundle: DiscreteOperatorBundle, U: np.ndarray) -> np.ndarray:
     """Discrete harmonic extension into the holes of one field (n,) or m
-    fields (n, m) on the reduced DoFs, with one factorization for all.
+    fields (n, m) on the reduced DoFs.
 
     Returns them on every node of the tiled mesh: unchanged on the nodes of
     Omega_eps, the nodes off Omega_eps filled by solving the Laplace equation
-    per hole with the hole-boundary trace as Dirichlet data.
+    per hole with the hole-boundary trace as Dirichlet data.  Each hole's
+    fan centre is its one node off Omega_eps, so the hole Laplacian there
+    is diagonal and the solve divides by it; SolverError if it is not.
     """
     if bundle.R is None:
         raise SolverError("extend_Teps needs a perforated bundle")
     out = bundle.red.expand(np.asarray(U, dtype=float))
     mesh = bundle.mesh
     interior = np.nonzero(~mesh.fluid_nodes())[0]
-    if len(interior) == 0:
-        return out
     # the HOLE stiffness rows of the nodes off Omega_eps, where out is zero
     Sh = fem.assemble_stiffness(
         mesh, tris=np.nonzero(mesh.tri_region == geometry.HOLE)[0])[interior]
-    out[interior] = solve_source(Sh[:, interior], -(Sh @ out))
+    d = Sh[:, interior].diagonal()
+    if Sh[:, interior].count_nonzero() > np.count_nonzero(d):
+        raise SolverError("the hole Laplacian is not diagonal")
+    out[interior] = (-(Sh @ out).T / d).T
     return out

@@ -384,10 +384,11 @@ def _cell_zero(mesh):
 @pytest.mark.parametrize("eps, r, h_ref", [(1 / 4, 0.25, 1 / 8), (1 / 6, 0.25, 1 / 16),
                                            (1 / 4, 0.0, 1 / 8), (1 / 16, 0.25, 1 / 8)])
 def test_tiled_assembly(assemble, eps, r, h_ref):
-    """The tiled stiffness and mass are, bitwise, the fold of n^2 copies of
-    cell 0's matrix through the cell node map, and they equal the
-    triangle-by-triangle assembly in sparsity bitwise and in value to that
-    assembly's rounding (`tiled_tolerance`).  Folded straight onto the
+    """The tiled stiffness and mass, through the identity node -> DoF map,
+    are, bitwise, the fold of n^2 copies of cell 0's matrix through the
+    cell node map, and they equal the triangle-by-triangle assembly in
+    sparsity bitwise and in value to that assembly's rounding
+    (`tiled_tolerance`).  Folded straight onto the
     reduced DoFs of a node -> DoF map, they are the reduction of the full
     matrix, bitwise."""
     mesh = build_perforated_mesh(DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref))
@@ -396,7 +397,7 @@ def test_tiled_assembly(assemble, eps, r, h_ref):
     assert np.array_equal(l2g[:, mesh.triangles[:len(mesh.triangles) // len(l2g)]]
                           .reshape(-1, 3), mesh.triangles)
     cell = assemble(mesh, tris=fluid)[:n0, :n0]
-    got = fem.assemble_tiled(mesh, assemble)
+    got = fem.assemble_tiled(mesh, assemble, fem.dof_map(mesh.n_nodes, []))
     want = fem.fold_matrix(sp.block_diag([cell] * len(l2g), format="csr"),
                            l2g.ravel(), l2g.ravel(), mesh.n_nodes)
     for part in ("data", "indices", "indptr"):

@@ -360,20 +360,24 @@ def test_points_are_located_only_in_interpolate():
 @pytest.mark.parametrize("eps, r, h_ref", [(1 / 2, 0.25, 1 / 8), (1 / 3, 0.25, 1 / 8),
                                            (1 / 4, 0.0, 1 / 8), (1 / 6, 0.2, 1 / 16)])
 def test_template_index_inverts_cell_node_map(eps, r, h_ref):
-    """Every node maps to its template node in the first cell, in tiling
-    order, that holds it (`cell_node_map`), and triangle t to t mod T."""
+    """Node p is eps * (c + the template node template_index gives) for c,
+    the first cell in tiling order (iy outer, ix inner) whose closed square
+    holds it, bitwise as the tiling computes it; and triangle t maps to
+    t mod T."""
     mesh = build_perforated_mesh(DomainConfig(eps=eps, hole_radius=r, h_ref=h_ref))
-    l2g = geometry.cell_node_map(mesh)
-    _, first = np.unique(l2g, return_index=True)
+    template = build_cell_mesh(r, 32, h_ref)
     got = geometry.template_index(mesh, np.arange(mesh.n_nodes))
-    assert np.array_equal(got, first % l2g.shape[1])
+    # the lowest lattice index i with x in [i eps, (i + 1) eps]
+    s = mesh.nodes / eps
+    on_line = np.abs(s - np.rint(s)) < 1e-9
+    c = np.maximum(np.where(on_line, np.rint(s), np.ceil(s)) - 1, 0).astype(int)
+    assert np.array_equal(mesh.nodes, eps * (c + template.nodes[got]))
     rng = np.random.default_rng(2)
     nodes = rng.integers(0, mesh.n_nodes, 50)
     assert np.array_equal(geometry.template_index(mesh, nodes), got[nodes])
     tris = rng.integers(0, mesh.n_triangles, 50)
     assert np.array_equal(geometry.template_index(mesh, tris, triangles=True),
-                          tris % (mesh.n_triangles // len(l2g)))
-    template = build_cell_mesh(r, 32, h_ref)
+                          tris % template.n_triangles)
     assert np.array_equal(geometry.template_index(template, np.arange(template.n_nodes)),
                           np.arange(template.n_nodes))
 
@@ -387,7 +391,8 @@ def test_cell_maps_need_a_tiled_mesh(cell_sol8):
     for call in (lambda: geometry.cell_node_map(mesh),
                  lambda: geometry.template_index(mesh, [0]),
                  lambda: geometry.template_index(mesh, [0], triangles=True),
-                 lambda: fem.assemble_tiled(mesh, fem.assemble_mass),
+                 lambda: fem.assemble_tiled(mesh, fem.assemble_mass,
+                                            fem.dof_map(mesh.n_nodes, [])),
                  lambda: eval_chi(cell_sol8, mesh, [0])):
         with pytest.raises(GeometryError, match="no cells"):
             call()

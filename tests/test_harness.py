@@ -314,21 +314,19 @@ _MACRO = [(1086, "f"), (3969, "f"), (3969, "f")]
 
 
 @pytest.mark.parametrize("kw,made", [
-    ({}, _MACRO + _sectors(300, 301, 300) + [(16, "f")] + _sectors(300, 301, 300)
-     + [(916, "f")]
-     + _sectors(1232, 1233, 1232) + [(64, "f")] + _sectors(1232, 1233, 1232)
-     + [(3728, "f")]
-     + _sectors(4992, 4993, 4992) + [(256, "f")] + _sectors(4992, 4993, 4992)
-     + [(15040, "f")]),
+    ({}, _MACRO + _sectors(300, 301, 300) + _sectors(300, 301, 300) + [(916, "f")]
+     + _sectors(1232, 1233, 1232) + _sectors(1232, 1233, 1232) + [(3728, "f")]
+     + _sectors(4992, 4993, 4992) + _sectors(4992, 4993, 4992) + [(15040, "f")]),
     (dict(eps_list=(1 / 16, 1 / 32), modes=("EIGENVALUES", "VISIK")),
      _MACRO + _sectors(4992, 4993, 4992) + _sectors(20096, 20097, 20096))],
     ids=["default", "certify"])
 def test_study_makes_each_lu_with_no_other_alive(lus, kw, made):
     """VISIK (its K_eps U^1) and LAB (norm equivalence) read each eps's
-    sector LUs in the eigensolve's visits, so each is made once: 27 LUs in
-    the default study (per eps, after the sectors, the hole extension, the
-    trace pencil in the three sectors, E first, and the volsup pencil) and
-    9 when only VISIK runs.  Every LU is made with no other alive."""
+    sector LUs in the eigensolve's visits, so each is made once: 24 LUs in
+    the default study (per eps, after the sectors, the trace pencil in the
+    three sectors, E first, and the volsup pencil; the hole extension makes
+    none) and 9 when only VISIK runs.  Every LU is made with no other
+    alive."""
     run_study(StudyConfig(**kw))
     assert [(n, kind) for n, kind, *_ in lus] == made
     assert [alive for *_, alive, _ in lus] == [0] * len(made)

@@ -366,29 +366,68 @@ def test_extend_linear_field(bundle_quarter):
     assert np.allclose(out[interior], lin[interior], atol=1e-10)
 
 
-def test_extend_factorizes_once(monkeypatch):
-    # one LU of the hole Laplacian per call, whatever the number of fields,
-    # and nothing kept on the bundle between calls
-    made = []
+def test_extend_makes_no_lu(monkeypatch):
+    # each hole's one node off Omega_eps is filled by a division, so no LU
+    # is made, whatever the number of fields, and nothing is kept on the
+    # bundle between calls
+    def refused(A):
+        raise AssertionError("extend_Teps factorized")
 
-    def counting(A):
-        made.append(A.shape)
-        return real(A)
-
-    real = eigensolve.factorized_solver
-    monkeypatch.setattr(eigensolve, "factorized_solver", counting)
+    monkeypatch.setattr(eigensolve, "factorized_solver", refused)
     cfg = geometry.DomainConfig(eps=0.25, hole_radius=0.25, hole_poly=32,
                                 k_rect=K_RECT, h_ref=1.0 / 8.0)
     bundle = spectral.build_perforated_bundle(cfg)
     U = np.random.default_rng(3).standard_normal((bundle.red.dim, 3))
     batch = spectral.extend_Teps(bundle, U)
-    assert len(made) == 1
     singles = [spectral.extend_Teps(bundle, U[:, j]) for j in range(3)]
-    assert len(made) == 4
     assert batch.shape == (bundle.mesh.n_nodes, 3)
     for j, single in enumerate(singles):
         assert batch[:, j].tobytes() == single.tobytes()
     assert not hasattr(bundle, "hole_extension")
+
+
+@pytest.mark.parametrize("eps", [1 / 4, 1 / 5, 1 / 8])
+def test_extend_division_is_the_hole_solve(eps):
+    """The division by the hole Laplacian's diagonal is the solve through
+    that Laplacian's LU (`solve_source`), to 1e-14 relative, for one field
+    and for a batch."""
+    bundle = _bundle(eps=eps)
+    mesh = bundle.mesh
+    interior = np.nonzero(~mesh.fluid_nodes())[0]
+    assert len(interior) == round(1 / eps) ** 2  # the hole centres
+    Sh = fem.assemble_stiffness(
+        mesh, tris=np.nonzero(mesh.tri_region == geometry.HOLE)[0])[interior]
+    U = np.random.default_rng(5).standard_normal((bundle.red.dim, 2))
+    for V in (U, U[:, 0]):
+        got = spectral.extend_Teps(bundle, V)
+        out = bundle.red.expand(V)
+        want = eigensolve.solve_source(Sh[:, interior], -(Sh @ out))
+        assert np.abs(got[interior] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_extend_without_holes_is_the_expansion():
+    """A template with no hole leaves no node off Omega_eps: the extension
+    is the expanded field, for one field and for a batch."""
+    bundle = _bundle(eps=1 / 4, hole_radius=0.0)
+    U = np.random.default_rng(4).standard_normal((bundle.red.dim, 2))
+    for V in (U, U[:, 0]):
+        assert spectral.extend_Teps(bundle, V).tobytes() == bundle.red.expand(V).tobytes()
+
+
+def test_extend_refuses_a_hole_laplacian_that_is_not_diagonal(bundle_quarter):
+    """With the ring of FLUID triangles around cell 0's hole retagged HOLE
+    (the template's first 2 x 32), that hole's boundary nodes leave
+    Omega_eps too, and they couple to each other and to the centre: a
+    division would be wrong, so extend_Teps raises."""
+    mesh = bundle_quarter.mesh
+    region = mesh.tri_region.copy()
+    assert (region[:64] == geometry.FLUID).all()
+    region[:64] = geometry.HOLE
+    grown = spectral.DiscreteOperatorBundle(
+        mesh=dataclasses.replace(mesh, tri_region=region, _areas=None, _locator=None),
+        red=bundle_quarter.red)
+    with pytest.raises(SolverError, match="not diagonal"):
+        spectral.extend_Teps(grown, np.ones(bundle_quarter.red.dim))
 
 
 def test_dirichlet_laplacian_is_the_identity_homogenized_problem(a_mesh32):
@@ -643,6 +682,88 @@ def test_bundle_solve_through_sectors(lus):
     assert sum(parts).tobytes() == got.tobytes()
 
 
+def _hashed_orbits(bundle):
+    """The coordinate search for the turn's orbits that the template turn
+    replaced, kept as the reference: every reduced DoF's position and its
+    turn hashed on the 2^24 lattice and matched, then A, M and R checked at
+    full size (`_commutes`).  (orbits, fixed), or None."""
+    X = bundle.mesh.nodes[bundle.red.keep]
+
+    def codes(Y):
+        key = np.rint(Y * 2.0**24).astype(np.int64)
+        return (key[:, 0] << 32) + key[:, 1]
+
+    own = codes(X)
+    order = np.argsort(own)
+    own = own[order]
+    turned = codes(np.column_stack([1.0 - X[:, 1], X[:, 0]]))
+    at = np.minimum(np.searchsorted(own, turned), len(own) - 1)
+    if not np.array_equal(own[at], turned):
+        return None
+    turn = order[at]
+    if not all(spectral._commutes(X, turn) for X in (bundle.A, bundle.M, bundle.R)
+               if X is not None):
+        return None
+    idx = np.arange(len(turn))
+    half = turn[turn]
+    orbits = np.column_stack([idx, turn, half, turn[half]])
+    fixed = turn == idx
+    if not (np.array_equal(turn[orbits[:, 3]], idx) and (half != idx)[~fixed].all()):
+        return None
+    first = ~fixed & (idx == orbits.min(axis=1))
+    return orbits[first], idx[fixed]
+
+
+_ORBIT_TILINGS = {
+    **{f"eps{n}": dict(eps=1 / n) for n in (2, 3, 4, 5, 8, 16, 64)},
+    "r02_24gon": _SYMMETRIC["r02_24gon"],
+    "30gon": dict(eps=1 / 4, hole_poly=30),
+    "off_centre_K": dict(eps=1 / 8, k_rect=(0.2, 0.25, 0.7, 0.75)),
+    "no_hole": dict(eps=1 / 4, hole_radius=0.0)}
+
+
+@pytest.mark.parametrize("name", _ORBIT_TILINGS)
+def test_template_turn_matches_the_coordinate_search(name):
+    """The turn read off the template gives the coordinate search's orbits
+    and fixed DoFs, and the turn they define; where the search finds no
+    symmetry (the 30-gon, whose turned nodes miss the template's; an
+    off-centre K, whose R does not commute; the no-hole grid, whose M does
+    not), neither does the template."""
+    bundle = _bundle(**_ORBIT_TILINGS[name])
+    want = _hashed_orbits(bundle)
+    got = spectral._rotation_orbits(bundle)
+    assert (want is None) == (name in ("30gon", "off_centre_K", "no_hole"))
+    if want is None:
+        assert got is None
+        return
+    orbits, fixed, turn = got
+    assert np.array_equal(orbits, want[0]) and np.array_equal(fixed, want[1])
+    rolled = np.arange(bundle.red.dim)
+    rolled[orbits] = np.roll(orbits, -1, axis=1)
+    assert np.array_equal(turn, rolled)
+
+
+def test_turn_checks_template_matrices_and_R(monkeypatch, a_mesh32):
+    """At eps 1/16 the commutation check sees cell 0's S and M, template
+    size, and the bundle's R; never A or M at full size.  A domain-mesh
+    bundle has no cells and is not checked at all: it has one sector."""
+    seen = []
+    commutes = spectral._commutes
+
+    def recording(X, turn):
+        seen.append(X.shape)
+        return commutes(X, turn)
+
+    monkeypatch.setattr(spectral, "_commutes", recording)
+    bundle = _bundle(eps=1 / 16)
+    assert len(bundle.sectors) == 3
+    n0 = geometry.cell_node_map(bundle.mesh).shape[1]
+    assert seen == [(n0, n0), (n0, n0), bundle.R.shape]
+    seen.clear()
+    _, hom = spectral.solve_dirichlet_laplacian(a_mesh32, 2)
+    assert len(hom.sectors) == 1 and seen == []
+
+
 def test_one_sector_when_only_R_breaks_the_turn():
     """A and M commute with the quarter turn, but R is off its orbit's value
     in one entry: the orbits are refused, so every bundle matrix, R
@@ -664,9 +785,7 @@ def test_commutes_compares_rows_with_entries():
     boundary's rows alone), and refuses an R with one more entry in a row
     the turn maps onto an empty one, or with one entry fewer."""
     bundle = _bundle(eps=1 / 8)
-    orbits, _ = spectral._rotation_orbits(bundle)
-    turn = np.arange(bundle.red.dim)
-    turn[orbits] = np.roll(orbits, -1, axis=1)
+    _, _, turn = spectral._rotation_orbits(bundle)
     for X in (bundle.A, bundle.M, bundle.R):
         assert spectral._commutes(X, turn)
         assert abs(X[turn][:, turn] - X).max() <= 1e-12 * abs(X).max()
