@@ -150,17 +150,17 @@ def visik_check(bundle: DiscreteOperatorBundle, U: np.ndarray, mu: float,
     U is normalized internally to unit eps-norm (idempotent when already
     normalized).  KU is K_eps U when the caller has it (a study sums it
     sector by sector while the eigensolve's LUs are alive), else it is
-    `apply_Keps(bundle, U)`.  The certificate is exact for the
+    `apply_Keps(bundle, U)`.  The eps-norms and any further solve read the
+    bundle's `red.A` and `red.M`.  The certificate is exact for the
     self-adjoint discrete operator: while the supplied spectrum ends below
     1/mu, twice as many modes are solved in the bundle's sectors, their
     LUs made again one at a time.  Once lambda_k >= 1/mu, every later mode
     has 1/lambda_j <= mu and is no nearer to mu.
     """
+    A, M = bundle.red.A, bundle.red.M
     while spectrum.eigenvalues[-1] < 1.0 / mu:
-        spectrum = solve_gevp(bundle.A, bundle.M, 2 * spectrum.k,
-                              sectors=bundle.sectors)
+        spectrum = solve_gevp(A, M, 2 * spectrum.k, sectors=bundle.sectors)
     U = np.asarray(U, dtype=float)
-    A = bundle.A
     nrm = np.sqrt(float(U @ (A @ U)))
     if nrm == 0.0:
         raise SolverError("zero eps-norm trial field in visik_check")

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
+from .fem import Tiled
 
 _EIG_TOL = 1e-9           # eigen residual bound, relative to 1 + |lambda|
 _SIGN_THRESH = 1e-8       # sign fixing ignores components below this
@@ -72,8 +73,11 @@ class Sector:
     maps coordinates to full vectors (P y), `restrict` a real full vector
     to coordinates (P^H f) and `project` a full matrix that commutes with
     the sector to the sector's (P^H X P).  This class is all of the pencil:
-    P = I, and each of the three returns its argument itself; `spectral`
-    subclasses it for the quarter turn.
+    P = I, `expand` and `restrict` return their argument itself, and
+    `project` a matrix (sparse or dense) itself and a `fem.Tiled` one
+    assembled (`Tiled.tocsr`), made again on each call; `spectral`
+    subclasses it for the quarter turn, whose project folds a `Tiled` A or
+    B straight from the cell.
 
     A complex sector stands for itself and its conjugate, whose eigenpairs are
     the conjugates of its own: each of its eigenvalues counts twice (weight
@@ -94,7 +98,7 @@ class Sector:
         return f
 
     def project(self, X):
-        return X
+        return X.tocsr() if isinstance(X, Tiled) else X
 
     def lu(self, projected=None):
         """The LU's solve, made from `projected` or P^H A P unless one is alive."""
@@ -121,7 +125,7 @@ class Sector:
         order of solve_gevp's gate on the full pencil, which alone decides
         what is accepted; machine epsilon would cost restarts of the
         max(2k + 1, 20)-vector basis for accuracy nothing reads."""
-        if not sp.issparse(self.A) or k >= self.dim - 1:
+        if isinstance(self.A, np.ndarray) or k >= self.dim - 1:
             Ad, Bd = (X.toarray() if sp.issparse(X) else np.asarray(X, dtype=float)
                       for X in (self.project(self.A), self.project(B)))
             try:  # LAPACK refuses a B that is not positive definite
@@ -181,6 +185,10 @@ class Sector:
 def solve_gevp(A, B, k: int, sectors=None, readers=()) -> Spectrum:
     """k smallest eigenpairs of A u = lambda B u, A SPSD, B SPD.
 
+    A and B are matrices or `fem.Tiled` operators: they are read only
+    through the sectors' `project` and through products A @ x and B @ x
+    (for a vector or a block), which a `Tiled` operand forms through the
+    cell (gather, multiply, scatter-add, then R x) and a matrix as itself.
     The pencil is solved in `sectors` of A, by default the one `Sector(A)`,
     one visit after another: a visit makes the sector's LU, runs Lanczos,
     calls each of `readers` on the sector (`read(s)`), in order, while the
@@ -189,7 +197,8 @@ def solve_gevp(A, B, k: int, sectors=None, readers=()) -> Spectrum:
     the sectors' total weight; a sector whose largest value lies below the
     merged k-th value is solved again for twice as many, its LU made again,
     and the readers are not called again.  The k smallest merged pairs are
-    expanded, made B-orthonormal and checked on the full pencil.  The
+    expanded, made B-orthonormal and checked on the full pencil, each
+    pair's residual A x - lambda B x from two block products.  The
     operator solves of every run, re-solves included, add up to
     `Spectrum.solves`.
     """
@@ -239,10 +248,7 @@ def solve_gevp(A, B, k: int, sectors=None, readers=()) -> Spectrum:
     vecs = la.solve_triangular(L, vecs.T, lower=True).T
     vecs = _fix_signs(vecs)
 
-    res = np.array([
-        np.linalg.norm(A @ vecs[:, j] - vals[j] * (B @ vecs[:, j]))
-        for j in range(k)
-    ])
+    res = np.array([np.linalg.norm(r) for r in (A @ vecs - (B @ vecs) * vals).T])
     scale = 1.0 + np.abs(vals)
     bad = res > _EIG_TOL * scale
     if bad.any():

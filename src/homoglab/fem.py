@@ -3,6 +3,7 @@ and constraint elimination."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,27 @@ def fold_matrix(A, rows: np.ndarray, cols: np.ndarray, n: int,
                 phase: np.ndarray | None = None) -> sp.csr_matrix:
     """The n x n canonical CSR matrix that sums each entry (i, j) of the CSR
     matrix A, times phase[j] if given, into (rows[i], cols[j]); with (c, .)
-    maps, c copies of A, copy k into (rows[k, i], cols[k, j]).  An entry
-    whose row or column maps to -1 is dropped, and so is every explicit
-    zero of the result.  With P the matrix with a one in row i, column
-    map[i], P' A P is fold_matrix(A, map, map, P.shape[1]).  The triplets
-    take the maps' integer type, and are copied only to drop entries."""
-    i = np.repeat(rows, np.diff(A.indptr), axis=-1).ravel()
-    j = cols[..., A.indices].ravel()
-    vals = A.data if phase is None else A.data * phase[A.indices]
-    if i.size > vals.size:
-        vals = np.tile(vals, i.size // vals.size)
-    kept = (i >= 0) & (j >= 0)
+    maps, c copies of A, copy k's entry (i, j) times phase[k, j] (the phase
+    is indexed like the column map) into (rows[k, i], cols[k, j]).  A row
+    mapped to -1 is dropped, all its entries at once, before any value is
+    formed; the few entries whose column maps to -1 are dropped after, and
+    so is every explicit zero of the result.  The kept triplets keep the
+    copies' and A's order, and take the maps' integer type.  With P the
+    matrix with a one in row i, column map[i], P' A P is
+    fold_matrix(A, map, map, P.shape[1])."""
+    rows, cols = np.atleast_2d(rows), np.atleast_2d(cols)
+    copy, row = np.nonzero(rows >= 0)
+    count = np.diff(A.indptr)[row]
+    # the entries of the kept rows, copy by copy: one run of A's positions each
+    start = A.indptr[row] - (np.cumsum(count) - count)
+    at = np.repeat(start, count) + np.arange(count.sum())
+    i = np.repeat(rows[copy, row], count)
+    # each entry's place in the (c, N) column map and phase
+    at_col = np.repeat(copy * cols.shape[1], count) + A.indices[at]
+    j = cols.ravel()[at_col]
+    vals = A.data[at] if phase is None else A.data[at] * phase.ravel()[at_col]
+    del at, at_col  # only the triplets stay alive while they are summed
+    kept = j >= 0
     if not kept.all():
         i, j, vals = i[kept], j[kept], vals[kept]
     out = _accumulate(n, i, j, vals)
@@ -42,30 +53,69 @@ def fold_matrix(A, rows: np.ndarray, cols: np.ndarray, n: int,
     return out
 
 
-def cell_matrix(mesh: Mesh, assemble, l2g: np.ndarray) -> sp.csr_matrix:
-    """`assemble(mesh, tris=...)` over cell 0's FLUID triangles of a tiled
-    mesh with cell node map l2g, on cell 0's N0 nodes: (N0, N0)."""
+def cell_matrix(mesh: Mesh, assemble, l2g: np.ndarray,
+                region: int = geometry.FLUID) -> sp.csr_matrix:
+    """`assemble(mesh, tris=...)` over cell 0's triangles of `region` of a
+    tiled mesh with cell node map l2g, on cell 0's N0 nodes: (N0, N0)."""
     n0 = l2g.shape[1]
-    fluid = np.nonzero(mesh.tri_region[:mesh.n_triangles // len(l2g)] == geometry.FLUID)[0]
-    return assemble(mesh, tris=fluid)[:n0, :n0]
+    tris = np.nonzero(mesh.tri_region[:mesh.n_triangles // len(l2g)] == region)[0]
+    return assemble(mesh, tris=tris)[:n0, :n0]
 
 
-def assemble_tiled(mesh: Mesh, assemble, dof: np.ndarray) -> sp.csr_matrix:
-    """`assemble(mesh, tris=...)`, the stiffness or the mass, over the FLUID
-    triangles of a tiled mesh (`geometry.tile_template`), on the reduced
-    DoFs of the node -> DoF map `dof` (`dof_map`): `cell_matrix` folded
-    straight onto the DoFs of each of the n^2 cells through the cell node
-    map (`geometry.cell_node_map`), n^2 times its nnz triplets in place of
-    9 per triangle.  The matrix is `ReducedSystem.project` of the full one,
-    and the full one is never made.  Each cell gets the matrix of an exact
+@dataclass
+class Tiled:
+    """A reduced matrix of a tiled mesh (`geometry.tile_template`) kept as
+    its parts: the n^2 copies of cell 0's (N0, N0) CSR matrix `cell`
+    (`cell_matrix`), copy k's entry (i, j) summed into (map[k, i],
+    map[k, j]) and dropped where either is -1, plus `extra`, a (dim, dim)
+    CSR matrix or None (the Robin mass R, which K may cut off cells).  With
+    map = dof[cell_node_map] for a node -> DoF map `dof`, the assembled
+    matrix (`tocsr`) is `ReducedSystem.project` of the full-node one.
+
+    No full-size matrix is made unless `tocsr` is called: a product gathers
+    x at the map, multiplies by `cell`, scatter-adds and adds extra @ x, and
+    a sector folds the cell copies straight onto its own rows
+    (`spectral._TurnSector.project`).  Each cell gets the matrix of an exact
     translate of cell 0, whose coordinates are eps times the template's.  A
     node stored near 1 is its translate rounded, by up to the machine
     epsilon u, so triangle by triangle the entries differ from these by
     about u / (eps h_ref) relative."""
-    l2g = geometry.cell_node_map(mesh)
-    cell = cell_matrix(mesh, assemble, l2g)
-    l2g = dof[l2g]
-    return fold_matrix(cell, l2g, l2g, int(dof.max()) + 1)
+
+    cell: sp.csr_matrix
+    map: np.ndarray           # (n^2, N0) int32 DoF of each cell node, -1 where fixed
+    dim: int
+    extra: sp.csr_matrix | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The assembled matrix: the copies folded (`fold_matrix`), plus extra."""
+        out = fold_matrix(self.cell, self.map, self.map, self.dim)
+        return out if self.extra is None else out + self.extra
+
+    def __matmul__(self, x):
+        """The product with a vector (dim,) or a block (dim, m), real or
+        complex, through the cell: each column's copies summed in map order."""
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            return self @ x.real + 1j * (self @ x.imag)
+        cols = x.reshape(self.dim, -1)
+        at = self.map.T  # (N0, n^2); a -1 reads the zero appended to x
+        out = np.empty(cols.shape)
+        for c, col in enumerate(cols.T):
+            y = self.cell @ np.append(col, 0.0)[at]
+            out[:, c] = np.bincount(self._bins, y.ravel(), minlength=self.dim + 1)[1:]
+        if self.extra is not None:
+            out += self.extra @ cols
+        return out.reshape(x.shape)
+
+    @functools.cached_property
+    def _bins(self) -> np.ndarray:
+        """The scatter bins of a product, made on the first one and kept:
+        1 + map.T, so that a -1 falls in bin 0."""
+        return self.map.T.ravel().astype(np.intp) + 1
 
 
 def _block_indices(tri_nodes: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +214,11 @@ class ReducedSystem:
     """Constraint-eliminated matrices and the node -> DoF map that expands
     reduced vectors back to full ones.  P, the n x dim matrix with a one in
     row i, column dof[i], is never built: `expand`, `restrict` and `project`
-    apply P u, P' f and P' A P through the map."""
+    apply P u, P' f and P' A P through the map.  A and M are CSR, or `Tiled`
+    on a tiled mesh."""
 
-    A: sp.csr_matrix
-    M: sp.csr_matrix
+    A: sp.csr_matrix | Tiled
+    M: sp.csr_matrix | Tiled
     R: sp.csr_matrix | None
     dof: np.ndarray           # int32 reduced DoF of each node, -1 where fixed
     keep: np.ndarray          # int32 first full node of each reduced DoF
@@ -231,7 +282,7 @@ def apply_constraints(A, M, R, dof: np.ndarray) -> ReducedSystem:
     """Eliminate constraints by projection: reduced A = P' A P (see
     `ReducedSystem.project`), for the operator A, the mass M and the Robin
     mass R, each None where there is none or where the caller reduces it
-    another way (`assemble_tiled` with the map).
+    another way (a `Tiled` one, through the map).
 
     dof[i] is the reduced DoF of node i, or -1 where the node is fixed to
     zero.  Nodes sharing a DoF are folded together (periodic faces).

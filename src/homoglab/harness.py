@@ -3,8 +3,12 @@ then the perforated problem per eps; fit log-log rates and emit reports."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import importlib
 import json
+import os
 import sys
 import time
 import warnings
@@ -30,6 +34,12 @@ _CLUSTER_REL_TOL = 1e-2             # relative spread of one eigenvalue cluster
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # pixel size of the rates chart
 # row columns whose j = 1 series are fitted, flagged and charted
 _ERROR_COLUMNS = ("abs_err", "heps_err", "l2_err", "gap", "visik_alpha")
+# numpy's and scipy's bundled OpenBLAS: a name, a module linked to the
+# library, and the suffix of its symbols (numpy's is the 64-bit-integer build)
+_OPENBLAS = (("numpy", "numpy._core._multiarray_umath", "64_"),
+             ("scipy", "scipy.linalg._fblas", ""))
+# the variables OpenBLAS takes its thread count from
+_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -124,12 +134,53 @@ def _eigen_clusters(values: np.ndarray) -> list[list[int]]:
     return clusters
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's and scipy's bundled OpenBLAS to one thread each, and
+    give each its earlier count back on exit, unless one of the variables
+    OpenBLAS reads its count from is set: the caller then chose the count
+    (the CLI sets them from HOMOGLAB_THREADS), and nothing is pinned.
+    Yields the names of the libraries pinned.  The thread setters are
+    looked up on each call, through ctypes.  A library without them
+    (another BLAS, or another build) is left as it is."""
+    pinned = []
+    chosen = any(var in os.environ for var in _OPENBLAS_THREAD_VARS)
+    for name, module, suffix in () if chosen else _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        except (ImportError, OSError, AttributeError):
+            continue
+        pinned.append((name, put, get()))
+        put(1)
+    try:
+        yield [name for name, *_ in pinned]
+    finally:
+        for _, put, count in pinned:
+            put(count)
+
+
 def run_study(cfg: StudyConfig) -> dict:
     """Execute the sweep and return the full nested report (dict).
 
-    With one BLAS thread the body is a pure function of the configuration;
-    the timestamp lives in the header, so the body is byte-reproducible.
+    With none of OpenBLAS's thread variables set (OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS, OMP_NUM_THREADS), the sweep runs with numpy's and
+    scipy's bundled OpenBLAS pinned to one thread, and their counts are
+    restored on return; header["blas_pinned"] names the libraries pinned.
+    A caller who set one of them keeps the count it gives, as does a
+    library missing from blas_pinned.  With one BLAS thread the body is a
+    pure function of the configuration; the timestamp lives in the header,
+    so the body is byte-reproducible.
     """
+    with _one_blas_thread() as pinned:
+        report = _sweep(cfg)
+    report["header"]["blas_pinned"] = pinned
+    return report
+
+
+def _sweep(cfg: StudyConfig) -> dict:
+    """`run_study`'s report, with the BLAS threads as they are."""
     t_start = time.time()
     body: dict = {"config": _config_echo(cfg), "cell": {}, "homogenized": {},
                   "rows": [], "lab": [], "rates": {}, "flags": {},
@@ -267,7 +318,7 @@ def _eps_rows(cfg: StudyConfig, eps: float, cell_sol, a_mesh,
             if cl[-1] >= cfg.k:
                 continue
             res = corr.align_eigenspaces(spec_eps.eigenvectors[:, cl].T,
-                                         U[cl], bundle.M, A_form=bundle.A)
+                                         U[cl], bundle.red.M, A_form=bundle.red.A)
             for pos, j in enumerate(cl):
                 rows[j]["heps_err"] = float(res.heps_errors[pos])
                 rows[j]["l2_err"] = float(res.l2_errors[pos])

@@ -164,12 +164,13 @@ def check_eigen_bounds(sweep: dict, dirichlet_eigenvalues: np.ndarray) -> LabRow
 def check_norm_equivalence(bundle: DiscreteOperatorBundle, sectors=None) -> LabRow:
     """Sharp c in ||u||_eps <= c ||u||_H_eps, reported, never asserted: with
     t the largest eigenvalue of R u = t (S + R) u, over `sectors`, by
-    default all the bundle's, through their LUs of S + R,
+    default all the bundle's, through their LUs of S + R (the bundle's
+    `red.A`, so no full-size matrix is made under a sector's LU),
     c = sqrt(1 / (1 - t)) = sqrt(1 + theta_max(R, S)).  Over some of the
     bundle's sectors it is the sharp c in their span, and c is the largest
     of the sectors' (c grows with t), so a study runs the check in each
     sector while the eigensolve's LU of it is alive."""
-    t = extreme_eigenvalues(bundle.R, bundle.A, "LA",
+    t = extreme_eigenvalues(bundle.R, bundle.red.A, "LA",
                             sectors=sectors or bundle.sectors)[-1]
     return LabRow("norm_equivalence", bundle.mesh.eps, float(np.sqrt(1.0 / (1.0 - t))),
                   0, passed=True)

@@ -24,24 +24,35 @@ _CHARACTERS = (1j, 1.0, -1.0)
 class DiscreteOperatorBundle:
     """Reduced matrices, constraint bookkeeping and the one factorization of
     A, split over the sectors of A (`sectors`); only a perforated bundle
-    carries the Robin mass R."""
+    carries the Robin mass R.
+
+    A perforated bundle keeps A = S + R and M as `fem.Tiled` operators
+    (`red.A`, `red.M`): cell 0's S and M, the DoF map of every cell's copy,
+    and R.  Its solves read those: every product with A or M goes through
+    the cell, and each of the quarter turn's sectors folds its own matrices
+    from the cell, so no full-size A or M is made; the one sector of a
+    bundle without the turn assembles A for its LU and M for its run.
+    `A`, `M` and `S` are the assembled CSR matrices, for callers that need
+    entries; A and M are made on first read and kept."""
 
     mesh: Mesh
     red: fem.ReducedSystem
 
-    @property
+    @functools.cached_property
     def A(self):
         """The bilinear-form matrix of the problem (S + R when perforated)."""
-        return self.red.A
+        X = self.red.A
+        return X.tocsr() if isinstance(X, fem.Tiled) else X
 
     @property
     def S(self):
         """The stiffness, A - R, made on each access."""
-        return self.red.A if self.R is None else self.red.A - self.red.R
+        return self.A if self.R is None else self.A - self.R
 
-    @property
+    @functools.cached_property
     def M(self):
-        return self.red.M
+        X = self.red.M
+        return X.tocsr() if isinstance(X, fem.Tiled) else X
 
     @property
     def R(self):
@@ -57,7 +68,7 @@ class DiscreteOperatorBundle:
         """A in the quarter turn's sectors when the turn is a symmetry of A, M
         and R (`_rotation_orbits`), else in one sector; a sector's LU is made
         when a solve needs it and lives until the sector drops it."""
-        return self.sectors_of(self.A)
+        return self.sectors_of(self.red.A)
 
     def sectors_of(self, X, *parts):
         """The bundle's sectors with X as their operator, each with no LU,
@@ -65,11 +76,9 @@ class DiscreteOperatorBundle:
         `parts` commutes with it too (`_commutes`); else the one sector of
         X.  X must be a linear combination of A, M, R and `parts`, so that
         it commutes with the turn when they do."""
-        if self._orbits is None:
+        if self._orbits is None or not all(_commutes(Y, self._orbits[2]) for Y in parts):
             return (Sector(X),)
-        orbits, fixed, turn = self._orbits
-        if not all(_commutes(Y, turn) for Y in parts):
-            return (Sector(X),)
+        orbits, fixed, _ = self._orbits
         return tuple(_TurnSector(X, orbits, fixed, chi) for chi in _CHARACTERS)
 
 
@@ -80,13 +89,14 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     each DoF.  The turn is cell 0's, tau, carried to each cell by index:
     cell c = (c % n, c // n) = (ix, iy) turns onto rot(c) = (n - 1 - iy, ix).
 
-    None for a domain mesh, and unless tau maps cell 0's nodes onto
-    themselves and commutes with cell 0's S and M, of which the bundle's are
-    folds, and the turn with R (`_commutes`).  The turn then keeps the DoFs:
-    the FLUID nodes (M's rows) off the square's boundary.
+    None unless the bundle's A and M are tiled from cell 0 (`fem.Tiled`; a
+    domain mesh has no cells), tau maps cell 0's nodes onto themselves and
+    commutes with cell 0's S and M, and the turn with R (`_commutes`).  The
+    turn then keeps the DoFs: the FLUID nodes (M's rows) off the square's
+    boundary.
     """
     mesh, red = bundle.mesh, bundle.red
-    if not mesh.eps:
+    if not all(isinstance(X, fem.Tiled) for X in (red.A, red.M)):
         return None
     l2g = geometry.cell_node_map(mesh)
     X = mesh.nodes[:l2g.shape[1]] / mesh.eps
@@ -96,8 +106,7 @@ def _rotation_orbits(bundle: DiscreteOperatorBundle):
     if len(rows) > len(X):  # a turned node lands on no node
         return None
     tau = np.argsort(at[:len(X)])[at[len(X):]]
-    if not all(_commutes(fem.cell_matrix(mesh, assemble, l2g), tau)
-               for assemble in (fem.assemble_stiffness, fem.assemble_mass)):
+    if not all(_commutes(X.cell, tau) for X in (red.A, red.M)):
         return None
     n = round(1.0 / mesh.eps)
     rot = np.rot90(np.arange(n * n).reshape(n, n)).ravel()
@@ -163,39 +172,57 @@ class _TurnSector(Sector):
         return np.concatenate([f[self.orbits] @ self.chi.conj(), f[self.fixed]])
 
     def project(self, X):
-        """P^H X P for an X that commutes with the turn.  Row orbits[o, 0]
-        of P is the unit row e_o, so X P = P W gives W = (X P)[those rows]:
-        those rows of X folded onto the orbits with phase chi^g.  P^H X P =
-        P^H P W with P^H P = 4 on an orbit and 1 on a fixed DoF, so a
-        quarter of X's rows are used.  Made Hermitian to the last bit."""
+        """P^H X P for an X that commutes with the turn, a CSR matrix or a
+        `fem.Tiled` one.  Row orbits[o, 0] of P is the unit row e_o, so
+        X P = P W gives W = (X P)[those rows]: those rows of X folded onto
+        the orbits with phase chi^g, one `fem.fold_matrix` call that drops
+        every other row before forming a value.  A tiled X's cell copies
+        are folded so, straight from the cell, and its extra (R) is added
+        folded the same way.  P^H X P = P^H P W with P^H P = 4 on an orbit
+        and 1 on a fixed DoF, so a quarter of X's rows are used.  Made
+        Hermitian to the last bit."""
         m, k = len(self.orbits), len(self.fixed)
-        col = np.full(self.n, -1, dtype=np.int32)
+        # each DoF's row of W (its orbit's first DoF, or a fixed DoF), its
+        # column and its phase; a tiled map's -1 reads the -1 in slot n
+        row, col = np.full((2, self.n + 1), -1, dtype=np.int32)
+        row[self.orbits[:, 0]] = np.arange(m)
         col[self.orbits] = np.arange(m)[:, None]
-        col[self.fixed] = m + np.arange(k)
-        phase = np.ones(self.n, dtype=self.chi.dtype)
+        row[self.fixed] = col[self.fixed] = m + np.arange(k)
+        phase = np.ones(self.n + 1, dtype=self.chi.dtype)
         phase[self.orbits] = self.chi
-        first = np.concatenate([self.orbits[:, 0], self.fixed])
-        Z = fem.fold_matrix(X[first], np.arange(m + k, dtype=np.int32), col, m + k,
-                            phase)
-        Z.data[:Z.indptr[m]] *= 4.0
-        Z = Z + Z.conj().T
-        Z.data *= 0.5
-        return Z
+
+        def fold(Y, at):  # Y's rows and columns are the DoFs `at`
+            return fem.fold_matrix(Y, row[at], col[at], m + k, phase[at])
+
+        if not isinstance(X, fem.Tiled):
+            W = fold(X, slice(self.n))
+        else:
+            W = fold(X.cell, X.map)
+            if X.extra is not None:
+                W = W + fold(X.extra, slice(self.n))
+        W.data[:W.indptr[m]] *= 4.0
+        W = W + W.conj().T
+        W.data *= 0.5
+        return W
 
 
 def build_perforated_bundle(cfg: DomainConfig) -> DiscreteOperatorBundle:
-    """Tile Omega and assemble A = S + R and M over its FLUID triangles
+    """Tile Omega and set up A = S + R and M over its FLUID triangles
     (Omega_eps) with the outer Dirichlet nodes and the nodes off Omega_eps
-    eliminated: S and M from one cell, folded straight onto the reduced
-    DoFs (`fem.assemble_tiled`), and R edge by edge, since K may cut a
-    cell, then reduced (`fem.apply_constraints`)."""
+    eliminated: S and M as cell 0's matrices and the reduced DoF of every
+    cell's copy of each cell node (`fem.Tiled`, one map for both), and R
+    edge by edge, since K may cut a cell, then reduced
+    (`fem.apply_constraints`).  No full-size S or M is made."""
     mesh = geometry.build_perforated_mesh(cfg)
     fixed = ~mesh.fluid_nodes()
     fixed[mesh.outer_nodes()] = True
     red = fem.apply_constraints(None, None, fem.assemble_robin_mass(mesh, cfg.k_rect),
                                 fem.dof_map(mesh.n_nodes, fixed))
-    red.M = fem.assemble_tiled(mesh, fem.assemble_mass, red.dof)
-    red.A = fem.assemble_tiled(mesh, fem.assemble_stiffness, red.dof) + red.R
+    l2g = geometry.cell_node_map(mesh)
+    at = red.dof[l2g]
+    red.M = fem.Tiled(fem.cell_matrix(mesh, fem.assemble_mass, l2g), at, red.dim)
+    red.A = fem.Tiled(fem.cell_matrix(mesh, fem.assemble_stiffness, l2g), at, red.dim,
+                      red.R)
     return DiscreteOperatorBundle(mesh=mesh, red=red)
 
 
@@ -203,7 +230,9 @@ def solve_perforated_evp(cfg: DomainConfig, k: int, readers=None):
     """k smallest eigenpairs of (S+R) u = lambda M u on Omega_eps.
 
     Eigenfunctions come back L2(Omega_eps)-orthonormal on the reduced DoFs.
-    A k that is not an integer >= 1 is refused before the mesh is built.
+    The pencil is the bundle's `red.A` and `red.M`, so with the quarter
+    turn no full-size A or M is made.  A k that is not an integer >= 1 is
+    refused before the mesh is built.
     `readers(bundle)`, when given, is called once the bundle is built,
     before any LU is made, and what it returns is `solve_gevp`'s readers:
     each is called on each sector while the sector's LU is alive, in the
@@ -212,7 +241,7 @@ def solve_perforated_evp(cfg: DomainConfig, k: int, readers=None):
     """
     k = config_int("k", k, 1)
     bundle = build_perforated_bundle(cfg)
-    spec = solve_gevp(bundle.A, bundle.M, k, sectors=bundle.sectors,
+    spec = solve_gevp(bundle.red.A, bundle.red.M, k, sectors=bundle.sectors,
                       readers=readers(bundle) if readers else ())
     return spec, bundle
 
@@ -245,12 +274,13 @@ def solve_dirichlet_laplacian(a_mesh: Mesh, k: int):
 def apply_Keps(bundle: DiscreteOperatorBundle, f: np.ndarray,
                sectors=None) -> np.ndarray:
     """Discrete source operator: solve (S+R) u = M f on the reduced DoFs, in
-    `sectors`, by default all the bundle's (`solve_source`).  Over some of
-    the bundle's sectors it is the part of K_eps f in their span, so a
-    caller can sum K_eps f sector by sector while each sector's LU is alive."""
+    `sectors`, by default all the bundle's (`solve_source`), with the
+    bundle's `red.A` and `red.M`.  Over some of the bundle's sectors it is
+    the part of K_eps f in their span, so a caller can sum K_eps f sector
+    by sector while each sector's LU is alive."""
     if bundle.R is None:
         raise SolverError("apply_Keps needs a perforated bundle")
-    return solve_source(bundle.A, bundle.M @ np.asarray(f, dtype=float),
+    return solve_source(bundle.red.A, bundle.red.M @ np.asarray(f, dtype=float),
                         sectors=sectors or bundle.sectors)
 
 
@@ -263,17 +293,21 @@ def extend_Teps(bundle: DiscreteOperatorBundle, U: np.ndarray) -> np.ndarray:
     per hole with the hole-boundary trace as Dirichlet data.  Each hole's
     fan centre is its one node off Omega_eps, so the hole Laplacian there
     is diagonal and the solve divides by it; SolverError if it is not.
+    Every hole's rows are cell 0's (`fem.cell_matrix` over the HOLE
+    triangles), carried to each cell through the cell node map.
     """
     if bundle.R is None:
         raise SolverError("extend_Teps needs a perforated bundle")
     out = bundle.red.expand(np.asarray(U, dtype=float))
     mesh = bundle.mesh
-    interior = np.nonzero(~mesh.fluid_nodes())[0]
-    # the HOLE stiffness rows of the nodes off Omega_eps, where out is zero
-    Sh = fem.assemble_stiffness(
-        mesh, tris=np.nonzero(mesh.tri_region == geometry.HOLE)[0])[interior]
-    d = Sh[:, interior].diagonal()
-    if Sh[:, interior].count_nonzero() > np.count_nonzero(d):
+    l2g = geometry.cell_node_map(mesh)
+    # cell 0's nodes off Omega_eps, where out is zero, and their HOLE rows
+    inner = np.nonzero(~mesh.fluid_nodes()[l2g[0]])[0]
+    Sh = fem.cell_matrix(mesh, fem.assemble_stiffness, l2g, geometry.HOLE)[inner]
+    d = Sh[:, inner].diagonal()
+    if Sh[:, inner].count_nonzero() > np.count_nonzero(d):
         raise SolverError("the hole Laplacian is not diagonal")
-    out[interior] = (-(Sh @ out).T / d).T
+    F = out[l2g.T]  # (N0, n^2[, m]): each cell's copy of each cell node
+    fill = -(Sh @ F.reshape(len(F), -1)) / d[:, None]
+    out[l2g[:, inner].T] = fill.reshape((len(inner),) + F.shape[1:])
     return out

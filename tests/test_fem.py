@@ -373,11 +373,54 @@ def test_fold_matrix_copies(monkeypatch):
         assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
 
 
+def test_fold_matrix_drops_rows_before_values(monkeypatch):
+    """With (c, n) maps and a phase indexed like the column map, copy k's
+    entry (i, j) goes to (rows[k, i], cols[k, j]) times phase[k, j], as
+    the 1-D maps fold the block-diagonal matrix of the copies; a row or a
+    column mapped to -1 is dropped before the triplets are summed, so only
+    the kept ones are."""
+    A = sp.csr_matrix(np.array([[1.0, 2.0, 0.0],
+                                [3.0, 4.0, 5.0],
+                                [0.0, -1.0, 6.0]]))
+    rows = np.array([[0, -1, 2], [-1, 3, 1]], dtype=np.int32)
+    cols = np.array([[0, 1, 2], [2, 3, -1]], dtype=np.int32)
+    phase = np.array([[1.0, 1j, -1.0], [-1j, 2.0, 3.0]])
+    want = np.zeros((4, 4), dtype=complex)
+    for k in range(2):
+        for i, j in zip(*A.nonzero()):
+            if rows[k, i] >= 0 and cols[k, j] >= 0:
+                want[rows[k, i], cols[k, j]] += A[i, j] * phase[k, j]
+    seen = []
+    accumulate = fem._accumulate
+
+    def recording(n, i, j, vals):
+        seen.append(len(i))
+        return accumulate(n, i, j, vals)
+
+    monkeypatch.setattr(fem, "_accumulate", recording)
+    got = fem.fold_matrix(A, rows, cols, 4, phase)
+    block = fem.fold_matrix(sp.block_diag([A, A], format="csr"), rows.ravel(),
+                            cols.ravel(), 4, phase.ravel())
+    # copy 0 keeps rows 0 and 2, 4 entries; copy 1 rows 1 and 2, less the
+    # entries in column 2, which it maps to -1
+    assert seen == [7, 7]
+    assert np.array_equal(got.toarray(), want)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(block, part).tobytes(), part
+
+
 def _cell_zero(mesh):
     """Cell 0's FLUID triangles of a tiled mesh and the cell node map."""
     l2g = geometry.cell_node_map(mesh)
     T = mesh.n_triangles // len(l2g)
     return np.nonzero(mesh.tri_region[:T] == geometry.FLUID)[0], l2g
+
+
+def _tiled(mesh, assemble, dof):
+    """The stiffness or mass of a tiled mesh on the DoFs of `dof`, as the
+    perforated bundle keeps it: cell 0's matrix and dof[cell_node_map]."""
+    l2g = geometry.cell_node_map(mesh)
+    return fem.Tiled(fem.cell_matrix(mesh, assemble, l2g), dof[l2g], int(dof.max()) + 1)
 
 
 @pytest.mark.parametrize("assemble", [fem.assemble_stiffness, fem.assemble_mass])
@@ -397,7 +440,7 @@ def test_tiled_assembly(assemble, eps, r, h_ref):
     assert np.array_equal(l2g[:, mesh.triangles[:len(mesh.triangles) // len(l2g)]]
                           .reshape(-1, 3), mesh.triangles)
     cell = assemble(mesh, tris=fluid)[:n0, :n0]
-    got = fem.assemble_tiled(mesh, assemble, fem.dof_map(mesh.n_nodes, []))
+    got = _tiled(mesh, assemble, fem.dof_map(mesh.n_nodes, [])).tocsr()
     want = fem.fold_matrix(sp.block_diag([cell] * len(l2g), format="csr"),
                            l2g.ravel(), l2g.ravel(), mesh.n_nodes)
     for part in ("data", "indices", "indptr"):
@@ -405,7 +448,7 @@ def test_tiled_assembly(assemble, eps, r, h_ref):
     fixed = ~mesh.fluid_nodes()
     fixed[mesh.outer_nodes()] = True
     red = fem.apply_constraints(got, None, None, fem.dof_map(mesh.n_nodes, fixed))
-    folded = fem.assemble_tiled(mesh, assemble, red.dof)
+    folded = _tiled(mesh, assemble, red.dof).tocsr()
     for part in ("data", "indices", "indptr"):
         assert getattr(folded, part).tobytes() == getattr(red.A, part).tobytes(), part
 

@@ -383,16 +383,13 @@ def test_template_index_inverts_cell_node_map(eps, r, h_ref):
 
 
 def test_cell_maps_need_a_tiled_mesh(cell_sol8):
-    """A domain mesh (eps = 0) has no cells: the cell maps, the tiled
-    assembly and eval_chi say so instead of dividing by zero."""
-    from homoglab import fem
+    """A domain mesh (eps = 0) has no cells: the cell maps and eval_chi say
+    so instead of dividing by zero."""
     from homoglab.cell import eval_chi
     mesh = build_domain_mesh(K_RECT, 0.5 / 8.0)
     for call in (lambda: geometry.cell_node_map(mesh),
                  lambda: geometry.template_index(mesh, [0]),
                  lambda: geometry.template_index(mesh, [0], triangles=True),
-                 lambda: fem.assemble_tiled(mesh, fem.assemble_mass,
-                                            fem.dof_map(mesh.n_nodes, [])),
                  lambda: eval_chi(cell_sol8, mesh, [0])):
         with pytest.raises(GeometryError, match="no cells"):
             call()

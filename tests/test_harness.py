@@ -1,14 +1,19 @@
 """Rate fitting, sweep orchestration and report emission."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homoglab import corrector, geometry, harness, lab, spectral
+from homoglab import corrector, fem, geometry, harness, lab, spectral
 from homoglab.errors import ConfigError, GeometryError
 from homoglab.harness import (CSV_COLUMNS, StudyConfig, body_bytes, emit,
                               fit_rate, run_study)
@@ -330,6 +335,78 @@ def test_study_makes_each_lu_with_no_other_alive(lus, kw, made):
     run_study(StudyConfig(**kw))
     assert [(n, kind) for n, kind, *_ in lus] == made
     assert [alive for *_, alive, _ in lus] == [0] * len(made)
+
+
+def test_study_makes_no_full_size_matrix_under_an_lu(monkeypatch, lus):
+    """While any LU is alive in a study, no matrix of the current perforated
+    bundle's full reduced size is summed (`fem._accumulate`, which every
+    fold and assembly goes through): the sectors fold their matrices from
+    the cell, and R, and A and M where a check reads them, are made
+    between LUs."""
+    dims, under, between = [], [], []
+    build, accumulate = spectral.build_perforated_bundle, fem._accumulate
+
+    def building(cfg):
+        bundle = build(cfg)
+        dims.append(bundle.red.dim)
+        return bundle
+
+    def recording(n, i, j, vals):
+        if dims:
+            alive = any(ref() is not None for *_, ref in lus)
+            (under if alive else between).append(n == dims[-1])
+        return accumulate(n, i, j, vals)
+
+    monkeypatch.setattr(spectral, "build_perforated_bundle", building)
+    monkeypatch.setattr(fem, "_accumulate", recording)
+    run_study(StudyConfig(eps_list=(1 / 4, 1 / 8), h_domain=0.5 / 32, cell_refine=2))
+    assert len(dims) == 2
+    assert under and not any(under)
+    assert any(between)
+
+
+_THREAD_VARS = ("HOMOGLAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def test_study_pins_blas_threads_for_library_callers(study_report):
+    """Called from Python with no thread variable set, OpenBLAS starts with a
+    thread per core.  run_study pins numpy's and scipy's to one for the
+    sweep and gives the caller's count back: the body is, byte for byte,
+    the one-thread body of the same configuration."""
+    script = (
+        "import ctypes, hashlib\n"
+        "from numpy._core import _multiarray_umath as m\n"
+        "from homoglab.harness import StudyConfig, body_bytes, run_study\n"
+        "count = ctypes.CDLL(m.__file__).scipy_openblas_get_num_threads64_\n"
+        "before = count()\n"
+        "report = run_study(StudyConfig())\n"
+        "print(hashlib.sha256(body_bytes(report)).hexdigest(), before, count(),\n"
+        "      *report['header']['blas_pinned'])\n")
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    digest, before, after, *pinned = out
+    assert pinned == ["numpy", "scipy"]
+    assert before == after
+    assert digest == hashlib.sha256(body_bytes(study_report)).hexdigest()
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                 "OMP_NUM_THREADS"])
+def test_blas_threads_chosen_by_the_caller_are_kept(monkeypatch, var):
+    """A thread variable that OpenBLAS reads, set by the caller or by the
+    CLI from HOMOGLAB_THREADS, leaves the counts alone; with none set,
+    numpy's and scipy's are pinned for the sweep."""
+    for name in _THREAD_VARS + ("GOTO_NUM_THREADS",):
+        monkeypatch.delenv(name, raising=False)
+    with harness._one_blas_thread() as pinned:
+        assert pinned == ["numpy", "scipy"]
+    monkeypatch.setenv(var, "2")
+    with harness._one_blas_thread() as pinned:
+        assert pinned == []
 
 
 def test_visik_doubling_in_a_study_certifies(lus):

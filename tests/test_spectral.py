@@ -215,8 +215,9 @@ def _sparse_reachable(root):
 
 
 def test_one_copy_per_operator(monkeypatch):
-    """After the solve, the bundle holds A, M and R and no other matrix: S is
-    derived, no P is built and no sector keeps a projected mass.
+    """After the solve, the bundle holds cell 0's S and M, their one DoF
+    map, and R, and no other matrix: A = S + R keeps R itself, no full-size
+    A or M is assembled, no P is built and no sector keeps a projected mass.
     Each sector's mass is projected for its own run and freed before the
     next sector's is projected."""
     built, masses = [], []
@@ -228,7 +229,7 @@ def test_one_copy_per_operator(monkeypatch):
 
     def tracking(sector, X):
         out = project(sector, X)
-        if X is built[0].M:
+        if X is built[0].red.M:
             assert all(ref() is None for ref in masses), "an earlier sector mass is alive"
             masses.append(weakref.ref(out))
         return out
@@ -239,12 +240,15 @@ def test_one_copy_per_operator(monkeypatch):
     _, bundle = spectral.solve_perforated_evp(cfg, 4)
     assert len(masses) == 3 and all(ref() is None for ref in masses)
     assert len(bundle.sectors) == 3
-    operators = {id(bundle.A), id(bundle.M), id(bundle.R)}
+    red = bundle.red
+    assert red.A.extra is red.R and red.A.map is red.M.map
+    operators = {id(red.A.cell), id(red.M.cell), id(red.R)}
     assert len(operators) == 3
-    for root in (bundle, bundle.red):
+    for root in (bundle, red):
         assert sorted(map(id, _sparse_reachable(root))) == sorted(operators)
     for s in bundle.sectors:
-        assert [id(X) for X in _sparse_reachable(s)] == [id(bundle.A)]
+        assert s.A is red.A
+        assert sorted(map(id, _sparse_reachable(s))) == sorted([id(red.A.cell), id(red.R)])
 
 
 def test_rayleigh_quotient(spec_quarter, bundle_quarter):
@@ -320,9 +324,12 @@ def test_bundle_matches_fluid_only_mesh(eps, r, h_ref):
 
 
 def test_bundle_assembles_from_one_cell(monkeypatch):
-    """Building the bundle sums no more COO triplets in one go than n^2
-    copies of one cell's matrix hold (triangle by triangle, S and M would
-    take 9 per FLUID triangle), and every triplet index is int32."""
+    """Building the bundle sums COO triplets four times: R and its
+    reduction, then cell 0's M and S, 9 per FLUID triangle of one cell; no
+    full-size S or M is made.  A and M, once read, are assembled once each,
+    from no more triplets than n^2 copies of one cell's matrix hold
+    (triangle by triangle they would take 9 per FLUID triangle), and every
+    triplet index is int32."""
     seen = []
     accumulate = fem._accumulate
 
@@ -332,13 +339,15 @@ def test_bundle_assembles_from_one_cell(monkeypatch):
 
     monkeypatch.setattr(fem, "_accumulate", recording)
     cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
-    spectral.build_perforated_bundle(cfg)
+    bundle = spectral.build_perforated_bundle(cfg)
+    template = geometry.build_cell_mesh(0.25, 32, 1 / 8)
+    fluid = np.count_nonzero(template.tri_region == geometry.FLUID)
+    assert len(seen) == 4 and [n for n, *_ in seen[2:]] == [9 * fluid] * 2
+    for _ in range(2):
+        bundle.A, bundle.M
     monkeypatch.undo()
-    cell = fem.assemble_mass(geometry.build_cell_mesh(0.25, 32, 1 / 8))
-    # R and its reduction; cell 0's M and S, each folded straight onto the
-    # reduced DoFs, so no full-size S or M is made
-    assert len(seen) == 6
-    assert max(n for n, *_ in seen) <= 64 * cell.nnz
+    cell = fem.assemble_mass(template)
+    assert len(seen) == 6 and max(n for n, *_ in seen) <= 64 * cell.nnz
     assert all(i == j == np.int32 for _, i, j in seen)
 
 
@@ -390,19 +399,35 @@ def test_extend_makes_no_lu(monkeypatch):
 def test_extend_division_is_the_hole_solve(eps):
     """The division by the hole Laplacian's diagonal is the solve through
     that Laplacian's LU (`solve_source`), to 1e-14 relative, for one field
-    and for a batch."""
+    and for a batch.  The Laplacian is the one the extension divides by:
+    cell 0's HOLE rows of the hole centres, carried to every cell through
+    the cell node map.  Those rows are the ones assembled triangle by
+    triangle over every hole, up to the rounding of the stored node
+    coordinates: the `tiled_tolerance` of the hole fan's shortest side."""
     bundle = _bundle(eps=eps)
     mesh = bundle.mesh
     interior = np.nonzero(~mesh.fluid_nodes())[0]
     assert len(interior) == round(1 / eps) ** 2  # the hole centres
-    Sh = fem.assemble_stiffness(
-        mesh, tris=np.nonzero(mesh.tri_region == geometry.HOLE)[0])[interior]
+    l2g = geometry.cell_node_map(mesh)
+    inner = np.nonzero(~mesh.fluid_nodes()[l2g[0]])[0]
+    C = fem.cell_matrix(mesh, fem.assemble_stiffness, l2g, geometry.HOLE)[inner].tocoo()
+    rows, cols = l2g[:, inner][:, C.row], l2g[:, C.col]
+    Sh = sp.csr_matrix((np.tile(C.data, len(l2g)), (rows.ravel(), cols.ravel())),
+                       shape=(mesh.n_nodes,) * 2)[interior]
     U = np.random.default_rng(5).standard_normal((bundle.red.dim, 2))
     for V in (U, U[:, 0]):
         got = spectral.extend_Teps(bundle, V)
         out = bundle.red.expand(V)
         want = eigensolve.solve_source(Sh[:, interior], -(Sh @ out))
         assert np.abs(got[interior] - want).max() <= 1e-14 * np.abs(want).max()
+
+    holes = np.nonzero(mesh.tri_region == geometry.HOLE)[0]
+    assembled = fem.assemble_stiffness(mesh, tris=holes)[interior]
+    ends = mesh.nodes[mesh.triangles[holes]]
+    side = np.linalg.norm(ends - np.roll(ends, 1, axis=1), axis=2).min() / eps
+    assert Sh.nnz == assembled.nnz
+    assert (abs(Sh - assembled).max()
+            <= tiled_tolerance(eps, side) * abs(assembled).max())
 
 
 def test_extend_without_holes_is_the_expansion():
@@ -568,10 +593,13 @@ def _one_lu_eigenvalues(A, M, k):
     dict(eps=1 / 4, hole_radius=0.0)],                # one-diagonal grid: M off by 17%
     ids=["30gon", "off_centre_K", "no_hole"])
 def test_one_sector_without_symmetry(kw):
+    """Without the quarter turn the bundle solves in one sector, whose LU
+    and run are of the assembled A and M, as the one-LU solve's are."""
     spec, bundle = spectral.solve_perforated_evp(geometry.DomainConfig(
         **{"hole_radius": 0.25, "k_rect": K_RECT, **kw}), 4)
     assert len(bundle.sectors) == 1
     assert type(bundle.sectors[0]) is eigensolve.Sector
+    assert bundle.sectors[0].A is bundle.red.A
     ref = _one_lu_eigenvalues(bundle.A, bundle.M, 4)
     assert spec.eigenvalues.tobytes() == ref.tobytes()
 
@@ -581,13 +609,14 @@ def test_one_sector_without_symmetry(kw):
                          ids=["c4", "one_sector"])
 def test_one_sector_type(kw, count):
     """Every sector, the whole space included, is a `Sector` that holds the
-    bundle's own A and no separate basis object."""
+    bundle's own A, the tiled one (`red.A`), and no separate basis
+    object."""
     bundle = _bundle(**kw)
     assert not hasattr(eigensolve, "WholeSpace")
     assert len(bundle.sectors) == count
     for s in bundle.sectors:
         assert isinstance(s, eigensolve.Sector) and not hasattr(s, "basis")
-        assert s.A is bundle.A
+        assert s.A is bundle.red.A
 
 
 def test_sector_eigenvalues_match_dense():
@@ -680,6 +709,61 @@ def test_bundle_solve_through_sectors(lus):
     assert np.linalg.norm(got - u) <= 1e-13 * np.linalg.norm(u)
     parts = [spectral.apply_Keps(bundle, f, sectors=(s,)) for s in bundle.sectors]
     assert sum(parts).tobytes() == got.tobytes()
+
+
+_TURN_TILINGS = {**{f"eps{n}": dict(eps=1 / n) for n in (2, 3, 4, 5, 8)},
+                 "r02_24gon": _SYMMETRIC["r02_24gon"]}
+
+
+@pytest.mark.parametrize("name", _TURN_TILINGS)
+def test_sector_fold_from_the_cell(name):
+    """Each sector's A and M folded straight from cell 0 (`red.A`, `red.M`,
+    with R added folded) are the quarter-row projection of the assembled A
+    and M: the same sparsity, bitwise, and every entry within 1e-15 of the
+    largest.  Only the order in which the cell copies and R are summed
+    differs."""
+    bundle = _bundle(**_TURN_TILINGS[name])
+    assert isinstance(bundle.red.A, fem.Tiled) and len(bundle.sectors) == 3
+    for s in bundle.sectors:
+        for tiled, full in ((bundle.red.A, bundle.A), (bundle.red.M, bundle.M)):
+            got, want = s.project(tiled), s.project(full)
+            assert got.format == "csr" and got.has_canonical_format
+            assert got.dtype == want.dtype
+            for part in ("indices", "indptr"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+            assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("kw", [dict(eps=1 / 4), dict(eps=1 / 5), _SYMMETRIC["r02_24gon"]],
+                         ids=["eps4", "eps5", "r02_24gon"])
+def test_tiled_product_is_the_assembled_product(kw):
+    """A product through the cell (gather, cell matrix, scatter-add, then
+    R) is the assembled matrix's, to 1e-14 of the largest entry, for a
+    block of vectors, one vector and a complex one."""
+    bundle = _bundle(**kw)
+    X = np.random.default_rng(6).standard_normal((bundle.red.dim, 3))
+    for tiled, full in ((bundle.red.A, bundle.A), (bundle.red.M, bundle.M)):
+        for x in (X, X[:, 0], X[:, 1] + 1j * X[:, 2]):
+            got, want = tiled @ x, full @ x
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_deep_path_assembles_no_full_matrix(monkeypatch):
+    """At eps 1/8 the sectored solve never assembles A or M (`Tiled.tocsr`
+    refuses here): the sectors fold their matrices from the cell, and the
+    B-orthonormalization and residual gate multiply through it.  The
+    eigenvalues are those of the assembled pencil's solve, to 1e-12."""
+    def refused(self):
+        raise AssertionError("a full-size matrix was assembled")
+
+    monkeypatch.setattr(fem.Tiled, "tocsr", refused)
+    cfg = geometry.DomainConfig(eps=1 / 8, hole_radius=0.25, k_rect=K_RECT)
+    spec, bundle = spectral.solve_perforated_evp(cfg, 4)
+    assert len(bundle.sectors) == 3 and not {"A", "M"} & set(vars(bundle))
+    monkeypatch.undo()
+    full = solve_gevp(bundle.A, bundle.M, 4)
+    assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-12, atol=0.0)
 
 
 def _hashed_orbits(bundle):
@@ -775,7 +859,8 @@ def test_one_sector_when_only_R_breaks_the_turn():
     skewed = spectral.DiscreteOperatorBundle(mesh=bundle.mesh,
                                              red=dataclasses.replace(bundle.red, R=R))
     assert spectral._rotation_orbits(skewed) is None
-    assert len(skewed.sectors) == 1 and skewed.sectors[0].A is bundle.A
+    assert len(skewed.sectors) == 1 and skewed.sectors[0].A is bundle.red.A
+    assert type(skewed.sectors[0]) is eigensolve.Sector
 
 
 def test_commutes_compares_rows_with_entries():
